@@ -14,10 +14,7 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import cfrac, dirichlet, farey, limits, measure, sums, verify
@@ -29,38 +26,30 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
-_BRUTE_TIMING_CAP = 200_000
+_BRUTE_CHECK_CAP = 200_000
 
 
 class UsageError(Exception):
     pass
 
 
-def worker_count() -> int:
-    """Worker cap from REMSUM_THREADS (default 1; results never depend on it)."""
-    raw = os.environ.get("REMSUM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"REMSUM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def parse_tspec(text: str) -> Scalar:
+def parse_tspec(text: str) -> tuple[Scalar, cfrac.CFExpansion | None]:
     """t specifications: "rat:p/q", "quad:(p+q*sqrt(d))/r", "cf:l0;l1,(per)".
-    A bare scalar (no prefix) is also accepted."""
+    A bare scalar (no prefix) is also accepted.  Returns (t, cf): cf is the
+    parsed expansion of a "cf:" spec and None otherwise."""
     text = text.strip()
     try:
         if text.startswith("rat:"):
             v = parse_scalar(text[4:])
             if not is_rational(v):
                 raise ValueError("rat: spec must be rational")
-            return v
+            return v, None
         if text.startswith("quad:"):
-            return parse_scalar(text[5:])
+            return parse_scalar(text[5:]), None
         if text.startswith("cf:"):
-            return cfrac.value(cfrac.parse_cf(text[3:]))
-        return parse_scalar(text)
+            cf = cfrac.parse_cf(text[3:])
+            return cfrac.value(cf), cf
+        return parse_scalar(text), None
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse t specification {text!r}: {exc}")
 
@@ -99,7 +88,7 @@ def _open_out(path):
 
 
 def cmd_sum(args) -> int:
-    t = parse_tspec(args.t)
+    t, cf = parse_tspec(args.t)
     n = args.n
     methods = ["brute", "ostrowski", "bseq"] if args.method == "all" else [args.method]
     if is_rational(t):
@@ -108,7 +97,8 @@ def cmd_sum(args) -> int:
             raise UsageError("only --method brute applies to rational t")
     results = {}
     traces = {}
-    cf = None if is_rational(t) else cfrac.expand(t, 64)
+    if cf is None and not is_rational(t):
+        cf = cfrac.expand(t, 64)
     for m in methods:
         if m == "brute":
             results[m] = sums.brute_S(n, t)
@@ -179,16 +169,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all" and worker_count() > 1:
-        names = list(verify.SUITES)
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            futs = [pool.submit(verify.SUITES[n], args.size, args.seed)
-                    for n in names]
-            checks = [c for f in futs for c in f.result()]
-        report = {"suite": "all", "size": args.size, "seed": args.seed,
-                  "checks": checks, "pass": all(c["pass"] for c in checks)}
-    else:
-        report = verify.run_suite(args.suite, args.size, args.seed)
+    report = verify.run_suite(args.suite, args.size, args.seed)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         print()
@@ -203,44 +184,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    t = parse_tspec(args.t)
+    t, cf = parse_tspec(args.t)
     if is_rational(t):
         raise UsageError("bench needs irrational t")
-    cf = cfrac.expand(t, 64)
+    if cf is None:
+        cf = cfrac.expand(t, 64)
     tab = sums.OstrowskiTables(t, cf)
     points = sorted({max(1, int(round(args.n_max ** (i / (args.points - 1)))))
                      for i in range(args.points)}) if args.points > 1 else [args.n_max]
     with _open_out(args.out) as out:
-        print("n,brute_ops,ostrowski_steps,bseq_steps,"
-              "brute_ms,ostrowski_ms,bseq_ms,S", file=out)
+        print("n,brute_ops,ostrowski_steps,bseq_steps,S", file=out)
         for n in points:
-            t0 = time.perf_counter()
             vo, tro = sums.ostrowski_S(n, t, cf, tables=tab)
-            ms_o = (time.perf_counter() - t0) * 1000
-            t0 = time.perf_counter()
             vb, trb = sums.bseq_S(n, t)
-            ms_b = (time.perf_counter() - t0) * 1000
-            if n <= _BRUTE_TIMING_CAP:
-                t0 = time.perf_counter()
-                vbr = sums.brute_S(n, t)
-                ms_br = _fmt_float((time.perf_counter() - t0) * 1000)
-                if not (vbr == vo == vb):
-                    print(f"cross-check disagreement at n={n}", file=sys.stderr)
-                    return EXIT_CROSSCHECK
-            else:
-                ms_br = ""
-                if vo != vb:
-                    print(f"cross-check disagreement at n={n}", file=sys.stderr)
-                    return EXIT_CROSSCHECK
+            agree = vo == vb
+            if n <= _BRUTE_CHECK_CAP:
+                agree = agree and sums.brute_S(n, t) == vo
+            if not agree:
+                print(f"cross-check disagreement at n={n}", file=sys.stderr)
+                return EXIT_CROSSCHECK
             print(f"{n},{n},{len(tro.steps)},{len(trb.steps)},"
-                  f"{ms_br},{_fmt_float(ms_o)},{_fmt_float(ms_b)},"
                   f"{format_scalar(vo)}", file=out)
     return EXIT_OK
 
 
 def cmd_farey(args) -> int:
     if args.t is not None:
-        t = parse_tspec(args.t)
+        t, _ = parse_tspec(args.t)
         tables = farey.build_tables(args.n)
         count, identity = farey.farey_count(args.n, t, tables)
         rec = {"n": args.n, "t": format_scalar(t), "count": count,
@@ -281,14 +251,30 @@ def cmd_measure(args) -> int:
 
 def _parse_s(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        s = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
-        raise UsageError(f"cannot parse s value {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse s value {text!r}")
+    if not s.real > 0:
+        raise argparse.ArgumentTypeError(f"s must have Re(s) > 0, got {text!r}")
+    return s
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    return parse
 
 
 def cmd_dirichlet(args) -> int:
-    t = parse_tspec(args.t)
-    s = _parse_s(args.s)
+    t, _ = parse_tspec(args.t)
+    s = args.s
     K = args.K
     s0 = sums.s0_prefix(t, K)
     if args.mode == "evidence":
@@ -328,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sum", help="evaluate S(n,t) and B_n(t)")
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_int_at_least(0), required=True)
     ps.add_argument("--t", required=True, help="rat:p/q | quad:(p+q*sqrt(d))/r | cf:l0;l1,(per)")
     ps.add_argument("--method", choices=["brute", "ostrowski", "bseq", "all"],
                     default="all")
@@ -355,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="compare oracle vs recursion costs")
     pb.add_argument("--t", required=True)
-    pb.add_argument("--n-max", dest="n_max", type=int, required=True)
-    pb.add_argument("--points", type=int, default=10)
+    pb.add_argument("--n-max", dest="n_max", type=_int_at_least(1), required=True)
+    pb.add_argument("--points", type=_int_at_least(1), default=10)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_bench)
 
     pf = sub.add_parser("farey", help="Farey sequence dump or counting identity")
-    pf.add_argument("--n", type=int, required=True)
+    pf.add_argument("--n", type=_int_at_least(1), required=True)
     pf.add_argument("--t", help="evaluate the counting identity at t")
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_farey)
@@ -374,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dirichlet", help="truncated Dirichlet series with tails")
     pd.add_argument("--t", required=True)
-    pd.add_argument("--s", required=True, help="complex, e.g. 2 or 2+5j")
-    pd.add_argument("--K", type=int, default=2000)
+    pd.add_argument("--s", type=_parse_s, required=True,
+                    help="complex with Re(s) > 0, e.g. 2 or 2+5j")
+    pd.add_argument("--K", type=_int_at_least(1), default=2000)
     pd.add_argument("--mode", choices=["beta", "mellin", "q", "evidence"],
                     default="beta")
     pd.set_defaults(func=cmd_dirichlet)

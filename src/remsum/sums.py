@@ -1,9 +1,11 @@
 """Sawtooth remainder sums S(n,t), their means B_n, and the fast recursions.
 
-brute_S is the O(n) oracle.  ostrowski_S implements the classical O(log n)
-recursion driven by the continued-fraction convergents of t; bseq_S is the
-alternative recursion through the Gauss-map orbit of t.  All three agree
-exactly on every input.
+brute_S is the O(n) oracle.  It sums the integer floors F(n,t) = sum of
+floor(k t) over k <= n and builds the exact value once, from
+S(n,t) = t n(n+1)/2 - n/2 - F(n,t); brute_S0, s0_prefix and tab_sum share
+that loop.  ostrowski_S implements the classical O(log n) recursion driven by
+the continued-fraction convergents of t; bseq_S is the alternative recursion
+through the Gauss-map orbit of t.  All three agree exactly on every input.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
-from .exactnum import (HALF, QuadExt, Scalar, as_fraction, beta, beta0, floor,
-                       is_rational)
+from .exactnum import (QuadExt, Scalar, _floor_sqrt_times, as_fraction, beta,
+                       floor, is_rational)
 
 
 @dataclass
@@ -51,69 +53,64 @@ class SumTrace:
 # -- brute-force oracle ----------------------------------------------------
 
 
-def brute_S(n: int, t: Scalar) -> Scalar:
-    """Exact S(n,t) = sum of beta(k t) for k <= n.  O(n); the oracle."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _floor_sums(t: Scalar, n: int):
+    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only."""
     if is_rational(t):
         fr = as_fraction(t)
-        p, q = fr.numerator, fr.denominator
-        r = 0
-        tot = 0
-        for _ in range(n):
-            r = (r + p) % q
-            tot += r
-        return Fraction(tot, q) - Fraction(n, 2)
-    total: Scalar = Fraction(0)
-    kt = t
+        p, q, d, r = fr.numerator, 0, 1, fr.denominator
+    else:  # q != 0 means d is not a square, so floor(k q sqrt(d)) is exact
+        p, q, d, r = t.p, t.q, t.d, t.r
+    total = 0
     for k in range(1, n + 1):
-        total = total + (kt - floor(kt))
-        kt = kt + t
-    return total - Fraction(n, 2)
+        if q:
+            total += (k * p + _floor_sqrt_times(k * q, d)) // r
+        else:
+            total += k * p // r
+        yield total
+
+
+def _sum_from_floors(t: Scalar, midpoint: bool):
+    """The map (n, F(n,t)) -> S(n,t), or its beta0 variant if midpoint, as
+    one constructor call.  beta0 differs from beta by +1/2 exactly where k t
+    is an integer: where b | k for t = a/b, and nowhere for irrational t."""
+    if is_rational(t):
+        fr = as_fraction(t)
+        a, b = fr.numerator, fr.denominator
+        if midpoint:
+            return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F
+                                         - b * (n - n // b), 2 * b)
+        return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F - b * n, 2 * b)
+    p, q, d, r = t.p, t.q, t.d, t.r
+    return lambda n, F: QuadExt(p * n * (n + 1) - r * (n + 2 * F),
+                                q * n * (n + 1), d, 2 * r)
+
+
+def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return Fraction(0)
+    F = 0
+    for F in _floor_sums(t, n):
+        pass
+    return _sum_from_floors(t, midpoint)(n, F)
+
+
+def brute_S(n: int, t: Scalar) -> Scalar:
+    """Exact S(n,t) = sum of beta(k t) for k <= n.  O(n); the oracle."""
+    return _brute(n, t, midpoint=False)
 
 
 def brute_S0(n: int, t: Scalar) -> Scalar:
     """Exact sum of beta0(k t) for k <= n (midpoint convention at jumps)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if is_rational(t):
-        fr = as_fraction(t)
-        p, q = fr.numerator, fr.denominator
-        r = 0
-        tot = 0
-        nonint = 0
-        for _ in range(n):
-            r = (r + p) % q
-            tot += r
-            if r:
-                nonint += 1
-        return Fraction(tot, q) - Fraction(nonint, 2)
-    return brute_S(n, t)  # k*t is never an integer for irrational t
+    return _brute(n, t, midpoint=True)
 
 
 def s0_prefix(t: Scalar, n_max: int) -> list:
     """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep."""
-    out = [Fraction(0)]
-    if is_rational(t):
-        fr = as_fraction(t)
-        p, q = fr.numerator, fr.denominator
-        r = 0
-        tot = 0
-        nonint = 0
-        for _ in range(n_max):
-            r = (r + p) % q
-            tot += r
-            if r:
-                nonint += 1
-            out.append(Fraction(tot, q) - Fraction(nonint, 2))
-        return out
-    total: Scalar = Fraction(0)
-    kt = t
-    for k in range(1, n_max + 1):
-        total = total + (kt - floor(kt) - HALF)
-        kt = kt + t
-        out.append(total)
-    return out
+    entry = _sum_from_floors(t, midpoint=True)
+    return [Fraction(0)] + [entry(n, F) for n, F in
+                            enumerate(_floor_sums(t, n_max), 1)]
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -367,10 +364,8 @@ def tab_sum(x: int, a_over_b: Fraction) -> Fraction:
     """Exact sum of t_{a/b}(m) = 1 + 2b*beta(am/b) over m <= x, with its
     a-priori bound |sum| <= b(b+1) asserted."""
     ab = Fraction(a_over_b)
-    a, b = ab.numerator, ab.denominator
-    total = Fraction(0)
-    for m in range(1, x + 1):
-        total += 1 + 2 * b * beta(Fraction(a * m, b))
+    b = ab.denominator
+    total = x + 2 * b * brute_S(x, ab)
     if abs(total) > b * (b + 1):
         raise AssertionError("t_{a/b} partial sum bound violated")
     return total

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from remsum import cli
+from remsum import cfrac, cli
 from remsum.exactnum import QuadExt
 
 
@@ -15,10 +15,12 @@ def run(capsys, *argv):
 
 class TestTSpec:
     def test_grammar(self):
-        assert cli.parse_tspec("rat:7/10") == F(7, 10)
-        assert cli.parse_tspec("quad:(-1+1*sqrt(5))/2") == QuadExt(-1, 1, 5, 2)
-        assert cli.parse_tspec("cf:0;(1)") == QuadExt(-1, 1, 5, 2)
-        assert cli.parse_tspec("3/4") == F(3, 4)
+        assert cli.parse_tspec("rat:7/10") == (F(7, 10), None)
+        assert cli.parse_tspec("quad:(-1+1*sqrt(5))/2") \
+            == (QuadExt(-1, 1, 5, 2), None)
+        assert cli.parse_tspec("cf:0;(1)") \
+            == (QuadExt(-1, 1, 5, 2), cfrac.CFExpansion(0, (), (1,)))
+        assert cli.parse_tspec("3/4") == (F(3, 4), None)
 
     def test_errors(self):
         with pytest.raises(cli.UsageError):
@@ -52,6 +54,28 @@ class TestSum:
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "sum", "--n", "5", "--t", "junk")
         assert code == 2 and "cannot parse" in err
+
+    def test_cf_spec_keeps_its_expansion(self, capsys):
+        # a period of 65 terms: re-expanding t with the 64-term limit fails
+        period = ",".join(str(1 + i % 9) for i in range(64)) + ",9"
+        code, out, _ = run(capsys, "sum", "--n", "10", "--t", f"cf:0;({period})")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["brute", "ostrowski", "bseq"]
+        assert len({r[1] for r in rows}) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--n", "-1", "--t", "rat:1/3"),
+    ("farey", "--n", "0"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "0"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "2", "--K", "0"),
+    ("bench", "--t", "cf:0;(2)", "--n-max", "-5"),
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error: argument" in err and "Traceback" not in err
 
 
 class TestPlot:
@@ -103,12 +127,6 @@ class TestVerify:
         rec = json.loads(out)
         assert rec["pass"] is True and rec["seed"] == 0
         assert all(c["pass"] for c in rec["checks"])
-
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        _, out1, _ = run(capsys, "verify", "--suite", "all", "--json")
-        monkeypatch.setenv("REMSUM_THREADS", "4")
-        _, out2, _ = run(capsys, "verify", "--suite", "all", "--json")
-        assert out1 == out2
 
 
 class TestFareyCommand:
@@ -166,3 +184,9 @@ class TestBench:
     def test_rejects_rational(self, capsys):
         code, _, err = run(capsys, "bench", "--t", "rat:1/3", "--n-max", "10")
         assert code == 2
+
+    def test_deterministic_bytes(self, capsys):
+        args = ("bench", "--t", "cf:0;(2)", "--n-max", "1000", "--points", "3")
+        _, out1, _ = run(capsys, *args)
+        _, out2, _ = run(capsys, *args)
+        assert out1 == out2

@@ -3,12 +3,31 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from remsum import cfrac, sums
 from remsum.errors import DomainError, NotIrrational, NotNeighbors
-from remsum.exactnum import QuadExt, beta
+from remsum.exactnum import QuadExt, beta, beta0, floor
+
+
+def _accumulate(term, n, t):
+    """[0, term(t), term(t) + term(2t), ...] up to n, by exact addition."""
+    out = [F(0)]
+    for k in range(1, n + 1):
+        out.append(out[-1] + term(k * t))
+    return out
+
+
+@st.composite
+def quadratic_irrationals(draw):
+    """(p + q sqrt(d))/r with q of either sign, r > 1, non-square d and
+    integer part lambda_0 != 0."""
+    d = draw(st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d))
+    q = draw(st.integers(-6, 6).filter(bool))
+    t = QuadExt(draw(st.integers(-60, 60)), q, d, draw(st.integers(2, 12)))
+    assume(t.r > 1 and floor(t) != 0)
+    return t
 
 
 class TestBruteOracle:
@@ -29,6 +48,17 @@ class TestBruteOracle:
     def test_s0_prefix_consistent(self, n, t):
         pre = sums.s0_prefix(t, n)
         assert pre[n] == sums.brute_S0(n, t)
+
+    @given(st.integers(0, 60), quadratic_irrationals())
+    @settings(max_examples=200, deadline=None)
+    def test_quadratic_kernel_matches_definition(self, n, t):
+        ref = _accumulate(beta, n, t)
+        ref0 = _accumulate(beta0, n, t)
+        assert sums.brute_S(n, t) == ref[n]
+        assert sums.brute_S0(n, t) == ref0[n]
+        assert sums.s0_prefix(t, n) == ref0
+        zero = sums.brute_S(0, t)
+        assert zero == 0 and type(zero) is F
 
     def test_brute_s0_on_irrational_equals_brute_s(self, corpus):
         t = corpus["golden"]
