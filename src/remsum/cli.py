@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 success, 1 verification failure (a failed check or a violated
+bound), 2 usage, parse or domain error (every other library error),
 3 internal cross-check disagreement.
 
 Output is deterministic: identical flags (and seed) produce byte-identical
@@ -18,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import cfrac, dirichlet, farey, limits, measure, sums, verify
-from .errors import RemsumError
-from .exactnum import Scalar, format_scalar, is_rational, parse_scalar, to_float
+from .errors import BoundViolated, RemsumError
+from .exactnum import Scalar, format_scalar, is_rational, parse_scalar
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -164,7 +165,7 @@ def cmd_plot(args) -> int:
             for x in xs:
                 v = limits.rescaled_eta(ab, args.rescale_n, x)
                 print(f"{_fmt_float(float(x))},"
-                      f"{_fmt_float(float(to_float(v, 53)))}", file=out)
+                      f"{_fmt_float(float(v))}", file=out)
     return EXIT_OK
 
 
@@ -215,7 +216,7 @@ def cmd_farey(args) -> int:
         count, identity = farey.farey_count(args.n, t, tables)
         rec = {"n": args.n, "t": format_scalar(t), "count": count,
                "identity": format_scalar(identity) if is_rational(identity)
-               else _fmt_float(float(to_float(identity, 53))),
+               else _fmt_float(float(identity)),
                "match": bool(identity == count)}
         json.dump(rec, sys.stdout, indent=2)
         print()
@@ -380,10 +381,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RemsumError as exc:
+    except BoundViolated as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except RemsumError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

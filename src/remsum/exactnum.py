@@ -3,7 +3,8 @@
 A Scalar is either a `fractions.Fraction` (or plain int) or a `QuadExt`
 representing (p + q*sqrt(d))/r with integers p, q, r.  Floors, signs and
 comparisons are decided purely with integer arithmetic; no floating point
-enters any exact code path.  Floats appear only through `to_float`.
+enters any exact code path.  Floats appear only through `float()`, which
+is correctly rounded for every Scalar and is itself computed in integers.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 from .errors import IncompatibleField
 
@@ -234,13 +233,38 @@ class QuadExt:
         return n // self.r
 
     def __float__(self) -> float:
-        return float(to_float(self, 53))
+        if self.q == 0:
+            return self.p / self.r
+        m, e = _scaled_floor(self, 55)
+        # x lies strictly inside (m, m+1)/2**e, an interval that holds no
+        # rounding boundary of a 53-bit float, so its midpoint rounds as x does
+        if e >= -1:
+            return (2 * m + 1) / (1 << (e + 1))
+        return float((2 * m + 1) << (-e - 1))
 
     def __repr__(self):
         return f"QuadExt({self.p}, {self.q}, {self.d}, {self.r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _scaled_floor(x: QuadExt, bits: int) -> tuple[int, int]:
+    """(m, e) with m = floor(x * 2**e) and |x| * 2**e >= 2**bits, for an
+    irrational x, decided in integers only."""
+    p, q, d, r = x.p, x.q, x.d, x.r
+    qqd = q * q * d
+    s = abs(p) + math.isqrt(qqd)  # |p| + |q|*sqrt(d) lies in (s, s + 1)
+    if p and (p < 0) != (q < 0):
+        # cancellation: |p + q*sqrt(d)| = |p^2 - q^2 d| / (|p| + |q|*sqrt(d))
+        log2_lo = abs(p * p - qqd).bit_length() - 1 - (s + 1).bit_length()
+    else:
+        log2_lo = s.bit_length() - 1
+    # |x| >= 2**log2_lo / r > 2**(log2_lo - r.bit_length())
+    e = bits - log2_lo + r.bit_length()
+    if e >= 0:
+        return ((p << e) + _floor_sqrt_times(q << e, d)) // r, e
+    return (p + _floor_sqrt_times(q, d)) // (r << -e), e
 
 
 def _as_quad(x, d: int) -> QuadExt:
@@ -298,18 +322,22 @@ def beta0(t: Scalar) -> Scalar:
 
 
 def to_float(x: Scalar, precision_bits: int = 53):
-    """Correctly rounded float of x at the requested precision (mpmath.mpf)."""
+    """Correctly rounded float of x at the requested precision (mpmath.mpf).
+
+    An irrational x is bracketed in integers first: m = floor(x * 2**e) with
+    |m| >= 2**(precision_bits + 2), so x lies strictly inside (m, m+1)/2**e,
+    which holds no rounding boundary; the midpoint (2m+1)/2**(e+1) is then
+    rounded.  For a 53-bit Python float use `float(x)`, which needs no mpmath.
+    """
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    if isinstance(x, QuadExt):
-        work = precision_bits + max(x.p.bit_length(), x.q.bit_length(),
-                                    x.d.bit_length(), x.r.bit_length()) + 16
-        with mpmath.workprec(work):
-            v = (x.p + x.q * mpmath.sqrt(x.d)) / x.r
-        with mpmath.workprec(precision_bits):
-            return +v
-    fr = as_fraction(x)
+    import mpmath
+
     with mpmath.workprec(precision_bits):
+        if isinstance(x, QuadExt) and x.q != 0:
+            m, e = _scaled_floor(x, precision_bits + 2)
+            return mpmath.mpf((2 * m + 1, -e - 1))
+        fr = as_fraction(x)
         return mpmath.mpf(fr.numerator) / fr.denominator
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, floor, to_float
+from .exactnum import HALF, Scalar, floor
 
 
 def eta_tilde(x: Scalar) -> Scalar:
@@ -75,7 +75,7 @@ def convergence_report(a_over_b: Fraction, n_list, x_star: Scalar,
         sup = -1.0
         argmax: Scalar = Fraction(0)
         for x in xs:
-            dev = abs(float(to_float(rescaled_eta(ab, n, x) - eta_tilde(x), 53)))
+            dev = abs(float(rescaled_eta(ab, n, x) - eta_tilde(x)))
             if dev > sup:
                 sup = dev
                 argmax = x

@@ -78,6 +78,19 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert "error: argument" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("plot", "--which", "rescaled", "--range", "0:1", "--step", "0.5",
+     "--a-over-b", "1/2", "--rescale-n", "0"),
+    ("sum", "--n", "5", "--t", "cf:1;(1)"),
+    ("sum", "--n", "5", "--t", "quad:(0+1*sqrt(5))/1", "--method", "bseq"),
+    ("measure", "--alphas", "5000,5000,5000"),
+])
+def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestPlot:
     def test_eta_row_count_and_header(self, capsys):
         code, out, _ = run(capsys, "plot", "--which", "eta",

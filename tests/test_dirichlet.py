@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from remsum import dirichlet, farey, sums
-from remsum.errors import PoleAtOne
+from remsum.errors import DomainError, PoleAtOne
 from remsum.exactnum import beta0, to_float
 
 
@@ -26,6 +26,12 @@ class TestZeta:
             dirichlet.zeta(1)
         with pytest.raises(ValueError):
             dirichlet.zeta(-1)
+
+    def test_refuses_imaginary_parts_past_50(self):
+        # at 2+200i the fixed Euler-Maclaurin cutoff is off by about 1.7e-8
+        for s in (2 + 200j, 0.5 - 50.5j):
+            with pytest.raises(DomainError):
+                dirichlet.zeta(s)
 
 
 class TestTermTables:

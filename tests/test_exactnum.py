@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import remsum
+from remsum import cfrac, sums
 from remsum.errors import IncompatibleField
 from remsum.exactnum import (QuadExt, as_fraction, beta, beta0, floor,
                              format_scalar, is_integer, is_rational,
@@ -155,3 +160,84 @@ class TestFloatsAndText:
         assert as_fraction(QuadExt(4, 0, 5, 2)) == 2
         with pytest.raises(ValueError):
             as_fraction(GOLDEN)
+
+
+# -- the float boundary, checked with exact comparisons only ----------------
+
+
+@st.composite
+def irrationals(draw):
+    """(p + q*sqrt(d))/r over a wide exponent range.  About half of them are
+    +-(b_k*sqrt(d) - a_k) for a convergent a_k/b_k of sqrt(d): p and q*sqrt(d)
+    then cancel in all but a few of their bits."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 94]))
+    if draw(st.booleans()):
+        cf = cfrac.expand(QuadExt(0, 1, d), 64)
+        c = cfrac.convergents(cf, draw(st.integers(1, 150)))[-1]
+        sign = draw(st.sampled_from([1, -1]))
+        p, q = -sign * c.a, sign * c.b
+    else:
+        p = draw(st.integers(-10 ** 40, 10 ** 40))
+        q = draw(st.integers(-10 ** 40, 10 ** 40).filter(bool))
+    r = draw(st.integers(1, 10 ** 30))
+    shift = draw(st.integers(-1100, 850))
+    if shift >= 0:
+        return QuadExt(p << shift, q << shift, d, r)
+    return QuadExt(p, q, d, r << -shift)
+
+
+def _assert_nearest(x, v: F, below: F, above: F):
+    """v is a nearest grid point to x: x lies between the midpoints that v
+    shares with its neighbours below and above."""
+    assert (v + below) / 2 <= x <= (v + above) / 2, (x, v)
+
+
+def _assert_float_nearest(x):
+    f = float(x)
+    _assert_nearest(x, F(f), F(math.nextafter(f, -math.inf)),
+                    F(math.nextafter(f, math.inf)))
+
+
+def _assert_to_float_nearest(x, bits: int):
+    v = to_float(x, bits)
+    assert (v > 0) == (x > 0)
+    man, exp = v.man_exp  # |v| = man * 2**exp
+    shift = bits - man.bit_length()
+    man, step = man << shift, F(2) ** (exp - shift)  # 2**(bits-1) <= man < 2**bits
+    below = step / 2 if man == 1 << (bits - 1) else step
+    _assert_nearest(abs(x), man * step, man * step - below, man * step + step)
+
+
+class TestFloatBoundary:
+    @given(irrationals())
+    @settings(max_examples=300, deadline=None)
+    def test_float_within_half_ulp(self, x):
+        _assert_float_nearest(x)
+        _assert_to_float_nearest(x, 100)
+
+    def test_golden_residues(self):
+        # rho_k = |b_k t - a_k| > 0 for the convergents a_k/b_k of t = GOLDEN
+        cf = cfrac.expand(GOLDEN, 64)
+        for c in cfrac.convergents(cf, 300)[1:]:
+            rho = abs(c.b * GOLDEN - c.a)
+            assert float(rho) > 0, c.k
+            _assert_float_nearest(rho)
+            _assert_to_float_nearest(rho, 100)
+
+    def test_s0_prefix_entries(self, corpus):
+        for t in corpus.values():
+            for v in sums.s0_prefix(t, 2000):
+                _assert_float_nearest(v)
+
+    def test_cli_import_needs_no_mpmath(self):
+        src = os.path.dirname(os.path.dirname(remsum.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, remsum.cli\n"
+                "assert 'mpmath' not in sys.modules\n"
+                "sys.modules['mpmath'] = None  # any import of it now fails\n"
+                "sys.exit(remsum.cli.main(['dirichlet', '--t', 'cf:0;(1)',"
+                " '--s', '2+5j', '--K', '300']))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
