@@ -61,7 +61,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction]:
         raise UsageError(f"range must be lo:hi, got {text!r}")
     try:
         lo, hi = Fraction(parts[0]), Fraction(parts[1])
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse range {text!r}")
     if hi < lo:
         raise UsageError("range must satisfy lo <= hi")
@@ -131,7 +131,7 @@ def cmd_plot(args) -> int:
     lo, hi = _parse_range(args.range)
     try:
         step = Fraction(args.step)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse step {args.step!r}")
     xs = _grid(lo, hi, step)
     with _open_out(args.out) as out:
@@ -159,7 +159,7 @@ def cmd_plot(args) -> int:
                 raise UsageError("--which rescaled needs --a-over-b and --rescale-n")
             try:
                 ab = Fraction(args.a_over_b)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"cannot parse --a-over-b {args.a_over_b!r}")
             print("x,value", file=out)
             for x in xs:

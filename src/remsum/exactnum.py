@@ -5,6 +5,10 @@ representing (p + q*sqrt(d))/r with integers p, q, r.  Floors, signs and
 comparisons are decided purely with integer arithmetic; no floating point
 enters any exact code path.  Floats appear only through `float()`, which
 is correctly rounded for every Scalar and is itself computed in integers.
+
+The radicand d is reduced only by the public `QuadExt` constructor, where a
+value enters.  Arithmetic stays in its operands' field: results reuse an
+operand's d and are only normalised in sign and gcd, never reduced again.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ HALF = Fraction(1, 2)
 # Primes used to pull small square factors out of the radicand.  Full
 # square-free reduction would need integer factorization, which is not
 # feasible for the large discriminants produced by long-period continued
-# fractions; radicands stay fixed within one computation anyway.
+# fractions.  Two radicands left with different square factors still name
+# one field, Q(sqrt(d1)) = Q(sqrt(d2)) when d1*d2 is a square, and
+# QuadExt arithmetic and equality treat them so.
 _SMALL_PRIMES = [p for p in range(2, 1000)
                  if all(p % q for q in range(2, int(math.isqrt(p)) + 1))]
 
@@ -49,11 +55,35 @@ def _floor_sqrt_times(q: int, d: int) -> int:
     return m if q > 0 else -m - 1
 
 
+def _normal(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """(p, q, r) scaled to r > 0 and gcd(p, q, r) = 1; the value is kept."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    if g > 1:
+        p, q, r = p // g, q // g, r // g
+    return p, q, r
+
+
+def _make(p: int, q: int, d: int, r: int) -> "QuadExt":
+    """(p + q*sqrt(d))/r with d taken from an existing QuadExt, so already
+    reduced: only the sign and gcd are normalised."""
+    x = object.__new__(QuadExt)
+    x.p, x.q, x.r = _normal(p, q, r)
+    x.d = d
+    return x
+
+
 class QuadExt:
     """Exact element (p + q*sqrt(d))/r of the real quadratic field Q(sqrt(d)).
 
     Canonical form: r > 0 and gcd(p, q, r) = 1.  If q becomes 0 the value is
     rational but stays a QuadExt; equality and hashing agree with Fraction.
+
+    The radicand is reduced only here, in the public constructor, where a
+    value enters.  Arithmetic stays in its operands' field: a result takes
+    the d of its irrational operand (self's if both are, or if neither is),
+    and d1, d2 name the same field when d1*d2 is a perfect square.
     """
 
     __slots__ = ("p", "q", "d", "r")
@@ -67,42 +97,34 @@ class QuadExt:
             d, s = _reduce_radicand(d)
             q *= s
             rt = math.isqrt(d)
-            if rt * rt == d:  # rational in disguise
-                p += q * rt
-                q = 0
-                d = 2
-            elif d == 1:
-                p += q
-                q = 0
-                d = 2
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        if g > 1:
-            p //= g
-            q //= g
-            r //= g
-        self.p = p
-        self.q = q
+            if rt * rt == d:  # rational in disguise (d == 1 included)
+                p, q, d = p + q * rt, 0, 2
+        self.p, self.q, self.r = _normal(p, q, r)
         self.d = d
-        self.r = r
 
     # -- helpers -----------------------------------------------------------
 
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.q == 0:
-                return QuadExt(other.p, 0, self.d, other.r)
-            if self.q == 0:
-                return other  # caller re-coerces self
-            if other.d != self.d:
-                raise IncompatibleField(f"sqrt({self.d}) vs sqrt({other.d})")
-            return other
+    def _operand(self, other):
+        """(p, q, r, d): other as (p + q*sqrt(d))/r over the result's radicand
+        d, or None if other is not a Scalar.  An irrational other from a field
+        Q(sqrt(d')) with d*d' = m**2 is rescaled by sqrt(d') = (m/d)*sqrt(d)."""
         if isinstance(other, int):
-            return QuadExt(other, 0, self.d)
+            return other, 0, 1, self.d
         if isinstance(other, Fraction):
-            return QuadExt(other.numerator, 0, self.d, other.denominator)
-        return NotImplemented  # type: ignore[return-value]
+            return other.numerator, 0, other.denominator, self.d
+        if not isinstance(other, QuadExt):
+            return None
+        p, q, r = other.p, other.q, other.r
+        if q == 0 or other.d == self.d:
+            return p, q, r, self.d
+        if self.q == 0:
+            return p, q, r, other.d
+        m = math.isqrt(self.d * other.d)
+        if m * m != self.d * other.d:
+            raise IncompatibleField(f"sqrt({self.d}) vs sqrt({other.d})")
+        g = math.gcd(m, self.d)
+        u, v = m // g, self.d // g
+        return p * v, q * u, r * v, self.d
 
     @property
     def is_rational(self) -> bool:
@@ -115,61 +137,60 @@ class QuadExt:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def _add(self, other, a: int, b: int):
+        """a*self + b*other for signs a, b."""
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        if self.q == 0 and isinstance(other, QuadExt) and other.q != 0:
-            return other + self
-        return QuadExt(self.p * o.r + o.p * self.r,
-                       self.q * o.r + o.q * self.r,
-                       self.d if self.q else o.d,
-                       self.r * o.r)
+        p, q, r, d = o
+        return _make(a * self.p * r + b * p * self.r,
+                     a * self.q * r + b * q * self.r, d, self.r * r)
+
+    def __add__(self, other):
+        return self._add(other, 1, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadExt(-self.p, -self.q, self.d, self.r)
-
     def __sub__(self, other):
-        if isinstance(other, QuadExt):
-            return self + (-other)
-        return self + (-_as_quad(other, self.d))
+        return self._add(other, 1, -1)
 
     def __rsub__(self, other):
-        return _as_quad(other, self.d) + (-self)
+        return self._add(other, -1, 1)
+
+    def __neg__(self):
+        return _make(-self.p, -self.q, self.d, self.r)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        if self.q == 0 and isinstance(other, QuadExt) and other.q != 0:
-            return other * self
-        d = self.d if self.q else o.d
-        return QuadExt(self.p * o.p + self.q * o.q * d,
-                       self.p * o.q + self.q * o.p,
-                       d,
-                       self.r * o.r)
+        p, q, r, d = o
+        return _make(self.p * p + self.q * q * d, self.p * q + self.q * p,
+                     d, self.r * r)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "QuadExt":
         n = self.p * self.p - self.q * self.q * self.d
-        if self.q == 0:
-            if self.p == 0:
-                raise ZeroDivisionError("reciprocal of zero")
-            return QuadExt(self.r, 0, self.d, self.p)
+        if n == 0:
+            raise ZeroDivisionError("reciprocal of zero")
         # 1/x = r*(p - q*sqrt(d)) / (p^2 - q^2 d)
-        return QuadExt(self.r * self.p, -self.r * self.q, self.d, n)
+        return _make(self.r * self.p, -self.r * self.q, self.d, n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self * o.reciprocal()
+        p, q, r, d = o
+        n = p * p - q * q * d
+        if n == 0:
+            raise ZeroDivisionError("reciprocal of zero")
+        # self * r*(p - q*sqrt(d)) / (p^2 - q^2 d)
+        return _make(r * (self.p * p - self.q * q * d),
+                     r * (self.q * p - self.p * q), d, self.r * n)
 
     def __rtruediv__(self, other):
-        return _as_quad(other, self.d) * self.reciprocal()
+        return self.reciprocal() * other
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
@@ -193,25 +214,25 @@ class QuadExt:
         return -1 if p * p > q * q * d else 1
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, QuadExt):
-            return diff._sign()
-        return (diff > 0) - (diff < 0)
+        return (self - other)._sign()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and Fraction(self.p, self.r) == other
-        if isinstance(other, QuadExt):
-            if self.q == 0 and other.q == 0:
-                return Fraction(self.p, self.r) == Fraction(other.p, other.r)
-            return (self.d == other.d and self.p == other.p
-                    and self.q == other.q and self.r == other.r)
-        return NotImplemented
+        try:
+            o = self._operand(other)
+        except IncompatibleField:
+            return False
+        if o is None:
+            return NotImplemented
+        p, q, r, _ = o
+        return self.p * r == p * self.r and self.q * r == q * self.r
 
     def __hash__(self):
         if self.q == 0:
             return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.d, self.r))
+        # p/r and (q*sqrt(d)/r)**2 do not depend on how the field is written
+        return hash((Fraction(self.p, self.r),
+                     Fraction(self.q * self.q * self.d, self.r * self.r),
+                     self.q > 0))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -265,16 +286,6 @@ def _scaled_floor(x: QuadExt, bits: int) -> tuple[int, int]:
     if e >= 0:
         return ((p << e) + _floor_sqrt_times(q << e, d)) // r, e
     return (p + _floor_sqrt_times(q, d)) // (r << -e), e
-
-
-def _as_quad(x, d: int) -> QuadExt:
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, int):
-        return QuadExt(x, 0, d)
-    if isinstance(x, Fraction):
-        return QuadExt(x.numerator, 0, d, x.denominator)
-    raise TypeError(f"cannot coerce {x!r} to QuadExt")
 
 
 # -- generic scalar operations --------------------------------------------

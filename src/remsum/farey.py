@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DomainError
 from .exactnum import HALF, Scalar, beta, beta0, floor
 
 
@@ -146,7 +147,7 @@ def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:
     """Number of extended-Farey fractions of order n in [0, t], together with
     the identity value t*sum(phi) + n*Phi_n(t) + 1/2."""
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise DomainError("t must be >= 0")
     count = 0
     for b in range(1, n + 1):
         top = floor(t * b)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
-from .exactnum import (QuadExt, Scalar, _floor_sqrt_times, as_fraction, beta,
+from .exactnum import (Scalar, _floor_sqrt_times, _make, as_fraction, beta,
                        floor, is_rational)
 
 
@@ -80,9 +80,9 @@ def _sum_from_floors(t: Scalar, midpoint: bool):
             return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F
                                          - b * (n - n // b), 2 * b)
         return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F - b * n, 2 * b)
-    p, q, d, r = t.p, t.q, t.d, t.r
-    return lambda n, F: QuadExt(p * n * (n + 1) - r * (n + 2 * F),
-                                q * n * (n + 1), d, 2 * r)
+    p, q, d, r = t.p, t.q, t.d, t.r  # d is already reduced
+    return lambda n, F: _make(p * n * (n + 1) - r * (n + 2 * F),
+                              q * n * (n + 1), d, 2 * r)
 
 
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
@@ -116,21 +116,11 @@ def s0_prefix(t: Scalar, n_max: int) -> list:
 # -- means and one-sided limits -------------------------------------------
 
 
-def B(n: int, t: Scalar, method: str = "brute", cf=None) -> Scalar:
-    """B_n(t) = S(n,t)/n.  method selects brute | ostrowski | bseq."""
+def B(n: int, t: Scalar) -> Scalar:
+    """B_n(t) = S(n,t)/n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "brute":
-        s = brute_S(n, t)
-    elif method == "ostrowski":
-        if cf is None:
-            cf = cfrac.expand(t, 64)
-        s = ostrowski_S(n, t, cf)[0]
-    elif method == "bseq":
-        s = bseq_S(n, t)[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return s / n
+    return brute_S(n, t) / n
 
 
 def B_left(n: int, a_over_b: Fraction) -> Scalar:

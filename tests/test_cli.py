@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remsum import cfrac, cli
 from remsum.exactnum import QuadExt
@@ -84,6 +88,11 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     ("sum", "--n", "5", "--t", "cf:1;(1)"),
     ("sum", "--n", "5", "--t", "quad:(0+1*sqrt(5))/1", "--method", "bseq"),
     ("measure", "--alphas", "5000,5000,5000"),
+    ("farey", "--n", "5", "--t=-1/2"),
+    ("plot", "--which", "eta", "--range", "0:1", "--step", "1/0"),
+    ("plot", "--which", "eta", "--range=1/0:2", "--step", "1"),
+    ("plot", "--which", "rescaled", "--range", "0:1", "--step", "1/2",
+     "--a-over-b", "1/0", "--rescale-n", "5"),
 ])
 def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -203,3 +212,62 @@ class TestBench:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+# -- argv fuzz --------------------------------------------------------------
+
+# Each argument is drawn from a small grammar that mixes valid text with
+# malformed text; sizes stay small (n, K <= 50, grids <= 160 points) so that
+# no case starts a large sieve, sum or grid.
+_BAD = st.sampled_from(["", " ", "x", "1/0", "-", "1/2/3"])
+_INTS = st.sampled_from(["0", "1", "2", "3", "7", "50", "-1", "-3", "1/2"]) | _BAD
+_ENDS = st.sampled_from(["0", "1", "-2", "1/2", "-7/4", "0.25", "20", "-20"]) | _BAD
+_TSPECS = st.sampled_from([
+    "rat:1/3", "rat:2/5", "rat:0/1", "rat:1/1", "quad:(-1+1*sqrt(5))/2",
+    "quad:(0+1*sqrt(2))/1", "quad:(1+1*sqrt(0))/1", "quad:(0+1*sqrt(4))/1",
+    "cf:0;(1)", "cf:0;(2)", "cf:0;(0)", "cf:1;(1)", "cf:0;1,(3,1)", "cf:0;1,2",
+    "cf:0;()", "cf:x", "rat:(0+1*sqrt(2))/1", "-1", "-1/2", "3/4"]) | _BAD
+_OPTIONS = {
+    "sum": [("--n", _INTS), ("--t", _TSPECS),
+            ("--method", st.sampled_from(["brute", "ostrowski", "bseq", "all", "x"])),
+            ("--trace", None)],
+    "plot": [("--which", st.sampled_from(["eta", "etaprime", "h", "rescaled", "x"])),
+             ("--range", st.builds("{}:{}".format, _ENDS, _ENDS) | _BAD),
+             ("--step", st.sampled_from(["1/4", "1/2", "1", "3", "0", "-1"]) | _BAD),
+             ("--a-over-b", st.sampled_from(["1/2", "2/3", "0", "1", "3/2", "-1/3"]) | _BAD),
+             ("--rescale-n", _INTS)],
+    "verify": [("--suite", st.sampled_from(
+                   ["oracle", "bounds", "measure", "farey", "dirichlet", "all", "x"])),
+               ("--size", st.sampled_from(["quick", "x"])),
+               ("--seed", _INTS), ("--json", None)],
+    "bench": [("--t", _TSPECS), ("--n-max", _INTS), ("--points", _INTS)],
+    "farey": [("--n", _INTS), ("--t", _TSPECS)],
+    "measure": [("--alphas", st.sampled_from(
+                    ["1", "2", "3", "2,2", "1;2;3", "3,3,3", "2,", "0", "-1"]) | _BAD)],
+    "dirichlet": [("--t", _TSPECS),
+                  ("--s", st.sampled_from(["2", "1", "0", "-1", "2+5j", "0.7+3i",
+                                           "2+200j"]) | _BAD),
+                  ("--K", _INTS),
+                  ("--mode", st.sampled_from(["beta", "mellin", "q", "evidence", "x"]))],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS) + ["x"]))
+    argv = [command]
+    for flag, values in _OPTIONS.get(command, []):
+        if draw(st.integers(0, 9)) == 0:  # sometimes leave a flag out
+            continue
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

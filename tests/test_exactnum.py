@@ -61,6 +61,52 @@ class TestCanonicalForm:
             GOLDEN + SQRT2
 
 
+# s >= 1000 includes primes that the radicand reduction does not pull out,
+# so the two spellings of one value keep different radicands
+scales = st.sampled_from([1, 2, 12, 997, 1009, 3 * 1009, 7919, 10007])
+
+
+@st.composite
+def respelled_pairs(draw):
+    """Two values x, y over one radicand d, each also spelled in the field
+    Q(sqrt(d*s*s)): q*s*sqrt(d) written as q*sqrt(d*s*s)."""
+    d = draw(radicand)
+
+    def one():
+        p, q, r, s = (draw(st.integers(-50, 50)), draw(nonzero), draw(nonzero),
+                      draw(scales))
+        return QuadExt(p, q * s, d, r), QuadExt(p, q, d * s * s, r)
+    return one(), one()
+
+
+class TestFieldIdentity:
+    def test_large_prime_square_factor(self):
+        x, y = QuadExt(0, 1, 5 * 1009 ** 2), QuadExt(0, 1009, 5)
+        assert x.d != y.d
+        assert x == y and hash(x) == hash(y)
+        assert x - y == 0 and x + y == 2 * y and not x < y
+        # sqrt(2*1009**2) and sqrt(3) name different fields: unequal, no order
+        z = QuadExt(0, 1009, 3)
+        assert QuadExt(0, 1, 2 * 1009 ** 2) != z and GOLDEN != SQRT2
+        with pytest.raises(IncompatibleField):
+            QuadExt(0, 1, 2 * 1009 ** 2) < z
+
+    @given(respelled_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_value_does_not_depend_on_the_spelling(self, pairs):
+        (x, x2), (y, y2) = pairs
+        assert x == x2 and hash(x) == hash(x2)
+        # x and y are canonical over one radicand: equal values, equal parts
+        assert (x2 == y) == ((x.p, x.q, x.r) == (y.p, y.q, y.r))
+        assert floor(x) == floor(x2)
+        for a in (x, x2):
+            for b in (y, y2):
+                assert a + b == x + y and hash(a + b) == hash(x + y)
+                assert a * b == x * y and hash(a * b) == hash(x * y)
+                assert a - b == x - y and a / b == x / y
+                assert (a < b) == (x < y) and (b < a) == (y < x)
+
+
 class TestArithmetic:
     def test_golden_satisfies_its_equation(self):
         # t = (sqrt(5)-1)/2 satisfies t^2 + t - 1 = 0

@@ -78,8 +78,9 @@ class TestMeansAndLeftLimits:
     def test_methods_agree(self, corpus, corpus_cf):
         t, cf = corpus["golden"], corpus_cf["golden"]
         for n in (1, 7, 50):
-            assert (sums.B(n, t, "brute") == sums.B(n, t, "ostrowski", cf)
-                    == sums.B(n, t, "bseq"))
+            s = sums.brute_S(n, t)
+            assert s == sums.ostrowski_S(n, t, cf)[0] == sums.bseq_S(n, t)[0]
+            assert sums.B(n, t) == s / n
 
 
 class TestOstrowski:
