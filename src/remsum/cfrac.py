@@ -101,7 +101,7 @@ def theta_sequence(t: Scalar, m: int) -> list[Scalar]:
         frac = x - floor(x)
         if frac == 0:
             raise RationalTerminated(f"expansion of {t} ends before step {m}")
-        x = frac.reciprocal() if isinstance(frac, QuadExt) else 1 / frac
+        x = 1 / frac
         out.append(x)
     return out
 

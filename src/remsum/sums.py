@@ -1,11 +1,23 @@
-"""Sawtooth remainder sums S(n,t), their means B_n, and the fast recursions.
+"""Sawtooth remainder sums S(n,t), their means B_x, and the fast recursions.
 
-brute_S is the O(n) oracle.  It sums the integer floors F(n,t) = sum of
-floor(k t) over k <= n and builds the exact value once, from
-S(n,t) = t n(n+1)/2 - n/2 - F(n,t); brute_S0, s0_prefix and tab_sum share
-that loop.  ostrowski_S implements the classical O(log n) recursion driven by
-the continued-fraction convergents of t; bseq_S is the alternative recursion
-through the Gauss-map orbit of t.  All three agree exactly on every input.
+Every exact S here but bseq_S's is built from one integer, F(n,t) = sum of
+floor(k t) over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t)
+(`_sum_from_floors`).  brute_S is the O(n) oracle: it sums the floors
+directly, as do brute_S0, s0_prefix and tab_sum.
+
+ostrowski_S implements the classical O(log n) recursion driven by the
+continued-fraction convergents a_j/b_j of t, with rho_j = |b_j t - a_j|.  A
+step takes n to n' = n mod b_j, with j = j*(n), q = floor(n/b_j),
+N = n - n' = q b_j and m = n + n' + 1, and carries F in integers:
+
+    F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j) / 2,
+
+so the paper's increment (-1)^j (q/2)(1 - rho_j m) is t N m/2 - N/2 minus
+that difference.  Its side condition 0 < |1 - rho_j m| < 1 is the integer
+test m <= floor(2/rho_j), since rho_j m is irrational and so never equals 1
+or 2.  bseq_S is the alternative recursion through the Gauss-map orbit of t,
+kept in QuadExt arithmetic as an independent cross-check.  All three agree
+exactly on every input.
 """
 
 from __future__ import annotations
@@ -40,14 +52,9 @@ class BseqStep:
 
 @dataclass
 class SumTrace:
-    """Audit record of one recursion run."""
+    """Audit record of one recursion run: its steps, in order."""
 
-    mode: str  # "ostrowski" | "bseq"
     steps: list = field(default_factory=list)
-    total: Scalar = Fraction(0)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -72,7 +79,11 @@ def _floor_sums(t: Scalar, n: int):
 def _sum_from_floors(t: Scalar, midpoint: bool):
     """The map (n, F(n,t)) -> S(n,t), or its beta0 variant if midpoint, as
     one constructor call.  beta0 differs from beta by +1/2 exactly where k t
-    is an integer: where b | k for t = a/b, and nowhere for irrational t."""
+    is an integer: where b | k for t = a/b, and nowhere for irrational t.
+
+    For quadratic t the map takes an optional third argument m (default
+    n + 1) and returns t n m/2 - n/2 - F; with n = N, F = F(n,t) - F(n',t)
+    and m = n + n' + 1 that is S(n,t) - S(n',t) for n' = n - N."""
     if is_rational(t):
         fr = as_fraction(t)
         a, b = fr.numerator, fr.denominator
@@ -81,8 +92,11 @@ def _sum_from_floors(t: Scalar, midpoint: bool):
                                          - b * (n - n // b), 2 * b)
         return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F - b * n, 2 * b)
     p, q, d, r = t.p, t.q, t.d, t.r  # d is already reduced
-    return lambda n, F: _make(p * n * (n + 1) - r * (n + 2 * F),
-                              q * n * (n + 1), d, 2 * r)
+
+    def entry(n, F, m=None):
+        m = n + 1 if m is None else m
+        return _make(p * n * m - r * (n + 2 * F), q * n * m, d, 2 * r)
+    return entry
 
 
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
@@ -116,46 +130,30 @@ def s0_prefix(t: Scalar, n_max: int) -> list:
 # -- means and one-sided limits -------------------------------------------
 
 
-def B(n: int, t: Scalar) -> Scalar:
-    """B_n(t) = S(n,t)/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return brute_S(n, t) / n
+def B(x: Scalar, t: Scalar) -> Scalar:
+    """B_x(t) = S(floor(x), t)/x for real x > 0."""
+    if not x > 0:
+        raise ValueError("x must be > 0")
+    return brute_S(floor(x), t) / x
 
 
-def B_left(n: int, a_over_b: Fraction) -> Scalar:
-    """Left limit of B_n at the reduced fraction a/b (B_n itself is the
-    right limit; the jump there is -(1/n) floor(n/b))."""
-    ab = Fraction(a_over_b)
-    return B(n, ab) + Fraction(n // ab.denominator, n)
-
-
-def _B_real(x: Scalar, v: Scalar) -> Scalar:
-    """B_x(v) with real index x: (1/x) * sum over k <= floor(x)."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    m = floor(x)
-    if m < 1:
-        return Fraction(0)
-    return brute_S(m, v) / x
-
-
-def _B_real_left(x: Scalar, v: Scalar) -> Scalar:
-    """Left limit of B_x in the function argument, at real index x."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if is_rational(v):
-        bden = as_fraction(v).denominator
-        return _B_real(x, v) + floor(x / bden) / x
-    return _B_real(x, v)
+def B_left(x: Scalar, t: Scalar) -> Scalar:
+    """Left limit of B_x at t.  B_x itself is the right limit; at a reduced
+    fraction t = a/b it jumps there by -(1/x) floor(floor(x)/b), and it is
+    continuous at irrational t."""
+    value = B(x, t)
+    if is_rational(t):
+        value += Fraction(floor(x) // as_fraction(t).denominator) / x
+    return value
 
 
 # -- Ostrowski recursion ---------------------------------------------------
 
 
 class OstrowskiTables:
-    """Convergents a_k/b_k of t and the residues rho_k = |b_k t - a_k|,
-    grown on demand.  Amortizes the expansion across an n-sweep."""
+    """Convergents a_k/b_k of t, the residues rho_k = |b_k t - a_k| and
+    m_max_k = floor(2/rho_k), the largest m with rho_k m < 2, grown on
+    demand.  Amortizes the expansion across an n-sweep."""
 
     def __init__(self, t: Scalar, cf: cfrac.CFExpansion):
         if is_rational(t) or cf.is_finite:
@@ -172,6 +170,7 @@ class OstrowskiTables:
         self.a = [1, cf.lambda0]
         self.b = [0, 1]
         self.rho: list = [None, abs(t - cf.lambda0)]
+        self.m_max: list = [None, floor(2 / self.rho[1])]
 
     def extend_past(self, n: int):
         while self.b[-1] <= n:
@@ -179,7 +178,9 @@ class OstrowskiTables:
             lam = self.cf.coeff(k)
             self.a.append(self.a[-2] + lam * self.a[-1])
             self.b.append(self.b[-2] + lam * self.b[-1])
-            self.rho.append(abs(self.b[-1] * self.t - self.a[-1]))
+            rho = abs(self.b[-1] * self.t - self.a[-1])
+            self.rho.append(rho)
+            self.m_max.append(floor(2 / rho))
 
     def j_star(self, n: int) -> int:
         """The unique j with b_j <= n < b_{j+1} (rightmost on ties)."""
@@ -188,17 +189,23 @@ class OstrowskiTables:
 
 
 def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
+    """One recursion step n -> n' = n mod b_j, j = j*(n), in integers only.
+
+    Returns (j, n', dF) with dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2,
+    where q = floor(n/b_j) and m = n + n' + 1.  The side condition
+    0 < |1 - rho_j m| < 1 is checked as m <= floor(2/rho_j), and the
+    quotient bound as q <= lambda_j.
+    """
     j = tab.j_star(n)
-    q, n2 = divmod(n, tab.b[j])
-    rho = tab.rho[j]
-    factor = 1 - rho * (n + n2 + 1)
-    inc = Fraction((-1) ** j * q, 2) * factor
+    b = tab.b[j]
+    q, n2 = divmod(n, b)
+    m = n + n2 + 1
     if validate:
-        if not (0 < abs(factor) < 1):
+        if m > tab.m_max[j]:
             raise AssertionError(f"Ostrowski side condition failed at n={n}")
         if q > tab.cf.coeff(j):
             raise AssertionError(f"floor(n/b_j*) > lambda_j* at n={n}")
-    return j, q, n2, rho, inc
+    return j, n2, q * (m * tab.a[j] - b - (-1) ** j) // 2
 
 
 def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
@@ -207,36 +214,40 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
     if n < 0:
         raise ValueError("n must be >= 0")
     tab = tables if tables is not None else OstrowskiTables(t, cf)
-    trace = SumTrace("ostrowski")
-    total: Scalar = Fraction(0)
+    entry = _sum_from_floors(tab.t, midpoint=False)
+    trace = SumTrace()
+    n0, F = n, 0
     while n > 0:
-        j, q, n2, rho, inc = _ostrowski_step(tab, n)
-        trace.steps.append(OstrowskiStep(j, n, n2, rho, inc))
-        total = total + inc
+        j, n2, dF = _ostrowski_step(tab, n)
+        trace.steps.append(OstrowskiStep(j, n, n2, tab.rho[j],
+                                         entry(n - n2, dF, n + n2 + 1)))
+        F += dF
         n = n2
-    trace.total = total
-    return total, trace
+    return (entry(n0, F) if n0 else Fraction(0)), trace
 
 
 def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion, n_max: int,
                     validate: bool = False):
     """S(n,t), recursion depth and the Snfinal bound for every n <= n_max.
 
-    Memoizes S(n') across the sweep, so the whole table costs one recursion
+    Memoizes F(n') across the sweep, so the whole table costs one recursion
     step per n.  Returns (S, depth, bound) lists indexed by n, where bound[n]
     is (1/2) * sum of lambda_1..lambda_{j*(n)}.
     """
     tab = OstrowskiTables(t, cf)
     tab.extend_past(n_max)
+    entry = _sum_from_floors(t, midpoint=False)
     lam_prefix = [Fraction(0), Fraction(0)]  # index j -> (1/2) sum_{k<=j} lambda_k
     for j in range(1, len(tab.b)):
         lam_prefix.append(lam_prefix[-1] + Fraction(tab.cf.coeff(j), 2))
+    F = [0] * (n_max + 1)
     S: list = [Fraction(0)] * (n_max + 1)
     depth = [0] * (n_max + 1)
     bound: list = [Fraction(0)] * (n_max + 1)
     for n in range(1, n_max + 1):
-        j, q, n2, rho, inc = _ostrowski_step(tab, n, validate=validate)
-        S[n] = S[n2] + inc
+        j, n2, dF = _ostrowski_step(tab, n, validate=validate)
+        F[n] = F[n2] + dF
+        S[n] = entry(n, F[n])
         depth[n] = depth[n2] + 1
         bound[n] = lam_prefix[j + 1]
     return S, depth, bound
@@ -255,7 +266,7 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
         raise DomainError("t must lie in (0, 1]")
     from .limits import eta_tilde
 
-    trace = SumTrace("bseq")
+    trace = SumTrace()
     total: Scalar = Fraction(0)
     tj: Scalar = t
     nj = n
@@ -267,12 +278,12 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
         term = nj * eta_tilde(x) + (x - fl) / 2
         total = total + ((-1) ** j) * term
         trace.steps.append(BseqStep(j, nj, tj, term))
-        lam_half_sum += Fraction(floor(tj.reciprocal()), 2)
-        tj = tj.reciprocal()
-        tj = tj - floor(tj)
+        inv = tj.reciprocal()
+        lam = floor(inv)
+        lam_half_sum += Fraction(lam, 2)
+        tj = inv - lam
         nj = fl
         j += 1
-    trace.total = total
     if abs(total) > lam_half_sum:
         raise AssertionError("modified Bsequence estimate violated")
     return total, trace
@@ -294,13 +305,9 @@ def thm21b_identity(n: int, t: Scalar) -> tuple[Scalar, Scalar]:
     m = floor(x)
     rhs = eta_tilde(x) + (x - m) / (2 * n)
     if m >= 1:
-        inv = 1 / t if is_rational(t) else t.reciprocal()
+        inv = 1 / t
         inner = inv - floor(inv)
-        if is_rational(inner):
-            b_inner = B_left(m, as_fraction(inner))
-        else:
-            b_inner = B(m, inner)
-        rhs = rhs - Fraction(m, n) * b_inner
+        rhs = rhs - Fraction(m, n) * B_left(m, inner)
     return lhs, rhs
 
 
@@ -328,9 +335,9 @@ def thm21a_identity(n: int, a_over_b: Fraction, bstar: int,
         raise DomainError("need 0 < x <= n/b*")
 
     lhs = B(n, ab + x / (b * n))
-    u = (n / x - bstar) / b if is_rational(x) else (x.reciprocal() * n - bstar) / b
+    u = (n / x - bstar) / b
     rhs = (B(n, ab) + Fraction(1, 2 * b) + eta_tilde(x) / b
-           - (x / n) * _B_real_left(x, u) + x / (2 * b * n))
+           - (x / n) * B_left(x, u) + x / (2 * b * n))
     tail = Fraction(0)
     for k in range(1, floor(x) + 1):
         tail += beta(Fraction(n - k * bstar, b))

@@ -64,7 +64,7 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     ok = True
     for label, t in corpus().items():
         for n in range(8, n_bseq + 1, 7):
-            if len(sums.bseq_S(n, t)[1]) > 4 * math.log(n):
+            if len(sums.bseq_S(n, t)[1].steps) > 4 * math.log(n):
                 ok = False
     checks.append(_check("bseq-depth<=4logn", ok))
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 
 from remsum import cfrac, cli
 from remsum.exactnum import QuadExt
+
+
+# exact stdout of `sum ... --trace` for four t specs, n up to 10^15
+SUM_TRACES = json.loads(
+    (Path(__file__).parent / "data" / "sum_trace.json").read_text())
 
 
 def run(capsys, *argv):
@@ -67,6 +73,12 @@ class TestSum:
         rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
         assert [r[0] for r in rows] == ["brute", "ostrowski", "bseq"]
         assert len({r[1] for r in rows}) == 1
+
+    @pytest.mark.parametrize("case", SUM_TRACES,
+                             ids=lambda c: " ".join(c["argv"][1:-1]))
+    def test_trace_stdout_is_pinned(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0 and out == case["stdout"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,18 @@ def quadratic_irrationals(draw):
     return t
 
 
+@st.composite
+def expansions(draw):
+    """(t, cf) for an eventually periodic expansion: lambda_0 in 0..3, a
+    pre-period of length <= 2 and a period of length 1..4, quotients 1..50."""
+    quotient = st.integers(1, 50)
+    cf = cfrac.CFExpansion(draw(st.integers(0, 3)),
+                           tuple(draw(st.lists(quotient, max_size=2))),
+                           tuple(draw(st.lists(quotient, min_size=1,
+                                               max_size=4))))
+    return cfrac.value(cf), cf
+
+
 class TestBruteOracle:
     def test_examples(self):
         assert sums.brute_S(3, F(1, 3)) == F(-1, 2)
@@ -91,6 +103,24 @@ class TestOstrowski:
             tab = sums.OstrowskiTables(t, cf)
             for n in range(1, 201):
                 assert sums.ostrowski_S(n, t, cf, tables=tab)[0] == pre[n]
+
+    @given(expansions(), st.integers(0, 2000), st.integers(0, 10 ** 18))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_recursion_property(self, t_cf, n_small, n_huge):
+        t, cf = t_cf
+        tab = sums.OstrowskiTables(t, cf)
+        for n in (n_small, n_huge):
+            total, trace = sums.ostrowski_S(n, t, cf, tables=tab)
+            if n == n_small:
+                assert total == sums.brute_S(n, t)
+            elif cf.lambda0 == 0:
+                assert total == sums.bseq_S(n, t)[0]
+            assert sum((s.increment for s in trace.steps), F(0)) == total
+            for s in trace.steps:
+                side = abs(1 - s.rho * (s.n_before + s.n_after + 1))
+                assert 0 < side < 1
+        for rho, m_max in zip(tab.rho[1:], tab.m_max[1:]):
+            assert m_max * rho < 2 < (m_max + 1) * rho
 
     def test_rejects_rational(self):
         cf = cfrac.expand(F(7, 10), 10)
