@@ -92,6 +92,8 @@ def cmd_sum(args) -> int:
     t, cf = parse_tspec(args.t)
     n = args.n
     methods = ["brute", "ostrowski", "bseq"] if args.method == "all" else [args.method]
+    if args.method == "all" and n > _BRUTE_CHECK_CAP and not is_rational(t):
+        methods.remove("brute")  # O(n); the two O(log n) methods still cross-check
     if is_rational(t):
         methods = [m for m in methods if m == "brute"]
         if not methods:
@@ -277,9 +279,8 @@ def cmd_dirichlet(args) -> int:
     t, _ = parse_tspec(args.t)
     s = args.s
     K = args.K
-    s0 = sums.s0_prefix(t, K)
     if args.mode == "evidence":
-        out = dirichlet.continuation_evidence(t, [s], K, s0=s0)[0]
+        out = dirichlet.continuation_evidence(t, [s], K)[0]
         rec = {"t": format_scalar(t), "s": str(s), "K": K, "mode": "evidence",
                "levels": out["levels"],
                "values": [[v.real, v.imag] for v in out["values"]],
@@ -289,12 +290,12 @@ def cmd_dirichlet(args) -> int:
         print()
         return EXIT_OK
     if args.mode == "beta":
-        ev = dirichlet.f_beta_partial(t, s, K, s0=s0)
+        ev = dirichlet.f_beta_partial(t, s, K)
     elif args.mode == "mellin":
-        ev = dirichlet.f_beta_mellin(t, s, K, s0=s0)
+        ev = dirichlet.f_beta_mellin(t, s, K)
     else:  # q
         tables = farey.build_tables(K)
-        ev = dirichlet.f_q_partial(t, s, K, tables, s0=s0)
+        ev = dirichlet.f_q_partial(t, s, K, tables)
     rec = {"t": format_scalar(t), "s": str(s), "K": ev.truncation_K,
            "mode": args.mode, "value_re": ev.value.real,
            "value_im": ev.value.imag, "tail_bound": ev.tail_bound,

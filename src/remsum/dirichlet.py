@@ -4,21 +4,30 @@ with explicit truncation-tail accounting, plus an Euler-Maclaurin zeta.
 All tail bounds are conservative: integral comparison for Re(s) > 1, Abel
 summation with the observed maximum of |S0(n,t)| in the strip 0 < Re(s) <= 1
 ("evidence" mode; no analytic claim is attached to those numbers).
+
+Every series reads two float tables, beta0(kt) for k <= K and the prefix
+S0(n,t) for n <= K.  Both are built in one pass over the integers
+(n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n, and each entry goes
+through the one float boundary of `exactnum`, so it equals float() of the
+exact value bit for bit.  Each table is retained for the last (t, K) it was
+built for, so an s grid at one (t, K) builds it once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sums
 from .errors import DomainError, PoleAtOne
+from .exactnum import Scalar, _quad_float, as_fraction, is_rational
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
-from .exactnum import Scalar, to_float  # noqa: F401
+from .exactnum import to_float  # noqa: F401
 from .farey import ArithTables
 
 
@@ -65,35 +74,79 @@ def zeta(s) -> complex:
 
 
 # -- term tables -----------------------------------------------------------
+#
+# With f_k = F(k,t) - F(k-1,t) = floor(kt):
+#   t = (p + q sqrt(d))/r:  S0(n) = (p n(n+1) - r(n + 2F) + q n(n+1) sqrt(d))/(2r)
+#                           beta0(kt) = (2kp - r(1 + 2f_k) + 2kq sqrt(d))/(2r)
+#   t = a/b:                S0(n) = (a n(n+1) - b(n + 2F) + b floor(n/b))/(2b)
+#                           beta0(kt) = (2ka - b(1 + 2f_k))/(2b), 0 where b | k
+# An irrational t never makes kt an integer, so beta0 = beta there.  Int true
+# division rounds a rational correctly, as float(Fraction) does.
 
 
-def beta0_float_table(t: Scalar, K: int, s0=None) -> list[float]:
-    """[0.0, beta0(t), beta0(2t), ...] as floats, derived from exact values."""
-    if s0 is None:
-        s0 = sums.s0_prefix(t, K)
-    return [0.0] + [float(s0[k] - s0[k - 1]) for k in range(1, K + 1)]
+@functools.lru_cache(maxsize=1)
+def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
+    """(0.0, beta0(t), ..., beta0(Kt)), each correctly rounded."""
+    out = [0.0]
+    prev = 0
+    if is_rational(t):
+        fr = as_fraction(t)
+        a, b = fr.numerator, fr.denominator
+        for k, F in enumerate(sums._floor_sums(t, K), 1):
+            out.append((2 * k * a - b * (1 + 2 * (F - prev))) / (2 * b)
+                       if k % b else 0.0)
+            prev = F
+    else:
+        p, q, d, r = t.p, t.q, t.d, t.r
+        for k, F in enumerate(sums._floor_sums(t, K), 1):
+            out.append(_quad_float(2 * k * p - r * (1 + 2 * (F - prev)),
+                                   2 * k * q, d, 2 * r))
+            prev = F
+    return tuple(out)
 
 
-def _s0_floats(t: Scalar, K: int, s0=None) -> list[float]:
-    if s0 is None:
-        s0 = sums.s0_prefix(t, K)
-    return [float(v) for v in s0[:K + 1]]
+@functools.lru_cache(maxsize=1)
+def _s0_floats(t: Scalar, K: int) -> tuple[float, ...]:
+    """(S0(0,t), S0(1,t), ..., S0(K,t)), each correctly rounded."""
+    out = [0.0]
+    if is_rational(t):
+        fr = as_fraction(t)
+        a, b = fr.numerator, fr.denominator
+        for n, F in enumerate(sums._floor_sums(t, K), 1):
+            out.append((a * n * (n + 1) - b * (n + 2 * F) + b * (n // b))
+                       / (2 * b))
+    else:
+        p, q, d, r = t.p, t.q, t.d, t.r
+        for n, F in enumerate(sums._floor_sums(t, K), 1):
+            nn = n * (n + 1)
+            out.append(_quad_float(p * nn - r * (n + 2 * F), q * nn, d, 2 * r))
+    return tuple(out)
+
+
+def beta0_float_table(t: Scalar, K: int) -> list[float]:
+    """[0.0, beta0(t), beta0(2t), ..., beta0(Kt)], each entry float() of the
+    exact value, computed from the integers F(k,t).  The table is retained
+    for the last (t, K); the list returned is a fresh copy."""
+    return list(_beta0_floats(t, K))
 
 
 # -- series ----------------------------------------------------------------
 
 
 def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
-    """Partial sum of beta0(kt)/k^s through K with an explicit tail bound."""
+    """Partial sum of beta0(kt)/k^s through K with an explicit tail bound.
+
+    `s0` is accepted for old callers and not read: the terms come from the
+    retained float tables."""
     s = complex(s)
-    terms = beta0_float_table(t, K, s0=s0)
+    terms = _beta0_floats(t, K)
     value = sum(terms[k] * k ** (-s) for k in range(1, K + 1))
     sigma = s.real
     if sigma > 1:
         tail = 0.5 * K ** (1 - sigma) / (sigma - 1)
         mode = "strict"
     elif sigma > 0:
-        a = max(abs(v) for v in _s0_floats(t, K, s0=s0))
+        a = max(map(abs, _s0_floats(t, K)))
         tail = a * (sigma + abs(s)) / (sigma * K ** sigma)
         mode = "evidence"
     else:
@@ -103,9 +156,11 @@ def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
 
 def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
     """s * integral_1^X B_{x,0}(t) x^{-s} dx in closed form, using the
-    piecewise-constant structure of the exact prefix sums S0(n,t)."""
+    piecewise-constant structure of the exact prefix sums S0(n,t).
+
+    `s0` is accepted for old callers and not read."""
     s = complex(s)
-    sf = _s0_floats(t, X, s0=s0)
+    sf = _s0_floats(t, X)
     value = sum(sf[n] * (n ** (-s) - (n + 1) ** (-s)) for n in range(1, X))
     sigma = s.real
     if sigma > 1:
@@ -113,7 +168,7 @@ def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
         tail = abs(s) * X ** (1 - sigma) / (2 * (sigma - 1))
         mode = "strict"
     elif sigma > 0:
-        a = max(abs(v) for v in sf)
+        a = max(map(abs, sf))
         tail = abs(s) * a * X ** (-sigma) / sigma
         mode = "evidence"
     else:
@@ -126,11 +181,12 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
     """Partial sum of q_{k,0}(t)/k^s through K.
 
     The tail bound uses |q_{k,0}| <= d(k)/2 <= sqrt(k) and needs Re(s) > 3/2;
-    otherwise it is reported as infinity."""
+    otherwise it is reported as infinity.  `s0` is accepted for old callers
+    and not read."""
     if K > tables.N:
         raise ValueError("K exceeds table size")
     s = complex(s)
-    b0 = beta0_float_table(t, K, s0=s0)
+    b0 = _beta0_floats(t, K)
     q = [0.0] * (K + 1)
     for d in range(1, K + 1):
         m = tables.mu[d]
@@ -145,9 +201,16 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
 
 def continuation_evidence(t: Scalar, s_grid, K: int, s0=None) -> list[dict]:
     """Abel-summed series at increasing truncation levels; decreasing Cauchy
-    differences are the (purely numerical) continuation evidence."""
-    sf = _s0_floats(t, K, s0=s0)
+    differences are the (purely numerical) continuation evidence.
+
+    The three levels must increase strictly within [2, K], which needs
+    K >= 4; DomainError otherwise.  `s0` is accepted for old callers and not
+    read."""
     levels = [max(K // 25, 2), max(K // 5, 3), K]
+    if not levels[0] < levels[1] < levels[2]:
+        raise DomainError(f"K = {K}: levels {levels} do not increase within "
+                          f"[2, K]; need K >= 4")
+    sf = _s0_floats(t, K)
     out = []
     for s in s_grid:
         s = complex(s)

@@ -5,6 +5,8 @@ representing (p + q*sqrt(d))/r with integers p, q, r.  Floors, signs and
 comparisons are decided purely with integer arithmetic; no floating point
 enters any exact code path.  Floats appear only through `float()`, which
 is correctly rounded for every Scalar and is itself computed in integers.
+Its one irrational boundary, `_quad_float(p, q, d, r)`, also takes the
+integer parts of a value that was never built as a QuadExt.
 
 The radicand d is reduced only by the public `QuadExt` constructor, where a
 value enters.  Arithmetic stays in its operands' field: results reuse an
@@ -256,12 +258,7 @@ class QuadExt:
     def __float__(self) -> float:
         if self.q == 0:
             return self.p / self.r
-        m, e = _scaled_floor(self, 55)
-        # x lies strictly inside (m, m+1)/2**e, an interval that holds no
-        # rounding boundary of a 53-bit float, so its midpoint rounds as x does
-        if e >= -1:
-            return (2 * m + 1) / (1 << (e + 1))
-        return float((2 * m + 1) << (-e - 1))
+        return _quad_float(self.p, self.q, self.d, self.r)
 
     def __repr__(self):
         return f"QuadExt({self.p}, {self.q}, {self.d}, {self.r})"
@@ -270,10 +267,11 @@ class QuadExt:
         return format_scalar(self)
 
 
-def _scaled_floor(x: QuadExt, bits: int) -> tuple[int, int]:
-    """(m, e) with m = floor(x * 2**e) and |x| * 2**e >= 2**bits, for an
-    irrational x, decided in integers only."""
-    p, q, d, r = x.p, x.q, x.d, x.r
+def _scaled_floor(p: int, q: int, d: int, r: int,
+                  bits: int) -> tuple[int, int]:
+    """(m, e) with m = floor(x * 2**e) and |x| * 2**e >= 2**bits, for the
+    irrational x = (p + q*sqrt(d))/r (q != 0, d not a square, r > 0),
+    decided in integers only.  (p, q, r) need not be in lowest terms."""
     qqd = q * q * d
     s = abs(p) + math.isqrt(qqd)  # |p| + |q|*sqrt(d) lies in (s, s + 1)
     if p and (p < 0) != (q < 0):
@@ -286,6 +284,17 @@ def _scaled_floor(x: QuadExt, bits: int) -> tuple[int, int]:
     if e >= 0:
         return ((p << e) + _floor_sqrt_times(q << e, d)) // r, e
     return (p + _floor_sqrt_times(q, d)) // (r << -e), e
+
+
+def _quad_float(p: int, q: int, d: int, r: int) -> float:
+    """Correctly rounded float of the irrational (p + q*sqrt(d))/r, with
+    q != 0, d not a square and r > 0; the float boundary of every Scalar."""
+    m, e = _scaled_floor(p, q, d, r, 55)
+    # x lies strictly inside (m, m+1)/2**e, an interval that holds no
+    # rounding boundary of a 53-bit float, so its midpoint rounds as x does
+    if e >= -1:
+        return (2 * m + 1) / (1 << (e + 1))
+    return float((2 * m + 1) << (-e - 1))
 
 
 # -- generic scalar operations --------------------------------------------
@@ -346,7 +355,7 @@ def to_float(x: Scalar, precision_bits: int = 53):
 
     with mpmath.workprec(precision_bits):
         if isinstance(x, QuadExt) and x.q != 0:
-            m, e = _scaled_floor(x, precision_bits + 2)
+            m, e = _scaled_floor(x.p, x.q, x.d, x.r, precision_bits + 2)
             return mpmath.mpf((2 * m + 1, -e - 1))
         fr = as_fraction(x)
         return mpmath.mpf(fr.numerator) / fr.denominator

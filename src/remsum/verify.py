@@ -171,14 +171,13 @@ def suite_dirichlet(size: str = "quick", seed: int = 0) -> list[dict]:
     tables = farey.build_tables(K)
     ok_a = ok_b = True
     for label, t in corpus().items():
-        s0 = sums.s0_prefix(t, K)
         for s in (2, 2 + 5j):
-            ea = dirichlet.f_beta_partial(t, s, K, s0=s0)
-            em = dirichlet.f_beta_mellin(t, s, K, s0=s0)
+            ea = dirichlet.f_beta_partial(t, s, K)
+            em = dirichlet.f_beta_mellin(t, s, K)
             if abs(ea.value - em.value) > ea.tail_bound + em.tail_bound:
                 ok_a = False
-        eb = dirichlet.f_beta_partial(t, 2, K, s0=s0)
-        eq = dirichlet.f_q_partial(t, 2, K, tables, s0=s0)
+        eb = dirichlet.f_beta_partial(t, 2, K)
+        eq = dirichlet.f_q_partial(t, 2, K, tables)
         if abs(dirichlet.zeta(2) * eq.value + eb.value) > \
                 abs(dirichlet.zeta(2)) * eq.tail_bound + eb.tail_bound:
             ok_b = False

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -74,6 +77,19 @@ class TestSum:
         assert [r[0] for r in rows] == ["brute", "ostrowski", "bseq"]
         assert len({r[1] for r in rows}) == 1
 
+    def test_all_skips_brute_past_the_check_cap(self):
+        # brute_S is O(n): at n = 10^15 it would not finish
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "remsum", "sum", "--n", "1000000000000000",
+             "--t", "cf:0;(1)"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = [ln.split(",") for ln in proc.stdout.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["ostrowski", "bseq"]
+        assert rows[0][1] == rows[1][1]
+
     @pytest.mark.parametrize("case", SUM_TRACES,
                              ids=lambda c: " ".join(c["argv"][1:-1]))
     def test_trace_stdout_is_pinned(self, capsys, case):
@@ -105,6 +121,9 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     ("plot", "--which", "eta", "--range=1/0:2", "--step", "1"),
     ("plot", "--which", "rescaled", "--range", "0:1", "--step", "1/2",
      "--a-over-b", "1/0", "--rescale-n", "5"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "1", "--mode", "evidence"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "2", "--mode", "evidence"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "3", "--mode", "evidence"),
 ])
 def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -4,10 +4,23 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remsum import dirichlet, farey, sums
 from remsum.errors import DomainError, PoleAtOne
-from remsum.exactnum import beta0, to_float
+from remsum.exactnum import QuadExt, beta0, to_float
+
+
+# t = (p + q sqrt(d))/r with q of both signs, r > 1 and radicands that keep
+# square factors past the constructor's small primes (1009^2, 10007^2)
+quadratic_ts = st.builds(
+    lambda p, q, d, s, r: QuadExt(p, q, d * s * s, r),
+    st.integers(-100, 100), st.integers(-30, 30).filter(bool),
+    st.sampled_from([2, 3, 5, 6, 7, 13, 9973]), st.sampled_from([1, 2, 1009, 10007]),
+    st.integers(1, 60))
+# small denominators, so that b | k happens inside the table
+rational_ts = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 
 
 class TestZeta:
@@ -46,6 +59,41 @@ class TestTermTables:
         assert table[2] == table[4] == table[6] == 0.0
         assert table[1] == table[3] == 0.0  # beta0(1/2) = 0 too
 
+    @given(st.one_of(quadratic_ts, rational_ts), st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_tables_are_float_of_the_exact_values(self, t, K):
+        exact = sums.s0_prefix(t, K)
+        want_s0 = [float(v).hex() for v in exact]
+        want_b0 = [0.0.hex()] + [float(exact[k] - exact[k - 1]).hex()
+                                 for k in range(1, K + 1)]
+        assert [v.hex() for v in dirichlet.beta0_float_table(t, K)] == want_b0
+        assert [v.hex() for v in dirichlet._s0_floats(t, K)] == want_s0
+
+    def test_retained_table_follows_t_and_K(self, corpus):
+        t1, t2 = corpus["golden"], F(3, 7)
+        want = {(t, K): sums.s0_prefix(t, K) for t in (t1, t2) for K in (40, 90)}
+        # each step changes t or K alone, so a memo keyed on the other fails
+        for t, K in [(t1, 40), (t2, 40), (t1, 90), (t1, 40), (t2, 90)]:
+            exact = want[t, K]
+            assert dirichlet.beta0_float_table(t, K) == \
+                [0.0] + [float(exact[k] - exact[k - 1]) for k in range(1, K + 1)]
+            assert list(dirichlet._s0_floats(t, K)) == [float(v) for v in exact]
+            s = 2 + 0j
+            assert dirichlet.f_beta_mellin(t, s, K).value == sum(
+                float(exact[n]) * (n ** -s - (n + 1) ** -s) for n in range(1, K))
+
+    def test_returned_table_is_a_copy(self, corpus):
+        t, K = corpus["sqrt3m1"], 120
+        tables = farey.build_tables(K)
+        before = (dirichlet.f_beta_partial(t, 0.7 + 3j, K),
+                  dirichlet.f_q_partial(t, 2, K, tables))
+        table = dirichlet.beta0_float_table(t, K)
+        table[1:] = [1.0] * K
+        table.append(5.0)
+        assert (dirichlet.f_beta_partial(t, 0.7 + 3j, K),
+                dirichlet.f_q_partial(t, 2, K, tables)) == before
+        assert dirichlet.beta0_float_table(t, K)[1] != 1.0
+
 
 class TestSeries:
     def test_partial_sum_matches_naive(self, corpus):
@@ -63,8 +111,8 @@ class TestSeries:
         t = corpus["golden"]
         K, s = 300, 2.5
         s0 = sums.s0_prefix(t, K)
-        direct = dirichlet.f_beta_partial(t, s, K, s0=s0)
-        abel = dirichlet.f_beta_mellin(t, s, K, s0=s0)
+        direct = dirichlet.f_beta_partial(t, s, K)
+        abel = dirichlet.f_beta_mellin(t, s, K)
         boundary = float(to_float(s0[K], 53)) * K ** (-s)
         assert abs((abel.value + boundary) - direct.value) < 1e-10
 
@@ -79,9 +127,8 @@ class TestSeries:
         K = 2000
         tables = farey.build_tables(K)
         for t in corpus.values():
-            s0 = sums.s0_prefix(t, K)
-            fb = dirichlet.f_beta_partial(t, 2, K, s0=s0)
-            fq = dirichlet.f_q_partial(t, 2, K, tables, s0=s0)
+            fb = dirichlet.f_beta_partial(t, 2, K)
+            fq = dirichlet.f_q_partial(t, 2, K, tables)
             assert abs(dirichlet.zeta(2) * fq.value + fb.value) <= \
                 abs(dirichlet.zeta(2)) * fq.tail_bound + fb.tail_bound
 
@@ -110,3 +157,12 @@ class TestContinuationEvidence:
     def test_rejects_left_half_plane(self, corpus):
         with pytest.raises(ValueError):
             dirichlet.continuation_evidence(corpus["golden"], [-0.5], 100)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_refuses_levels_that_do_not_increase(self, corpus, K):
+        with pytest.raises(DomainError):
+            dirichlet.continuation_evidence(corpus["golden"], [0.7 + 3j], K)
+
+    def test_smallest_K_has_three_levels(self, corpus):
+        rec, = dirichlet.continuation_evidence(corpus["golden"], [0.7 + 3j], 4)
+        assert rec["levels"] == [2, 3, 4]
