@@ -72,11 +72,33 @@ def _fmt_float(v: float) -> str:
     return "%.12g" % v
 
 
-def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[int, range]:
+    """The points lo + i*step in [lo, hi] as (D, numerators over D)."""
     if step <= 0:
         raise UsageError("step must be positive")
     count = int((hi - lo) / step)
-    return [lo + i * step for i in range(count + 1)]
+    D = math.lcm(lo.denominator, step.denominator)
+    first = lo.numerator * (D // lo.denominator)
+    h = step.numerator * (D // step.denominator)
+    return D, range(first, first + count * h + 1, h)
+
+
+def _eta_float(i: int, D: int) -> float:
+    """float(eta_tilde(i/D)) = r(r - D)/(2iD) with r = i mod D, and -1/2 at 0."""
+    if i == 0:
+        return -0.5
+    r = i % D
+    num, den = r * (r - D), 2 * i * D
+    if den < 0:  # keep a zero numerator from rounding to -0.0
+        num, den = -num, -den
+    return num / den
+
+
+def _eta_prime_float(i: int, D: int) -> float:
+    """float(eta_tilde_prime(i/D)) = (i^2 - f(f+1)D^2)/(2i^2), f = floor(i/D),
+    for i/D not an integer."""
+    f = i // D
+    return (i * i - f * (f + 1) * D * D) / (2 * i * i)
 
 
 def _open_out(path):
@@ -135,24 +157,23 @@ def cmd_plot(args) -> int:
         step = Fraction(args.step)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse step {args.step!r}")
-    xs = _grid(lo, hi, step)
+    D, nums = _grid(lo, hi, step)
     with _open_out(args.out) as out:
         if args.which == "eta":
             print("x,value", file=out)
-            for x in xs:
-                print(f"{_fmt_float(float(x))},"
-                      f"{_fmt_float(float(limits.eta_tilde(x)))}", file=out)
+            for i in nums:
+                print(f"{_fmt_float(i / D)},{_fmt_float(_eta_float(i, D))}",
+                      file=out)
         elif args.which == "etaprime":
             print("x,value", file=out)
-            for x in xs:
-                if x.denominator == 1:
-                    val = "nan"  # derivative undefined at integers
-                else:
-                    val = _fmt_float(float(limits.eta_tilde_prime(x)))
-                print(f"{_fmt_float(float(x))},{val}", file=out)
+            for i in nums:
+                # the derivative is undefined at the integers
+                val = "nan" if i % D == 0 else _fmt_float(_eta_prime_float(i, D))
+                print(f"{_fmt_float(i / D)},{val}", file=out)
         elif args.which == "h":
             nmax = max(1, int(math.ceil(max(abs(lo), abs(hi)))))
             tables = farey.build_tables(nmax)
+            xs = [Fraction(i, D) for i in nums]
             print("x,h", file=out)
             for x, hval in zip(xs, farey.h_values(xs, tables)):
                 print(f"{_fmt_float(float(x))},{_fmt_float(hval)}", file=out)
@@ -164,7 +185,8 @@ def cmd_plot(args) -> int:
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"cannot parse --a-over-b {args.a_over_b!r}")
             print("x,value", file=out)
-            for x in xs:
+            for i in nums:
+                x = Fraction(i, D)
                 v = limits.rescaled_eta(ab, args.rescale_n, x)
                 print(f"{_fmt_float(float(x))},"
                       f"{_fmt_float(float(v))}", file=out)

@@ -1,7 +1,7 @@
 """Sawtooth remainder sums S(n,t), their means B_x, and the fast recursions.
 
-Every exact S here but bseq_S's is built from one integer, F(n,t) = sum of
-floor(k t) over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t)
+Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
+over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t)
 (`_sum_from_floors`).  brute_S is the O(n) oracle: it sums the floors
 directly, as do brute_S0, s0_prefix and tab_sum.
 
@@ -16,15 +16,20 @@ so the paper's increment (-1)^j (q/2)(1 - rho_j m) is t N m/2 - N/2 minus
 that difference.  Its side condition 0 < |1 - rho_j m| < 1 is the integer
 test m <= floor(2/rho_j), since rho_j m is irrational and so never equals 1
 or 2.  bseq_S is the alternative recursion through the Gauss-map orbit of t,
-kept in QuadExt arithmetic as an independent cross-check.  All three agree
+an independent cross-check that uses no convergents: it walks the orbit as
+integer pairs (P_j, Q_j) and carries F in integers too.  All three agree
 exactly on every input.
+
+Both recursions keep one tuple of integers per step in their `SumTrace`;
+the step objects, with their exact QuadExt fields, are built from it only
+when the trace is read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cfrac
@@ -50,11 +55,36 @@ class BseqStep:
     term: Scalar
 
 
+class _Steps:
+    """The steps of one recursion run, in order.  The run appends one tuple
+    of integers per step to `rows`; `build` makes the step object from a
+    tuple each time the step is read, so len() builds nothing and a run that
+    nobody inspects builds no step at all."""
+
+    __slots__ = ("rows", "_build")
+
+    def __init__(self, build):
+        self.rows: list[tuple] = []
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(*row) for row in self.rows[i]]
+        return self._build(*self.rows[i])
+
+    def __iter__(self):
+        return (self._build(*row) for row in self.rows)
+
+
 @dataclass
 class SumTrace:
-    """Audit record of one recursion run: its steps, in order."""
+    """Audit record of one recursion run: its steps, in order, read as
+    `OstrowskiStep` or `BseqStep` objects."""
 
-    steps: list = field(default_factory=list)
+    steps: _Steps
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -210,17 +240,26 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
 
 def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
                 tables: OstrowskiTables | None = None) -> tuple[Scalar, SumTrace]:
-    """Exact S(n,t) for irrational t in O(log n) recursion steps."""
+    """Exact S(n,t) for irrational t in O(log n) recursion steps.
+
+    `tables`, if given, must have been built for this t and cf; ValueError
+    otherwise.  The trace keeps (j, n, n', dF) per step."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    tab = tables if tables is not None else OstrowskiTables(t, cf)
+    if tables is None:
+        tab = OstrowskiTables(t, cf)
+    elif tables.t != t or tables.cf != cf:
+        raise ValueError("tables were built for another t or expansion")
+    else:
+        tab = tables
     entry = _sum_from_floors(tab.t, midpoint=False)
-    trace = SumTrace()
+    trace = SumTrace(_Steps(lambda j, n, n2, dF: OstrowskiStep(
+        j, n, n2, tab.rho[j], entry(n - n2, dF, n + n2 + 1))))
+    rows = trace.steps.rows
     n0, F = n, 0
     while n > 0:
         j, n2, dF = _ostrowski_step(tab, n)
-        trace.steps.append(OstrowskiStep(j, n, n2, tab.rho[j],
-                                         entry(n - n2, dF, n + n2 + 1)))
+        rows.append((j, n, n2, dF))
         F += dF
         n = n2
     return (entry(n0, F) if n0 else Fraction(0)), trace
@@ -256,35 +295,60 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion, n_max: int,
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
+def _floor_over(a: int, f: int, c: int) -> int:
+    """floor((a + y)/c) for an irrational y with floor(y) = f and c != 0."""
+    return (a + f) // c if c > 0 else (-a - f - 1) // -c
+
+
 def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
-    """Exact S(n,t) via the orbit t_j of the Gauss map and n_j = floor(t_j n_j)."""
+    """Exact S(n,t) via the orbit t_j of the Gauss map and n_{j+1} = floor(t_j n_j).
+
+    Theorem 2.1(b) gives S(n,t) = sum over j of (-1)^j (n_j eta_tilde(t_j n_j)
+    + frac(t_j n_j)/2).  The orbit runs in integers: t_j = (P_j + sqrt(D))/Q_j
+    with D = q^2 d r^2 and Q_j | D - P_j^2, so 1/t_j = (-P_j + sqrt(D))/Q'
+    with Q' = (D - P_j^2)/Q_j, lambda_{j+1} = floor(1/t_j) and
+    t_{j+1} = (-P_j - lambda_{j+1} Q' + sqrt(D))/Q'.  With m_j = n_{j+1}, the
+    j-th term is t_j n_j(n_j+1)/2 + t_{j+1} m_j(m_j+1)/2
+    + (m_j(m_j+1) lambda_{j+1} - (2m_j+1) n_j - m_j)/2, and the t parts cancel
+    between consecutive terms of the alternating sum, leaving
+
+        F(n,t) = (-n - sum_j (-1)^j (m_j(m_j+1) lambda_{j+1} - (2m_j+1) n_j - m_j))/2.
+
+    The modified Bsequence estimate |S| <= (1/2) sum of lambda_{j+1} over the
+    steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if is_rational(t):
         raise NotIrrational("bseq recursion needs irrational t")
     if not (0 < t <= 1):
         raise DomainError("t must lie in (0, 1]")
-    from .limits import eta_tilde
+    d, s = t.d, abs(t.q) * t.r  # sqrt(D) = s sqrt(d)
+    D = s * s * d
+    P, Q = (t.p * t.r, t.r * t.r) if t.q > 0 else (-t.p * t.r, -t.r * t.r)
+    root = math.isqrt(D)
 
-    trace = SumTrace()
-    total: Scalar = Fraction(0)
-    tj: Scalar = t
-    nj = n
-    lam_half_sum = Fraction(0)
-    j = 0
-    while nj > 0:
+    def step(j, nj, P, Q):
+        tj = _make(P, s, d, Q)
         x = tj * nj
-        fl = floor(x)
-        term = nj * eta_tilde(x) + (x - fl) / 2
-        total = total + ((-1) ** j) * term
-        trace.steps.append(BseqStep(j, nj, tj, term))
-        inv = tj.reciprocal()
-        lam = floor(inv)
-        lam_half_sum += Fraction(lam, 2)
-        tj = inv - lam
-        nj = fl
-        j += 1
-    if abs(total) > lam_half_sum:
+        f = x - floor(x)  # n_j eta_tilde(x) = f(f - 1)/(2 t_j)
+        return BseqStep(j, nj, tj, (f * (f - 1) / tj + f) / 2)
+
+    trace = SumTrace(_Steps(step))
+    rows = trace.steps.rows
+    nj, sign, G, lam_sum = n, 1, 0, 0
+    while nj > 0:
+        rows.append((len(rows), nj, P, Q))
+        m = _floor_over(nj * P, math.isqrt(nj * nj * D), Q)
+        Q2 = (D - P * P) // Q
+        lam = _floor_over(-P, root, Q2)
+        G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
+        lam_sum += lam
+        P, Q, nj, sign = -P - lam * Q2, Q2, m, -sign
+    if n == 0:
+        return Fraction(0), trace
+    total = _sum_from_floors(t, midpoint=False)(n, (-n - G) // 2)
+    if 2 * abs(total) > lam_sum:
         raise AssertionError("modified Bsequence estimate violated")
     return total, trace
 

@@ -8,10 +8,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, cli
+from remsum import cfrac, cli, limits
 from remsum.exactnum import QuadExt
 
 
@@ -158,6 +158,19 @@ class TestPlot:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @given(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
+    @example(-8000, 1000)  # eta is 0 at -8: it must not print "-0"
+    @example(0, 7)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_profiles_are_float_of_the_exact_values(self, i, D):
+        x = F(i, D)
+        want = float(limits.eta_tilde(x))
+        got = cli._eta_float(i, D)
+        assert got.hex() == want.hex()
+        if x.denominator > 1:
+            want = float(limits.eta_tilde_prime(x))
+            assert cli._eta_prime_float(i, D).hex() == want.hex()
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "eta.csv"

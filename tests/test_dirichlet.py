@@ -116,6 +116,19 @@ class TestSeries:
         boundary = float(to_float(s0[K], 53)) * K ** (-s)
         assert abs((abel.value + boundary) - direct.value) < 1e-10
 
+    @given(st.one_of(quadratic_ts, rational_ts),
+           st.builds(complex, st.floats(0.05, 4), st.floats(-40, 40)),
+           st.integers(4, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_abel_sums_equal_the_two_power_formula(self, t, s, K):
+        # each power is computed once and carried into the next term; the
+        # floats must be those of computing n^(-s) and (n+1)^(-s) per term
+        sf = dirichlet._s0_floats(t, K)
+        diffs = [sf[n] * (n ** (-s) - (n + 1) ** (-s)) for n in range(1, K)]
+        assert dirichlet.f_beta_mellin(t, s, K).value == sum(diffs)
+        rec, = dirichlet.continuation_evidence(t, [s], K)
+        assert rec["values"] == [sum(diffs[:L - 1]) for L in rec["levels"]]
+
     def test_mellin_identity_within_tails(self, corpus):
         for t in corpus.values():
             for s in (2, 3, 2 + 5j):

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from remsum import cfrac, sums
 from remsum.errors import DomainError, NotIrrational, NotNeighbors
 from remsum.exactnum import QuadExt, beta, beta0, floor
+from remsum.limits import eta_tilde
 
 
 def _accumulate(term, n, t):
@@ -31,15 +32,35 @@ def quadratic_irrationals(draw):
 
 
 @st.composite
-def expansions(draw):
+def expansions(draw, max_quotient=50):
     """(t, cf) for an eventually periodic expansion: lambda_0 in 0..3, a
-    pre-period of length <= 2 and a period of length 1..4, quotients 1..50."""
-    quotient = st.integers(1, 50)
+    pre-period of length <= 2 and a period of length 1..4, quotients
+    1..max_quotient."""
+    quotient = st.integers(1, max_quotient)
     cf = cfrac.CFExpansion(draw(st.integers(0, 3)),
                            tuple(draw(st.lists(quotient, max_size=2))),
                            tuple(draw(st.lists(quotient, min_size=1,
                                                max_size=4))))
     return cfrac.value(cf), cf
+
+
+def _reference_bseq(n, t):
+    """The Gauss-map recursion in QuadExt arithmetic, term by term through
+    eta_tilde: (S(n,t), the BseqStep list, sum of lambda_{j+1} over the
+    steps).  The reference for bseq_S's integer orbit."""
+    total, tj, nj, j, lam_sum = F(0), t, n, 0, 0
+    steps = []
+    while nj > 0:
+        x = tj * nj
+        fl = floor(x)
+        term = nj * eta_tilde(x) + (x - fl) / 2
+        total = total + (-1) ** j * term
+        steps.append(sums.BseqStep(j, nj, tj, term))
+        inv = tj.reciprocal()
+        lam = floor(inv)
+        lam_sum += lam
+        tj, nj, j = inv - lam, fl, j + 1
+    return total, steps, lam_sum
 
 
 class TestBruteOracle:
@@ -122,6 +143,22 @@ class TestOstrowski:
         for rho, m_max in zip(tab.rho[1:], tab.m_max[1:]):
             assert m_max * rho < 2 < (m_max + 1) * rho
 
+    def test_refuses_tables_of_another_t_or_expansion(self, corpus, corpus_cf):
+        golden, cf = corpus["golden"], corpus_cf["golden"]
+        other = sums.OstrowskiTables(corpus["sqrt2m1"], corpus_cf["sqrt2m1"])
+        # these tables once gave S(10, sqrt(2) - 1) = -78 + 55 sqrt(2)
+        with pytest.raises(ValueError):
+            sums.ostrowski_S(10, golden, cf, tables=other)
+        # the same t, written with a one-term pre-period
+        longer = cfrac.CFExpansion(0, (1,), (1,))
+        with pytest.raises(ValueError):
+            sums.ostrowski_S(10, golden, longer,
+                             tables=sums.OstrowskiTables(golden, cf))
+        own = sums.OstrowskiTables(golden, longer)
+        assert (sums.ostrowski_S(10, golden, longer, tables=own)[0]
+                == sums.ostrowski_S(10, golden, cf)[0]
+                == sums.brute_S(10, golden) == QuadExt(-123, 55, 5, 2))
+
     def test_rejects_rational(self):
         cf = cfrac.expand(F(7, 10), 10)
         with pytest.raises(NotIrrational):
@@ -165,6 +202,46 @@ class TestBseq:
         for t in corpus.values():
             for n in range(8, 300, 11):
                 assert len(sums.bseq_S(n, t)[1].steps) <= 4 * math.log(n)
+
+    @given(st.one_of(expansions(), expansions(max_quotient=1000)),
+           st.integers(0, 2000), st.integers(0, 10 ** 18))
+    # q < 0 and r = 1: the orbit starts at Q = -1, so every floor there
+    # lands on the boundary case of a negative denominator
+    @example((QuadExt(2, -1, 3, 1), cfrac.CFExpansion(0, (3,), (1, 2))),
+             100, 10 ** 18)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_orbit_matches_reference(self, t_cf, n_small, n_huge):
+        t, cf = t_cf
+        t = t - cf.lambda0  # lambda_0 = 0: bseq_S needs t in (0, 1)
+        for n in (n_small, n_huge):
+            total, trace = sums.bseq_S(n, t)
+            ref_total, ref_steps, lam_sum = _reference_bseq(n, t)
+            assert repr(total) == repr(ref_total)
+            assert len(trace.steps) == len(ref_steps)
+            assert [repr(s) for s in trace.steps] == [repr(s) for s in ref_steps]
+            assert 2 * abs(total) <= lam_sum
+
+    def test_steps_are_built_only_when_read(self, corpus, corpus_cf,
+                                            monkeypatch):
+        t, cf = corpus["golden"], corpus_cf["golden"]
+        n = 10 ** 15
+
+        def refuse(*args):
+            raise AssertionError("step object built")
+
+        with monkeypatch.context() as m:
+            m.setattr(sums, "BseqStep", refuse)
+            m.setattr(sums, "OstrowskiStep", refuse)
+            value_b, trace_b = sums.bseq_S(n, t)
+            value_o, trace_o = sums.ostrowski_S(n, t, cf)
+            assert value_b == value_o
+            assert (len(trace_b.steps), len(trace_o.steps)) == (71, 18)
+        ref_steps = _reference_bseq(n, t)[1]
+        assert list(trace_b.steps) == ref_steps
+        assert trace_b.steps[-1] == ref_steps[-1]
+        assert trace_b.steps[2:5] == ref_steps[2:5]
+        assert trace_o.steps[0].n_before == n
+        assert sum((s.increment for s in trace_o.steps), F(0)) == value_o
 
 
 class TestTheorem21:
