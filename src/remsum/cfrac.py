@@ -1,16 +1,21 @@
 """Continued fractions: expansion, convergents, evaluation, fundamental intervals.
 
 Rationals get their full finite expansion (canonical: last coefficient >= 2
-unless the expansion is a single term).  Quadratic irrationals are expanded
-by iterating the complete quotients exactly; the first repeated state gives
-the eventually periodic form.
+unless the expansion is a single term).  A quadratic irrational t is
+expanded along its orbit under the Gauss map, walked in integers by
+`_orbit`: each state t_j = (P_j + sqrt(D))/Q_j is the integer pair
+(P_j, Q_j) over one D, and the first repeated pair gives the eventually
+periodic form.  The Ostrowski and Gauss-map recursions of `sums` walk the
+same orbit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import PeriodNotFound, RationalTerminated
 from .exactnum import QuadExt, Scalar, as_fraction, floor, is_rational
@@ -77,20 +82,36 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
             coeffs.append(c)
             num = r
         return CFExpansion(lam0, tuple(coeffs))
-    assert isinstance(t, QuadExt)
-    lam0 = floor(t)
-    theta = (t - lam0).reciprocal()
-    coeffs: list[int] = []
-    seen: dict[QuadExt, int] = {}
-    while len(coeffs) < max_terms:
-        if theta in seen:
-            start = seen[theta]
-            return CFExpansion(lam0, tuple(coeffs[:start]), tuple(coeffs[start:]))
-        seen[theta] = len(coeffs)
-        c = floor(theta)
-        coeffs.append(c)
-        theta = (theta - c).reciprocal()
+    coeffs: list[int] = []  # lambda_0, lambda_1, ...
+    seen: dict[tuple[int, int], int] = {}  # state of t_j -> j + 1
+    for lam, P, Q in islice(_orbit(t), max_terms):
+        coeffs.append(lam)
+        start = seen.setdefault((P, Q), len(coeffs))
+        if start < len(coeffs):
+            return CFExpansion(coeffs[0], tuple(coeffs[1:start]), tuple(coeffs[start:]))
     raise PeriodNotFound(f"no period within {max_terms} terms")
+
+
+def _floor_over(a: int, f: int, c: int) -> int:
+    """floor((a + y)/c) for an irrational y with floor(y) = f and c != 0."""
+    return (a + f) // c if c > 0 else (-a - f - 1) // -c
+
+
+def _orbit(t: QuadExt):
+    """Yield (lambda_j, P_j, Q_j) for j = 0, 1, ..., in integers only, where
+    t = <lambda_0; lambda_1, ..., lambda_{j-1}, lambda_j + t_j> and
+    t_j = (P_j + sqrt(D))/Q_j lies in (0, 1), with D = q^2 d r^2 for
+    t = (p + q sqrt(d))/r.  Q_j divides D - P_j^2 throughout, so
+    1/t_j = (-P_j + sqrt(D))/Q' with Q' = (D - P_j^2)/Q_j, and
+    lambda_{j+1} = floor(1/t_j)."""
+    D = (t.q * t.r) ** 2 * t.d
+    root = math.isqrt(D)
+    P, Q = (t.p * t.r, t.r * t.r) if t.q > 0 else (-t.p * t.r, -t.r * t.r)
+    while True:
+        lam = _floor_over(P, root, Q)
+        P -= lam * Q
+        yield lam, P, Q
+        P, Q = -P, (D - P * P) // Q
 
 
 def theta_sequence(t: Scalar, m: int) -> list[Scalar]:

@@ -12,6 +12,7 @@ printed exactly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import json
 import math
@@ -279,6 +280,8 @@ def _parse_s(text: str) -> complex:
         s = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse s value {text!r}")
+    if not cmath.isfinite(s):
+        raise argparse.ArgumentTypeError(f"s must be finite, got {text!r}")
     if not s.real > 0:
         raise argparse.ArgumentTypeError(f"s must have Re(s) > 0, got {text!r}")
     return s

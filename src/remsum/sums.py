@@ -15,14 +15,15 @@ N = n - n' = q b_j and m = n + n' + 1, and carries F in integers:
 so the paper's increment (-1)^j (q/2)(1 - rho_j m) is t N m/2 - N/2 minus
 that difference.  Its side condition 0 < |1 - rho_j m| < 1 is the integer
 test m <= floor(2/rho_j), since rho_j m is irrational and so never equals 1
-or 2.  bseq_S is the alternative recursion through the Gauss-map orbit of t,
-an independent cross-check that uses no convergents: it walks the orbit as
-integer pairs (P_j, Q_j) and carries F in integers too.  All three agree
-exactly on every input.
+or 2; `OstrowskiTables` keeps that bound, m_max_j, as an int.  bseq_S is the
+alternative recursion through the Gauss-map orbit of t, an independent
+cross-check that uses no convergents and carries F in integers too.  Both
+read t's orbit as integer pairs (P_j, Q_j) from `cfrac._orbit`, the walk
+`cfrac.expand` uses.  All three agree exactly on every input.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
-the step objects, with their exact QuadExt fields, are built from it only
-when the trace is read.
+the step objects, with their exact QuadExt fields (rho_j among them), are
+built from it only when the trace is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -181,36 +183,42 @@ def B_left(x: Scalar, t: Scalar) -> Scalar:
 
 
 class OstrowskiTables:
-    """Convergents a_k/b_k of t, the residues rho_k = |b_k t - a_k| and
-    m_max_k = floor(2/rho_k), the largest m with rho_k m < 2, grown on
-    demand.  Amortizes the expansion across an n-sweep."""
+    """Convergents a_k/b_k of t and m_max_k = floor(2/rho_k), the largest m
+    with rho_k m < 2 for rho_k = |b_k t - a_k|, grown on demand; ints only.
+    Amortizes the expansion across an n-sweep.
+
+    The tables walk the orbit t_k of t (`cfrac._orbit`) alongside cf and
+    raise ValueError where lambda_k differs from cf's, so every entry is
+    t's own.  With t = <lambda_0; ..., lambda_{k-1}, lambda_k + t_k>,
+    rho_k = 1/(b_k (lambda_k + t_k) + b_{k-1}), hence
+    m_max_k = 2 b_{k+1} + floor(2 b_k t_k)."""
 
     def __init__(self, t: Scalar, cf: cfrac.CFExpansion):
         if is_rational(t) or cf.is_finite:
             raise NotIrrational("Ostrowski recursion needs irrational t")
-        # consistency: the first partial quotients of t must match cf
-        x = t
-        for j in range(4):
-            c = cf.lambda0 if j == 0 else cf.coeff(j)
-            if floor(x) != c:
-                raise ValueError("expansion does not match t")
-            x = (x - c).reciprocal()
         self.t = t
         self.cf = cf
+        self._D = (t.q * t.r) ** 2 * t.d  # t_k = (P_k + sqrt(D))/Q_k
+        self._orbit = cfrac._orbit(t)
+        if next(self._orbit)[0] != cf.lambda0:
+            raise ValueError("expansion does not match t")
+        self._next = next(self._orbit)  # (lambda_k, P_k, Q_k), k = len(b) - 1
         self.a = [1, cf.lambda0]
         self.b = [0, 1]
-        self.rho: list = [None, abs(t - cf.lambda0)]
-        self.m_max: list = [None, floor(2 / self.rho[1])]
+        self.m_max: list = [None]
+        self.extend_past(0)  # a mismatch in lambda_1..lambda_3 fails here
 
     def extend_past(self, n: int):
-        while self.b[-1] <= n:
-            k = len(self.b) - 1
-            lam = self.cf.coeff(k)
+        """Grow the tables until b_k > n, and at least to k = 4."""
+        while self.b[-1] <= n or len(self.b) < 5:
+            lam, P, Q = self._next
+            if lam != self.cf.coeff(len(self.b) - 1):
+                raise ValueError("expansion does not match t")
             self.a.append(self.a[-2] + lam * self.a[-1])
             self.b.append(self.b[-2] + lam * self.b[-1])
-            rho = abs(self.b[-1] * self.t - self.a[-1])
-            self.rho.append(rho)
-            self.m_max.append(floor(2 / rho))
+            self.m_max.append(2 * self.b[-1] + cfrac._floor_over(
+                2 * self.b[-2] * P, math.isqrt(4 * self.b[-2] ** 2 * self._D), Q))
+            self._next = next(self._orbit)
 
     def j_star(self, n: int) -> int:
         """The unique j with b_j <= n < b_{j+1} (rightmost on ties)."""
@@ -246,15 +254,12 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
     otherwise.  The trace keeps (j, n, n', dF) per step."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if tables is None:
-        tab = OstrowskiTables(t, cf)
-    elif tables.t != t or tables.cf != cf:
+    tab = OstrowskiTables(t, cf) if tables is None else tables
+    if tab.t != t or tab.cf != cf:
         raise ValueError("tables were built for another t or expansion")
-    else:
-        tab = tables
     entry = _sum_from_floors(tab.t, midpoint=False)
     trace = SumTrace(_Steps(lambda j, n, n2, dF: OstrowskiStep(
-        j, n, n2, tab.rho[j], entry(n - n2, dF, n + n2 + 1))))
+        j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), entry(n - n2, dF, n + n2 + 1))))
     rows = trace.steps.rows
     n0, F = n, 0
     while n > 0:
@@ -276,9 +281,8 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion, n_max: int,
     tab = OstrowskiTables(t, cf)
     tab.extend_past(n_max)
     entry = _sum_from_floors(t, midpoint=False)
-    lam_prefix = [Fraction(0), Fraction(0)]  # index j -> (1/2) sum_{k<=j} lambda_k
-    for j in range(1, len(tab.b)):
-        lam_prefix.append(lam_prefix[-1] + Fraction(tab.cf.coeff(j), 2))
+    half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
+        (Fraction(cf.coeff(k), 2) for k in range(1, len(tab.b))), initial=Fraction(0)))
     F = [0] * (n_max + 1)
     S: list = [Fraction(0)] * (n_max + 1)
     depth = [0] * (n_max + 1)
@@ -288,27 +292,21 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion, n_max: int,
         F[n] = F[n2] + dF
         S[n] = entry(n, F[n])
         depth[n] = depth[n2] + 1
-        bound[n] = lam_prefix[j + 1]
+        bound[n] = half_sums[j]
     return S, depth, bound
 
 
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
-def _floor_over(a: int, f: int, c: int) -> int:
-    """floor((a + y)/c) for an irrational y with floor(y) = f and c != 0."""
-    return (a + f) // c if c > 0 else (-a - f - 1) // -c
-
-
 def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     """Exact S(n,t) via the orbit t_j of the Gauss map and n_{j+1} = floor(t_j n_j).
 
     Theorem 2.1(b) gives S(n,t) = sum over j of (-1)^j (n_j eta_tilde(t_j n_j)
-    + frac(t_j n_j)/2).  The orbit runs in integers: t_j = (P_j + sqrt(D))/Q_j
-    with D = q^2 d r^2 and Q_j | D - P_j^2, so 1/t_j = (-P_j + sqrt(D))/Q'
-    with Q' = (D - P_j^2)/Q_j, lambda_{j+1} = floor(1/t_j) and
-    t_{j+1} = (-P_j - lambda_{j+1} Q' + sqrt(D))/Q'.  With m_j = n_{j+1}, the
-    j-th term is t_j n_j(n_j+1)/2 + t_{j+1} m_j(m_j+1)/2
+    + frac(t_j n_j)/2).  The orbit comes from `cfrac._orbit` as integer
+    pairs, t_j = (P_j + sqrt(D))/Q_j with D = q^2 d r^2, and with them
+    lambda_{j+1} = floor(1/t_j).  With m_j = n_{j+1}, the j-th term is
+    t_j n_j(n_j+1)/2 + t_{j+1} m_j(m_j+1)/2
     + (m_j(m_j+1) lambda_{j+1} - (2m_j+1) n_j - m_j)/2, and the t parts cancel
     between consecutive terms of the alternating sum, leaving
 
@@ -324,9 +322,6 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     if not (0 < t <= 1):
         raise DomainError("t must lie in (0, 1]")
     d, s = t.d, abs(t.q) * t.r  # sqrt(D) = s sqrt(d)
-    D = s * s * d
-    P, Q = (t.p * t.r, t.r * t.r) if t.q > 0 else (-t.p * t.r, -t.r * t.r)
-    root = math.isqrt(D)
 
     def step(j, nj, P, Q):
         tj = _make(P, s, d, Q)
@@ -336,15 +331,16 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
 
     trace = SumTrace(_Steps(step))
     rows = trace.steps.rows
+    orbit = cfrac._orbit(t)
+    _, P, Q = next(orbit)  # t_0 = t, as 0 < t < 1
     nj, sign, G, lam_sum = n, 1, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
-        m = _floor_over(nj * P, math.isqrt(nj * nj * D), Q)
-        Q2 = (D - P * P) // Q
-        lam = _floor_over(-P, root, Q2)
+        m = cfrac._floor_over(nj * P, _floor_sqrt_times(nj * s, d), Q)
+        lam, P, Q = next(orbit)
         G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
         lam_sum += lam
-        P, Q, nj, sign = -P - lam * Q2, Q2, m, -sign
+        nj, sign = m, -sign
     if n == 0:
         return Fraction(0), trace
     total = _sum_from_floors(t, midpoint=False)(n, (-n - G) // 2)
@@ -436,33 +432,30 @@ def l2_norm_sq(x: int) -> Fraction:
     """Exact ||B_x||_2^2 = (1/(12x^2)) sum_{m,n<=x} gcd(m,n)^2/(mn)."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    total = _pair_sum(x)
-    result = total / (12 * x * x)
-    assert result >= Fraction(x, 12 * x * x)
-    return result
-
-
-def _pair_sum(x: int) -> Fraction:
-    total = Fraction(0)
-    for m in range(1, x + 1):
-        row = Fraction(0)
-        for n in range(1, x + 1):
-            g = math.gcd(m, n)
-            row += Fraction(g * g, n)
-        total += row / m
-    return total
+    return l2_norm_sq_sweep(x)[-1]
 
 
 def l2_norm_sq_sweep(x_max: int) -> list[Fraction]:
-    """[||B_1||^2, ..., ||B_{x_max}||^2] via incremental pair sums."""
+    """[||B_1||^2, ..., ||B_{x_max}||^2] in O(x_max log x_max) Fraction steps.
+
+    Going from x - 1 to x adds the pairs with max(m, n) = x to the double
+    sum: 2 G(x)/x - 1 with G(x) = sum_{m<=x} gcd(m,x)^2/m.  Since
+    gcd^2 = sum over d | gcd of J_2(d) (J_2 the Jordan totient),
+    G(x) = sum_{d|x} J_2(d)/d H_{x/d}, H the harmonic numbers."""
+    H = list(accumulate((Fraction(1, k) for k in range(1, x_max + 1)),
+                        initial=Fraction(0)))
+    J2 = [k * k for k in range(x_max + 1)]  # sum_{d|k} J_2(d) = k^2
+    G = [Fraction(0)] * (x_max + 1)
+    for d in range(1, x_max + 1):
+        for k in range(2 * d, x_max + 1, d):
+            J2[k] -= J2[d]
+    for d in range(1, x_max + 1):
+        for k in range(1, x_max // d + 1):
+            G[d * k] += J2[d] * H[k] / d
     out = []
     total = Fraction(0)
     for x in range(1, x_max + 1):
-        border = Fraction(0)
-        for m in range(1, x):
-            g = math.gcd(m, x)
-            border += Fraction(g * g, m)
-        total += 1 + 2 * border / x
+        total += 2 * G[x] / x - 1
         val = total / (12 * x * x)
         assert val >= Fraction(x, 12 * x * x)
         out.append(val)

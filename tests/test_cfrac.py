@@ -1,7 +1,9 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from remsum import cfrac
@@ -59,6 +61,67 @@ class TestExpandQuadratic:
         for j in range(1, 12):
             assert cf2.coeff(j) >= 1
         assert floor(t) == cf2.lambda0
+
+
+def _reference_expand(t, max_terms):
+    """The expansion loop in QuadExt arithmetic: complete quotients by
+    subtraction and reciprocal, the first repeated one found by hashing.
+    The reference for expand's integer orbit."""
+    lam0 = floor(t)
+    theta = (t - lam0).reciprocal()
+    coeffs = []
+    seen = {}
+    while len(coeffs) < max_terms:
+        if theta in seen:
+            start = seen[theta]
+            return CFExpansion(lam0, tuple(coeffs[:start]), tuple(coeffs[start:]))
+        seen[theta] = len(coeffs)
+        c = floor(theta)
+        coeffs.append(c)
+        theta = (theta - c).reciprocal()
+    raise PeriodNotFound(f"no period within {max_terms} terms")
+
+
+@st.composite
+def quadratic_irrationals(draw):
+    """(p + q sqrt(d))/r with q of either sign, r > 1, lambda_0 of either
+    sign, and a radicand that may keep a 1009^2 factor (primes past 1000 are
+    not pulled out of it)."""
+    d = draw(st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d))
+    d *= draw(st.sampled_from([1, 1009 ** 2]))
+    q = draw(st.integers(-6, 6).filter(bool))
+    t = QuadExt(draw(st.integers(-300, 300)), q, d, draw(st.integers(2, 12)))
+    assume(t.r > 1)
+    return t
+
+
+class TestOrbit:
+    @given(quadratic_irrationals(), st.integers(1, 70))
+    @settings(max_examples=300, deadline=None)
+    @example(QuadExt(-1, 1, 5, 2), 1)
+    @example(QuadExt(-1, 1, 5, 2), 2)
+    @example(QuadExt(-1, 1, 3, 1), 2)  # <0; (1, 2)> needs 3 terms
+    @example(QuadExt(-1, 1, 3, 1), 3)
+    @example(QuadExt(7, -3, 11 * 1009 ** 2, 5), 70)
+    def test_expand_matches_reference(self, t, max_terms):
+        try:
+            expected = _reference_expand(t, max_terms)
+        except PeriodNotFound:
+            with pytest.raises(PeriodNotFound):
+                cfrac.expand(t, max_terms)
+        else:
+            assert cfrac.expand(t, max_terms) == expected
+
+    @given(quadratic_irrationals(), st.integers(1, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_states_are_the_complete_quotients(self, t, m):
+        D = (t.q * t.r) ** 2 * t.d
+        orbit = list(itertools.islice(cfrac._orbit(t), m + 1))
+        assert orbit[0][0] == floor(t)
+        for (lam, P, Q), theta in zip(orbit[1:], cfrac.theta_sequence(t, m)):
+            assert (D - P * P) % Q == 0
+            assert QuadExt(P + lam * Q, 1, D, Q) == theta  # lambda_j + t_j
+            assert lam == floor(theta)
 
 
 class TestThetaSequence:

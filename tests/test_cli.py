@@ -102,6 +102,8 @@ class TestSum:
     ("farey", "--n", "0"),
     ("dirichlet", "--t", "cf:0;(1)", "--s", "0"),
     ("dirichlet", "--t", "cf:0;(1)", "--s", "2", "--K", "0"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "1e400"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "2+1e400j"),
     ("bench", "--t", "cf:0;(2)", "--n-max", "-5"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):

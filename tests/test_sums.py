@@ -140,7 +140,8 @@ class TestOstrowski:
             for s in trace.steps:
                 side = abs(1 - s.rho * (s.n_before + s.n_after + 1))
                 assert 0 < side < 1
-        for rho, m_max in zip(tab.rho[1:], tab.m_max[1:]):
+        for k, m_max in enumerate(tab.m_max[1:], 1):
+            rho = abs(tab.b[k] * t - tab.a[k])
             assert m_max * rho < 2 < (m_max + 1) * rho
 
     def test_refuses_tables_of_another_t_or_expansion(self, corpus, corpus_cf):
@@ -168,6 +169,45 @@ class TestOstrowski:
         with pytest.raises(ValueError):
             sums.OstrowskiTables(corpus["golden"],
                                  cfrac.CFExpansion(0, (), (2,)))
+
+    def test_late_departing_expansion_is_refused(self, corpus):
+        # golden is <0; 1, 1, ...>; this expansion departs at lambda_5, after
+        # the four quotients checked when the tables are built
+        t, cf = corpus["golden"], cfrac.CFExpansion(0, (1, 1, 1, 1), (2,))
+        pre = sums.s0_prefix(t, 399)
+        shared = sums.OstrowskiTables(t, cf)
+        for tables in (None, shared):
+            refused = []
+            for n in range(1, 400):
+                try:
+                    value = sums.ostrowski_S(n, t, cf, tables=tables)[0]
+                except ValueError:
+                    refused.append(n)
+                else:
+                    assert value == pre[n]
+            assert refused == list(range(5, 400))  # b_5 = 5 needs lambda_5
+
+    @given(expansions(max_quotient=3), st.integers(4, 9), st.integers(1, 4),
+           st.lists(st.integers(1, 2000), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_expansion_changed_after_lambda3_is_refused(self, t_cf, k, new, ns):
+        t, cf = t_cf
+        assume(new != cf.coeff(k))
+        # the same quotients but lambda_k, with cf's period after the change
+        L = len(cf.period)
+        M = len(cf.pre) + L * -(-(k - len(cf.pre)) // L)
+        lams = [cf.coeff(j) for j in range(1, M + 1)]
+        lams[k - 1] = new
+        bad = cfrac.CFExpansion(cf.lambda0, tuple(lams), cf.period)
+        b_k = cfrac.convergents(cf, k)[k].b
+        tab = sums.OstrowskiTables(t, bad)
+        for n in ns + [b_k - 1, b_k, b_k + 1]:
+            try:
+                value = sums.ostrowski_S(n, t, bad, tables=tab)[0]
+            except ValueError:
+                assert n >= b_k
+            else:
+                assert n < b_k and value == sums.brute_S(n, t)
 
     def test_sweep_matches_single_calls(self, corpus, corpus_cf):
         t, cf = corpus["sqrt3m1"], corpus_cf["sqrt3m1"]
@@ -313,8 +353,14 @@ class TestBoundsAndL2:
         assert sums.l2_norm_sq(2) == F(1, 16)
 
     def test_l2_sweep_matches_direct(self):
-        sweep = sums.l2_norm_sq_sweep(25)
-        assert sweep == [sums.l2_norm_sq(x) for x in range(1, 26)]
+        sweep = sums.l2_norm_sq_sweep(79)
+        for x in range(1, 80):
+            # (1/(12x^2)) sum_{m,n<=x} gcd(m,n)^2/(mn), over lcm(1..x)^2
+            L = math.lcm(*range(1, x + 1))
+            num = sum(math.gcd(m, n) ** 2 * (L // m) * (L // n)
+                      for m in range(1, x + 1) for n in range(1, x + 1))
+            expected = F(num, 12 * x * x * L * L)
+            assert sweep[x - 1] == expected == sums.l2_norm_sq(x)
 
     def test_l2_lower_bound(self):
         for x, v in enumerate(sums.l2_norm_sq_sweep(60), 1):
