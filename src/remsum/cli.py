@@ -276,8 +276,11 @@ def cmd_measure(args) -> int:
 
 
 def _parse_s(text: str) -> complex:
+    spec = text.replace(" ", "")
+    if spec.endswith("i"):  # 2+3i; the i of inf stays
+        spec = spec[:-1] + "j"
     try:
-        s = complex(text.replace(" ", "").replace("i", "j"))
+        s = complex(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse s value {text!r}")
     if not cmath.isfinite(s):

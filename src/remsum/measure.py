@@ -7,7 +7,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import cfrac, sums
 from .errors import BoundViolated, NotMember, TooLarge
@@ -31,7 +30,17 @@ class MeasureSet:
 
 
 def measure_exact(alphas) -> MeasureSet:
-    """Exact measure by enumerating the fundamental intervals J(l1,...,lm)."""
+    """Exact measure: the sum of |J(l_1, ..., l_m)| over l_j < alpha_j.
+
+    A depth-first walk over the prefixes l_1..l_{m-1} carries the integer
+    convergents a/b = <0; l_1, ..., l_{m-1}> and a'/b' (one level up), and
+    sums the last level in closed form.  J(..., l) lies between the values
+    (a l + a')/(b l + b') and (a (l+1) + a')/(b (l+1) + b'), which differ by
+    |a b' - a' b|/((b l + b')(b (l+1) + b')) with |a b' - a' b| = 1, so the
+    lengths for l < A telescope to (A-1)/((b + b')(b A + b')).  The walk
+    costs prod_{j<m} (alpha_j - 1) steps, one Fraction addition per prefix,
+    and checks the determinant at every prefix; the guard still counts the
+    leaves, prod_j (alpha_j - 1)."""
     al = tuple(int(a) for a in alphas)
     if not al or any(a < 1 for a in al):
         raise ValueError("alphas must be positive integers")
@@ -42,8 +51,17 @@ def measure_exact(alphas) -> MeasureSet:
         raise TooLarge(f"{size} fundamental intervals exceed the guard")
     total = Fraction(0)
     if size:
-        for lams in product(*(range(1, a) for a in al)):
-            total += cfrac.fundamental_interval(lams)[2]
+        *head, A = al
+        stack = [(0, 0, 1, 1, 0)]  # (depth, a, b, a', b'): <0;> = 0/1, then 1/0
+        while stack:
+            j, a, b, a1, b1 = stack.pop()
+            if j < len(head):
+                stack.extend((j + 1, a1 + lam * a, b1 + lam * b, a, b)
+                             for lam in range(1, head[j]))
+                continue
+            if a * b1 - a1 * b not in (1, -1):
+                raise AssertionError(f"convergent determinant fails at depth {j}")
+            total += Fraction(A - 1, (b + b1) * (b * A + b1))
     return MeasureSet(al, total, lower, upper)
 
 

@@ -3,7 +3,9 @@
 Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
 over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t)
 (`_sum_from_floors`).  brute_S is the O(n) oracle: it sums the floors
-directly, as do brute_S0, s0_prefix and tab_sum.
+directly, as do brute_S0 and s0_prefix.  For rational t = a/b, `floor_sum`
+gives F(n, a/b) in O(log b) steps, and `rational_S` is the exact front door
+built on it that B, B_left, lemma31_bound and tab_sum go through.
 
 ostrowski_S implements the classical O(log n) recursion driven by the
 continued-fraction convergents a_j/b_j of t, with rho_j = |b_j t - a_j|.  A
@@ -159,6 +161,37 @@ def s0_prefix(t: Scalar, n_max: int) -> list:
                             enumerate(_floor_sums(t, n_max), 1)]
 
 
+def floor_sum(n: int, a: int, b: int) -> int:
+    """F(n, a/b) = sum of floor(k a/b) over 1 <= k <= n, for n >= 0, b >= 1
+    and a of either sign, in O(log b) steps.
+
+    The Euclid-like reduction of the AtCoder Library's floor_sum: the sum
+    of floor((a k + c)/b) over 0 <= k < N, once a and c are reduced mod b,
+    counts the lattice points under a line, and counting them by rows
+    instead swaps the roles of a and b, as one step of Euclid's algorithm
+    does."""
+    if n < 0 or b < 1:
+        raise ValueError("need n >= 0 and b >= 1")
+    total, N, c = 0, n + 1, 0  # F(n, a/b) is that sum with N = n + 1, c = 0
+    while True:
+        q, a = divmod(a, b)  # floor(a/b) k comes out of every term
+        total += q * (N * (N - 1) // 2)
+        q, c = divmod(c, b)
+        total += q * N
+        y = a * N + c
+        if y < b:
+            return total
+        N, c = divmod(y, b)
+        a, b = b, a
+
+
+def rational_S(n: int, t: Scalar, midpoint: bool = False) -> Fraction:
+    """Exact S(n,t), or S0(n,t) if midpoint, for rational t in O(log b)."""
+    fr = as_fraction(t)
+    F = floor_sum(n, fr.numerator, fr.denominator)
+    return _sum_from_floors(fr, midpoint)(n, F)
+
+
 # -- means and one-sided limits -------------------------------------------
 
 
@@ -166,7 +199,8 @@ def B(x: Scalar, t: Scalar) -> Scalar:
     """B_x(t) = S(floor(x), t)/x for real x > 0."""
     if not x > 0:
         raise ValueError("x must be > 0")
-    return brute_S(floor(x), t) / x
+    n = floor(x)
+    return (rational_S(n, t) if is_rational(t) else brute_S(n, t)) / x
 
 
 def B_left(x: Scalar, t: Scalar) -> Scalar:
@@ -412,7 +446,7 @@ def lemma31_bound(x: Scalar, a_over_b: Fraction):
     ab = Fraction(a_over_b)
     if not x > 0:
         raise DomainError("x must be positive")
-    value = brute_S0(floor(x), ab) / x
+    value = rational_S(floor(x), ab, midpoint=True) / x
     bound = ab.denominator / x
     return value, bound, abs(value) <= bound
 
@@ -422,7 +456,7 @@ def tab_sum(x: int, a_over_b: Fraction) -> Fraction:
     a-priori bound |sum| <= b(b+1) asserted."""
     ab = Fraction(a_over_b)
     b = ab.denominator
-    total = x + 2 * b * brute_S(x, ab)
+    total = x + 2 * b * rational_S(x, ab)
     if abs(total) > b * (b + 1):
         raise AssertionError("t_{a/b} partial sum bound violated")
     return total

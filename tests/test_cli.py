@@ -112,6 +112,19 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert "error: argument" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("s_arg", ["--s=inf", "--s=-inf", "--s=2+infj"])
+def test_infinite_s_reaches_the_finite_check(capsys, s_arg):
+    code, _, err = run(capsys, "dirichlet", "--t", "cf:0;(1)", s_arg)
+    assert code == 2
+    assert "s must be finite" in err and "Traceback" not in err
+
+
+def test_s_accepts_a_trailing_i(capsys):
+    argv = ("dirichlet", "--t", "cf:0;(1)", "--K", "50", "--s")
+    code, out, _ = run(capsys, *argv, "2+3i")
+    assert code == 0 and out == run(capsys, *argv, "2+3j")[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("plot", "--which", "rescaled", "--range", "0:1", "--step", "0.5",
      "--a-over-b", "1/2", "--rescale-n", "0"),
@@ -195,6 +208,14 @@ class TestVerify:
         rec = json.loads(out)
         assert rec["pass"] is True and rec["seed"] == 0
         assert all(c["pass"] for c in rec["checks"])
+
+    def test_json_reports_the_b0_mass_margin(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "measure", "--json")
+        assert code == 0
+        rec = next(c for c in json.loads(out)["checks"]
+                   if c["name"] == "b0-mass-bound")
+        # |S(n,t)| > 0 at irrational t, so the margin is positive
+        assert rec["pass"] and 0 < rec["margin"] <= 1
 
 
 class TestFareyCommand:

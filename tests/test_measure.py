@@ -46,6 +46,12 @@ class TestMeasureExact:
             direct += cfrac.fundamental_interval(lams)[2]
         assert ms.exact_measure == direct
 
+    @pytest.mark.parametrize("alphas", [(5, 5, 5, 5), (2, 6, 3, 4), (4, 2, 7, 3)])
+    def test_four_levels_match_interval_enumeration(self, alphas):
+        direct = sum((cfrac.fundamental_interval(lams)[2]
+                      for lams in product(*(range(1, a) for a in alphas))), F(0))
+        assert measure.measure_exact(alphas).exact_measure == direct
+
     def test_guard(self):
         with pytest.raises(TooLarge):
             measure.measure_exact((1000,) * 4)

@@ -98,6 +98,39 @@ class TestBruteOracle:
         assert sums.brute_S0(25, t) == sums.brute_S(25, t)
 
 
+class TestFloorSum:
+    @given(st.integers(0, 3000), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(1, 10 ** 4))
+    @example(0, 5, 7)
+    @example(3000, -1, 1)
+    @example(2999, 9999, 10 ** 4)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_floor_sums(self, n, a, b):
+        total = 0
+        for total in sums._floor_sums(F(a, b), n):
+            pass
+        assert sums.floor_sum(n, a, b) == total
+
+    @given(st.integers(0, 10 ** 18), st.integers(-10 ** 12, 10 ** 12),
+           st.integers(1, 10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_period_shift(self, n, a, b):
+        # floor((k + b) a/b) = floor(k a/b) + a
+        assert sums.floor_sum(n + b, a, b) == \
+            sums.floor_sum(n, a, b) + sums.floor_sum(b, a, b) + a * n
+
+    @given(st.integers(0, 300), st.fractions(max_denominator=60))
+    @settings(max_examples=200, deadline=None)
+    def test_front_door_matches_brute(self, n, t):
+        assert sums.rational_S(n, t) == sums.brute_S(n, t)
+        assert sums.rational_S(n, t, midpoint=True) == sums.brute_S0(n, t)
+
+    def test_rejects_bad_arguments(self):
+        for n, b in ((-1, 3), (3, 0), (3, -2)):
+            with pytest.raises(ValueError):
+                sums.floor_sum(n, 1, b)
+
+
 class TestMeansAndLeftLimits:
     def test_examples(self):
         assert sums.B_left(3, F(1, 2)) == F(1, 6)
