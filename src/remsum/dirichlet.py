@@ -6,13 +6,15 @@ summation with the observed maximum of |S0(n,t)| in the strip 0 < Re(s) <= 1
 ("evidence" mode; no analytic claim is attached to those numbers).
 
 Every series reads two float tables, beta0(kt) for k <= K and the prefix
-S0(n,t) for n <= K.  Both are built in one pass over the integers
-(n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n, and each entry goes
-through the one float boundary of `exactnum`, so it equals float() of the
-exact value bit for bit.  Each table is retained for the last (t, K) it was
-built for, so an s grid at one (t, K) builds it once.  The retained tables
-stay allocated until a call with another (t, K): about 6 MB for the pair at
-K = 10^5, growing linearly in K.
+S0(n,t) for n <= K.  The tables hold no formula of their own.  Each is one
+pass over the integers (n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n,
+through `sums._numerators`, the map to the integer numerators of S0(n,t);
+beta0(nt) = S0(n,t) - S0(n-1,t) is taken on those numerators.  Each entry
+goes through the one float boundary of `exactnum`, so it equals float() of
+the exact value bit for bit.  Each table is retained for the last (t, K) it
+was built for, so an s grid at one (t, K) builds it once.  The retained
+tables stay allocated until a call with another (t, K): about 6 MB for the
+pair at K = 10^5, growing linearly in K.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from . import sums
 from .errors import DomainError, PoleAtOne
-from .exactnum import Scalar, _quad_float, as_fraction, is_rational
+from .exactnum import Scalar, _quad_float
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
@@ -76,53 +79,28 @@ def zeta(s) -> complex:
 
 
 # -- term tables -----------------------------------------------------------
-#
-# With f_k = F(k,t) - F(k-1,t) = floor(kt):
-#   t = (p + q sqrt(d))/r:  S0(n) = (p n(n+1) - r(n + 2F) + q n(n+1) sqrt(d))/(2r)
-#                           beta0(kt) = (2kp - r(1 + 2f_k) + 2kq sqrt(d))/(2r)
-#   t = a/b:                S0(n) = (a n(n+1) - b(n + 2F) + b floor(n/b))/(2b)
-#                           beta0(kt) = (2ka - b(1 + 2f_k))/(2b), 0 where b | k
-# An irrational t never makes kt an integer, so beta0 = beta there.  Int true
-# division rounds a rational correctly, as float(Fraction) does.
 
 
 @functools.lru_cache(maxsize=1)
 def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(0.0, beta0(t), ..., beta0(Kt)), each correctly rounded."""
+    _, _, d, r = sums._parts(t)
+    r2, uv = 2 * r, sums._numerators(t, midpoint=True)
     out = [0.0]
-    prev = 0
-    if is_rational(t):
-        fr = as_fraction(t)
-        a, b = fr.numerator, fr.denominator
-        for k, F in enumerate(sums._floor_sums(t, K), 1):
-            out.append((2 * k * a - b * (1 + 2 * (F - prev))) / (2 * b)
-                       if k % b else 0.0)
-            prev = F
-    else:
-        p, q, d, r = t.p, t.q, t.d, t.r
-        for k, F in enumerate(sums._floor_sums(t, K), 1):
-            out.append(_quad_float(2 * k * p - r * (1 + 2 * (F - prev)),
-                                   2 * k * q, d, 2 * r))
-            prev = F
+    u0 = v0 = 0
+    for u, v in starmap(uv, enumerate(sums._floor_sums(t, K), 1)):
+        out.append(_quad_float(u - u0, v - v0, d, r2))  # S0(n) - S0(n-1)
+        u0, v0 = u, v
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
 def _s0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(S0(0,t), S0(1,t), ..., S0(K,t)), each correctly rounded."""
-    out = [0.0]
-    if is_rational(t):
-        fr = as_fraction(t)
-        a, b = fr.numerator, fr.denominator
-        for n, F in enumerate(sums._floor_sums(t, K), 1):
-            out.append((a * n * (n + 1) - b * (n + 2 * F) + b * (n // b))
-                       / (2 * b))
-    else:
-        p, q, d, r = t.p, t.q, t.d, t.r
-        for n, F in enumerate(sums._floor_sums(t, K), 1):
-            nn = n * (n + 1)
-            out.append(_quad_float(p * nn - r * (n + 2 * F), q * nn, d, 2 * r))
-    return tuple(out)
+    _, _, d, r = sums._parts(t)
+    r2, uv = 2 * r, sums._numerators(t, midpoint=True)
+    return (0.0,) + tuple(_quad_float(u, v, d, r2) for u, v in
+                          starmap(uv, enumerate(sums._floor_sums(t, K), 1)))
 
 
 def beta0_float_table(t: Scalar, K: int) -> list[float]:

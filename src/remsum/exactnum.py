@@ -5,8 +5,9 @@ representing (p + q*sqrt(d))/r with integers p, q, r.  Floors, signs and
 comparisons are decided purely with integer arithmetic; no floating point
 enters any exact code path.  Floats appear only through `float()`, which
 is correctly rounded for every Scalar and is itself computed in integers.
-Its one irrational boundary, `_quad_float(p, q, d, r)`, also takes the
-integer parts of a value that was never built as a QuadExt.
+Its one boundary, `_quad_float(p, q, d, r)`, serves rationals too (q = 0)
+and also takes the integer parts of a value that was never built as a
+QuadExt.
 
 The radicand d is reduced only by the public `QuadExt` constructor, where a
 value enters.  Arithmetic stays in its operands' field: results reuse an
@@ -256,8 +257,6 @@ class QuadExt:
         return n // self.r
 
     def __float__(self) -> float:
-        if self.q == 0:
-            return self.p / self.r
         return _quad_float(self.p, self.q, self.d, self.r)
 
     def __repr__(self):
@@ -287,8 +286,11 @@ def _scaled_floor(p: int, q: int, d: int, r: int,
 
 
 def _quad_float(p: int, q: int, d: int, r: int) -> float:
-    """Correctly rounded float of the irrational (p + q*sqrt(d))/r, with
-    q != 0, d not a square and r > 0; the float boundary of every Scalar."""
+    """Correctly rounded float of (p + q*sqrt(d))/r, r > 0, with d not a
+    square when q != 0; the float boundary of every Scalar.  For q = 0 it
+    is p / r, int true division, which rounds correctly."""
+    if not q:
+        return p / r
     m, e = _scaled_floor(p, q, d, r, 55)
     # x lies strictly inside (m, m+1)/2**e, an interval that holds no
     # rounding boundary of a 53-bit float, so its midpoint rounds as x does
@@ -373,8 +375,19 @@ def format_scalar(x: Scalar) -> str:
         return f"({x.p}{x.q:+d}*sqrt({x.d}))/{x.r}"
     fr = as_fraction(x)
     if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+        return _int_str(fr.numerator)
+    return f"{_int_str(fr.numerator)}/{_int_str(fr.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """str(n), exact also past the interpreter's int-to-str digit limit,
+    which is left as it is."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        import decimal
+
+        return str(decimal.Decimal(n))
 
 
 def parse_scalar(text: str) -> Scalar:

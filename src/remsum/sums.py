@@ -1,9 +1,13 @@
 """Sawtooth remainder sums S(n,t), their means B_x, and the fast recursions.
 
 Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
-over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t)
-(`_sum_from_floors`).  brute_S is the O(n) oracle: it sums the floors
-directly, as do brute_S0 and s0_prefix.  For rational t = a/b, `floor_sum`
+over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
+`_numerators` is the only (n, F) -> S map: it gives S(n,t), or S0(n,t),
+as integer numerators (u, v) of (u + v sqrt(d))/(2r), with t split once by
+`_parts`; `_sum_from_floors` makes the exact value from them, and the
+Dirichlet float tables round them.  brute_S is the oracle: it sums the
+floors directly (over one period for rational t), as do brute_S0 and
+s0_prefix.  For rational t = a/b, `floor_sum`
 gives F(n, a/b) in O(log b) steps, and `rational_S` is the exact front door
 built on it that B, B_left, lemma31_bound and tab_sum go through.
 
@@ -34,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -94,43 +98,56 @@ class SumTrace:
 # -- brute-force oracle ----------------------------------------------------
 
 
-def _floor_sums(t: Scalar, n: int):
-    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only."""
+def _parts(t: Scalar) -> tuple[int, int, int, int]:
+    """(p, q, d, r) with t = (p + q sqrt(d))/r and r > 0.  q = 0 exactly when
+    t is rational, a QuadExt with a square radicand included, and then p/r
+    is t in lowest terms."""
     if is_rational(t):
         fr = as_fraction(t)
-        p, q, d, r = fr.numerator, 0, 1, fr.denominator
-    else:  # q != 0 means d is not a square, so floor(k q sqrt(d)) is exact
-        p, q, d, r = t.p, t.q, t.d, t.r
+        return fr.numerator, 0, 1, fr.denominator
+    return t.p, t.q, t.d, t.r  # d is already reduced
+
+
+def _floor_sums(t: Scalar, n: int):
+    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only."""
+    p, q, d, r = _parts(t)
     total = 0
     for k in range(1, n + 1):
-        if q:
+        if q:  # q != 0 means d is not a square, so floor(k q sqrt(d)) is exact
             total += (k * p + _floor_sqrt_times(k * q, d)) // r
         else:
             total += k * p // r
         yield total
 
 
+def _numerators(t: Scalar, midpoint: bool):
+    """The one map (n, F(n,t)) -> (u, v) with S(n,t) = (u + v sqrt(d))/(2r)
+    for t = (p + q sqrt(d))/r as `_parts` gives it, or S0(n,t) if midpoint:
+    u = p n m - r (n + 2F - h) and v = q n m, with m = n + 1.
+
+    beta0 differs from beta by +1/2 exactly where k t is an integer: where
+    r | k for rational t, and nowhere for irrational t; so h = floor(n/r)
+    for S0 at rational t, and h = 0 otherwise.  An optional third argument
+    m replaces n + 1: with n = N, F = F(n,t) - F(n',t) and m = n + n' + 1
+    the pair is that of S(n,t) - S(n',t) for n' = n - N."""
+    p, q, d, r = _parts(t)
+    mid = midpoint and not q
+
+    def numerators(n, F, m=0):
+        nm = n * (m or n + 1)
+        return p * nm - r * (n + 2 * F - (n // r if mid else 0)), q * nm
+    return numerators
+
+
 def _sum_from_floors(t: Scalar, midpoint: bool):
-    """The map (n, F(n,t)) -> S(n,t), or its beta0 variant if midpoint, as
-    one constructor call.  beta0 differs from beta by +1/2 exactly where k t
-    is an integer: where b | k for t = a/b, and nowhere for irrational t.
-
-    For quadratic t the map takes an optional third argument m (default
-    n + 1) and returns t n m/2 - n/2 - F; with n = N, F = F(n,t) - F(n',t)
-    and m = n + n' + 1 that is S(n,t) - S(n',t) for n' = n - N."""
-    if is_rational(t):
-        fr = as_fraction(t)
-        a, b = fr.numerator, fr.denominator
-        if midpoint:
-            return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F
-                                         - b * (n - n // b), 2 * b)
-        return lambda n, F: Fraction(a * n * (n + 1) - 2 * b * F - b * n, 2 * b)
-    p, q, d, r = t.p, t.q, t.d, t.r  # d is already reduced
-
-    def entry(n, F, m=None):
-        m = n + 1 if m is None else m
-        return _make(p * n * m - r * (n + 2 * F), q * n * m, d, 2 * r)
-    return entry
+    """The exact value of `_numerators`: the map (n, F(n,t)[, m]) -> S(n,t),
+    or S0(n,t) if midpoint, as a Fraction for rational t and a QuadExt
+    otherwise."""
+    _, q, d, r = _parts(t)
+    r2, uv = 2 * r, _numerators(t, midpoint)
+    if q:
+        return lambda n, F, m=0: _make(*uv(n, F, m), d, r2)
+    return lambda n, F, m=0: Fraction(uv(n, F, m)[0], r2)
 
 
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
@@ -138,14 +155,25 @@ def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(0)
-    F = 0
-    for F in _floor_sums(t, n):
+    p, q, _, b = _parts(t)
+    # t = p/b: floor((k + b) t) = floor(k t) + p, so with n = Q b + R,
+    # F(n) = Q F(b) + F(R) + p b Q(Q-1)/2 + p Q R needs at most 2b floors;
+    # irrational t has no period: Q = 0, R = n
+    Q, R = divmod(n, b) if not q else (0, n)
+    FR = Fb = 0
+    for FR in _floor_sums(t, R):
         pass
+    for Fb in _floor_sums(t, b if Q else 0):
+        pass
+    F = Q * Fb + FR + p * b * Q * (Q - 1) // 2 + p * Q * R
     return _sum_from_floors(t, midpoint)(n, F)
 
 
 def brute_S(n: int, t: Scalar) -> Scalar:
-    """Exact S(n,t) = sum of beta(k t) for k <= n.  O(n); the oracle."""
+    """Exact S(n,t) = sum of beta(k t) for k <= n; the oracle.  It sums the
+    floors directly: all n of them for irrational t, O(n) steps, and at most
+    one period of b for t = a/b, extended by the periodic identity, so it
+    stays independent of floor_sum."""
     return _brute(n, t, midpoint=False)
 
 
@@ -157,8 +185,7 @@ def brute_S0(n: int, t: Scalar) -> Scalar:
 def s0_prefix(t: Scalar, n_max: int) -> list:
     """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep."""
     entry = _sum_from_floors(t, midpoint=True)
-    return [Fraction(0)] + [entry(n, F) for n, F in
-                            enumerate(_floor_sums(t, n_max), 1)]
+    return [Fraction(0)] + list(starmap(entry, enumerate(_floor_sums(t, n_max), 1)))
 
 
 def floor_sum(n: int, a: int, b: int) -> int:

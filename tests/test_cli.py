@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, cli, limits
+from remsum import cfrac, cli, limits, measure, sums
 from remsum.exactnum import QuadExt
 
 
@@ -89,6 +89,23 @@ class TestSum:
         rows = [ln.split(",") for ln in proc.stdout.strip().splitlines()[1:]]
         assert [r[0] for r in rows] == ["ostrowski", "bseq"]
         assert rows[0][1] == rows[1][1]
+
+    @pytest.mark.parametrize("spec, t", [
+        ("rat:7/10", F(7, 10)),
+        ("quad:(1+1*sqrt(1018081))/2000", F(101, 200)),  # square radicand
+    ])
+    def test_rational_brute_sums_one_period(self, spec, t):
+        # brute_S walks at most one period of a rational t, not all n terms
+        n = 10 ** 18 + 3
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "remsum", "sum", "--n", str(n), "--t", spec],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        S = sums.rational_S(n, t)
+        assert proc.stdout.splitlines()[1:] == [
+            f"brute,{S.numerator}/{S.denominator},{S / n},{n}"]
 
     @pytest.mark.parametrize("case", SUM_TRACES,
                              ids=lambda c: " ".join(c["argv"][1:-1]))
@@ -242,6 +259,18 @@ class TestMeasureCommand:
         assert lines[0] == "alphas,exact,lower,upper"
         assert lines[1] == "2,1/2,1/4,1/2"
         assert lines[2] == "2;2,1/6,1/16,1/4"
+
+    def test_exact_output_past_the_int_str_limit(self, capsys):
+        code, out, _ = run(capsys, "measure", "--alphas", "3163,3163")
+        exact = measure.measure_exact((3163, 3163)).exact_measure
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit
+        try:
+            want = f"{exact.numerator}/{exact.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > limit > 0
+        assert code == 0 and out.splitlines()[1].split(",")[1] == want
 
 
 class TestDirichletCommand:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remsum import dirichlet, farey, sums
@@ -60,6 +60,8 @@ class TestTermTables:
         assert table[1] == table[3] == 0.0  # beta0(1/2) = 0 too
 
     @given(st.one_of(quadratic_ts, rational_ts), st.integers(1, 300))
+    @example(QuadExt(1, 1, 1018081, 2000), 300)  # square radicand: 101/200
+    @example(-3, 40)
     @settings(max_examples=80, deadline=None)
     def test_tables_are_float_of_the_exact_values(self, t, K):
         exact = sums.s0_prefix(t, K)

@@ -82,14 +82,25 @@ class TestBruteOracle:
         pre = sums.s0_prefix(t, n)
         assert pre[n] == sums.brute_S0(n, t)
 
-    @given(st.integers(0, 60), quadratic_irrationals())
-    @settings(max_examples=200, deadline=None)
+    # rational t with small denominators, so that b | k and n >= b (the
+    # periodic identity of brute_S) happen inside n <= 60, plus a QuadExt
+    # whose radicand is a square (= 505/4)
+    @given(st.integers(0, 60), st.one_of(
+        quadratic_irrationals(), st.builds(F, st.integers(-40, 40),
+                                           st.integers(1, 12))))
+    @example(60, QuadExt(1, 1, 1018081, 8))
+    @example(60, 3)
+    @settings(max_examples=300, deadline=None)
     def test_quadratic_kernel_matches_definition(self, n, t):
         ref = _accumulate(beta, n, t)
         ref0 = _accumulate(beta0, n, t)
         assert sums.brute_S(n, t) == ref[n]
         assert sums.brute_S0(n, t) == ref0[n]
         assert sums.s0_prefix(t, n) == ref0
+        for midpoint, want in ((False, ref), (True, ref0)):
+            entry = sums._sum_from_floors(t, midpoint)
+            assert [F(0)] + [entry(k, Fk) for k, Fk in enumerate(
+                sums._floor_sums(t, n), 1)] == want
         zero = sums.brute_S(0, t)
         assert zero == 0 and type(zero) is F
 
