@@ -123,8 +123,6 @@ def cmd_sum(args) -> int:
             raise UsageError("only --method brute applies to rational t")
     results = {}
     traces = {}
-    if cf is None and not is_rational(t):
-        cf = cfrac.expand(t, 64)
     for m in methods:
         if m == "brute":
             results[m] = sums.brute_S(n, t)
@@ -213,8 +211,6 @@ def cmd_bench(args) -> int:
     t, cf = parse_tspec(args.t)
     if is_rational(t):
         raise UsageError("bench needs irrational t")
-    if cf is None:
-        cf = cfrac.expand(t, 64)
     tab = sums.OstrowskiTables(t, cf)
     points = sorted({max(1, int(round(args.n_max ** (i / (args.points - 1)))))
                      for i in range(args.points)}) if args.points > 1 else [args.n_max]

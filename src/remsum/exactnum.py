@@ -372,7 +372,9 @@ _QUAD_RE = re.compile(
 def format_scalar(x: Scalar) -> str:
     """Bit-exact text form: "p/q" for rationals, "(p+q*sqrt(d))/r" otherwise."""
     if isinstance(x, QuadExt) and x.q != 0:
-        return f"({x.p}{x.q:+d}*sqrt({x.d}))/{x.r}"
+        q = _int_str(x.q)
+        return (f"({_int_str(x.p)}{q if x.q < 0 else '+' + q}"
+                f"*sqrt({_int_str(x.d)}))/{_int_str(x.r)}")
     fr = as_fraction(x)
     if fr.denominator == 1:
         return _int_str(fr.numerator)

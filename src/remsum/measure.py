@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, NotMember, TooLarge
@@ -115,17 +116,16 @@ def verify_b0_mass(n: int, theta_of_n, samples: int, seed: int) -> dict:
 def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
                     cf: cfrac.CFExpansion | None = None) -> dict:
     """Check |B_n(t)| <= (4 log n)^(2+eps) theta(n) / (2n) for t whose partial
-    quotients satisfy lambda_j <= theta(n) * j^(1+eps) up to the reachable depth."""
-    if cf is None:
-        cf = cfrac.expand(t, 64)
+    quotients satisfy lambda_j <= theta(n) * j^(1+eps) up to the reachable depth.
+    The quotients are read from t's orbit; cf, if given, cross-checks them."""
     eps = float(epsilon)
     theta = float(theta_of_n)
-    m = int(4 * math.log(n)) + 1
-    for j in range(1, m + 1):
-        if cf.coeff(j) > theta * j ** (1 + eps):
-            raise NotMember(f"lambda_{j} = {cf.coeff(j)} too large")
-    bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|
     s_val = sums.ostrowski_S(n, t, cf)[0]
+    m = int(4 * math.log(n)) + 1
+    for j, (lam, _, _) in enumerate(islice(cfrac._orbit(t), 1, m + 1), 1):
+        if lam > theta * j ** (1 + eps):
+            raise NotMember(f"lambda_{j} = {lam} too large")
+    bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|
     if abs(s_val) > Fraction(bound_s):
         raise BoundViolated(f"witness t = {t}")
     ratio = abs(float(s_val)) / bound_s

@@ -7,9 +7,10 @@ as integer numerators (u, v) of (u + v sqrt(d))/(2r), with t split once by
 `_parts`; `_sum_from_floors` makes the exact value from them, and the
 Dirichlet float tables round them.  brute_S is the oracle: it sums the
 floors directly (over one period for rational t), as do brute_S0 and
-s0_prefix.  For rational t = a/b, `floor_sum`
-gives F(n, a/b) in O(log b) steps, and `rational_S` is the exact front door
-built on it that B, B_left, lemma31_bound and tab_sum go through.
+s0_prefix.  `exact_S` is the front door to S that B, B_left, lemma31_bound,
+tab_sum and the Theorem 2.1 identities go through: for rational t = a/b,
+`floor_sum` gives F(n, a/b) in O(log b) steps, and irrational t goes to
+ostrowski_S.
 
 ostrowski_S implements the classical O(log n) recursion driven by the
 continued-fraction convergents a_j/b_j of t, with rho_j = |b_j t - a_j|.  A
@@ -19,13 +20,17 @@ N = n - n' = q b_j and m = n + n' + 1, and carries F in integers:
     F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j) / 2,
 
 so the paper's increment (-1)^j (q/2)(1 - rho_j m) is t N m/2 - N/2 minus
-that difference.  Its side condition 0 < |1 - rho_j m| < 1 is the integer
-test m <= floor(2/rho_j), since rho_j m is irrational and so never equals 1
-or 2; `OstrowskiTables` keeps that bound, m_max_j, as an int.  bseq_S is the
-alternative recursion through the Gauss-map orbit of t, an independent
-cross-check that uses no convergents and carries F in integers too.  Both
-read t's orbit as integer pairs (P_j, Q_j) from `cfrac._orbit`, the walk
-`cfrac.expand` uses.  All three agree exactly on every input.
+that difference.  Its side condition 0 < |1 - rho_j m| < 1 holds at every
+step: n < b_{j+1} and n' < b_j <= b_{j+1}, so m < 2 b_{j+1}; and with
+t = <lambda_0; ..., lambda_{j-1}, lambda_j + t_j>, 0 < t_j < 1,
+rho_j = 1/(b_{j+1} + b_j t_j) < 1/b_{j+1}, so 0 < rho_j m < 2, and rho_j m
+is irrational, so it is not 1.  The recursion therefore needs no bound
+beyond the convergents, and `OstrowskiTables` takes those from t's own
+orbit.  bseq_S is the alternative recursion through the Gauss-map orbit of
+t, an independent cross-check that uses no convergents and carries F in
+integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
+`cfrac._orbit`, the walk `cfrac.expand` uses, so neither needs a period.
+All three agree exactly on every input.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
@@ -34,7 +39,6 @@ built from it only when the trace is read.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +46,8 @@ from itertools import accumulate, starmap
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
-from .exactnum import (Scalar, _floor_sqrt_times, _make, as_fraction, beta,
-                       floor, is_rational)
+from .exactnum import (Scalar, _floor_sqrt_times, _make, as_fraction, floor,
+                       is_rational)
 
 
 @dataclass
@@ -188,9 +192,9 @@ def s0_prefix(t: Scalar, n_max: int) -> list:
     return [Fraction(0)] + list(starmap(entry, enumerate(_floor_sums(t, n_max), 1)))
 
 
-def floor_sum(n: int, a: int, b: int) -> int:
-    """F(n, a/b) = sum of floor(k a/b) over 1 <= k <= n, for n >= 0, b >= 1
-    and a of either sign, in O(log b) steps.
+def floor_sum(n: int, a: int, b: int, c: int = 0) -> int:
+    """The sum of floor((k a + c)/b) over 1 <= k <= n, for n >= 0, b >= 1
+    and a, c of either sign, in O(log b) steps; c = 0 gives F(n, a/b).
 
     The Euclid-like reduction of the AtCoder Library's floor_sum: the sum
     of floor((a k + c)/b) over 0 <= k < N, once a and c are reduced mod b,
@@ -199,7 +203,7 @@ def floor_sum(n: int, a: int, b: int) -> int:
     does."""
     if n < 0 or b < 1:
         raise ValueError("need n >= 0 and b >= 1")
-    total, N, c = 0, n + 1, 0  # F(n, a/b) is that sum with N = n + 1, c = 0
+    total, N = -(c // b), n + 1  # that sum with N = n + 1, less its k = 0 term
     while True:
         q, a = divmod(a, b)  # floor(a/b) k comes out of every term
         total += q * (N * (N - 1) // 2)
@@ -212,8 +216,14 @@ def floor_sum(n: int, a: int, b: int) -> int:
         a, b = b, a
 
 
-def rational_S(n: int, t: Scalar, midpoint: bool = False) -> Fraction:
-    """Exact S(n,t), or S0(n,t) if midpoint, for rational t in O(log b)."""
+def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
+    """Exact S(n,t), or S0(n,t) if midpoint, for every t the library takes:
+    the front door to S.  Rational t, a QuadExt with a square radicand
+    included, costs O(log b) through floor_sum; irrational t costs O(log n)
+    Ostrowski steps along its own orbit, where S0 = S as k t is never an
+    integer."""
+    if not is_rational(t):
+        return ostrowski_S(n, t)[0]
     fr = as_fraction(t)
     F = floor_sum(n, fr.numerator, fr.denominator)
     return _sum_from_floors(fr, midpoint)(n, F)
@@ -226,8 +236,7 @@ def B(x: Scalar, t: Scalar) -> Scalar:
     """B_x(t) = S(floor(x), t)/x for real x > 0."""
     if not x > 0:
         raise ValueError("x must be > 0")
-    n = floor(x)
-    return (rational_S(n, t) if is_rational(t) else brute_S(n, t)) / x
+    return exact_S(floor(x), t) / x
 
 
 def B_left(x: Scalar, t: Scalar) -> Scalar:
@@ -244,42 +253,39 @@ def B_left(x: Scalar, t: Scalar) -> Scalar:
 
 
 class OstrowskiTables:
-    """Convergents a_k/b_k of t and m_max_k = floor(2/rho_k), the largest m
-    with rho_k m < 2 for rho_k = |b_k t - a_k|, grown on demand; ints only.
-    Amortizes the expansion across an n-sweep.
+    """Partial quotients lambda_k and convergents a_k/b_k of t, grown on
+    demand from t's own orbit (`cfrac._orbit`); ints only.  Amortizes the
+    expansion across an n-sweep.
 
-    The tables walk the orbit t_k of t (`cfrac._orbit`) alongside cf and
-    raise ValueError where lambda_k differs from cf's, so every entry is
-    t's own.  With t = <lambda_0; ..., lambda_{k-1}, lambda_k + t_k>,
-    rho_k = 1/(b_k (lambda_k + t_k) + b_{k-1}), hence
-    m_max_k = 2 b_{k+1} + floor(2 b_k t_k)."""
+    An expansion cf, if given, is a cross-check: the tables raise ValueError
+    where its lambda_k differs from t's, and keep it as `cf`."""
 
-    def __init__(self, t: Scalar, cf: cfrac.CFExpansion):
-        if is_rational(t) or cf.is_finite:
+    def __init__(self, t: Scalar, cf: cfrac.CFExpansion | None = None):
+        if is_rational(t) or (cf is not None and cf.is_finite):
             raise NotIrrational("Ostrowski recursion needs irrational t")
         self.t = t
         self.cf = cf
-        self._D = (t.q * t.r) ** 2 * t.d  # t_k = (P_k + sqrt(D))/Q_k
         self._orbit = cfrac._orbit(t)
-        if next(self._orbit)[0] != cf.lambda0:
+        self.lam = [next(self._orbit)[0]]  # index k -> lambda_k
+        if cf is not None and self.lam[0] != cf.lambda0:
             raise ValueError("expansion does not match t")
-        self._next = next(self._orbit)  # (lambda_k, P_k, Q_k), k = len(b) - 1
-        self.a = [1, cf.lambda0]
+        self.a = [1, self.lam[0]]
         self.b = [0, 1]
-        self.m_max: list = [None]
+        # lambda_k, k = len(lam), taken from the orbit only once it is
+        # checked, so that a refused index stays refused
+        self._next = next(self._orbit)[0]
         self.extend_past(0)  # a mismatch in lambda_1..lambda_3 fails here
 
     def extend_past(self, n: int):
         """Grow the tables until b_k > n, and at least to k = 4."""
         while self.b[-1] <= n or len(self.b) < 5:
-            lam, P, Q = self._next
-            if lam != self.cf.coeff(len(self.b) - 1):
+            lam = self._next
+            if self.cf is not None and lam != self.cf.coeff(len(self.lam)):
                 raise ValueError("expansion does not match t")
+            self.lam.append(lam)
             self.a.append(self.a[-2] + lam * self.a[-1])
             self.b.append(self.b[-2] + lam * self.b[-1])
-            self.m_max.append(2 * self.b[-1] + cfrac._floor_over(
-                2 * self.b[-2] * P, math.isqrt(4 * self.b[-2] ** 2 * self._D), Q))
-            self._next = next(self._orbit)
+            self._next = next(self._orbit)[0]
 
     def j_star(self, n: int) -> int:
         """The unique j with b_j <= n < b_{j+1} (rightmost on ties)."""
@@ -291,32 +297,34 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
     """One recursion step n -> n' = n mod b_j, j = j*(n), in integers only.
 
     Returns (j, n', dF) with dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2,
-    where q = floor(n/b_j) and m = n + n' + 1.  The side condition
-    0 < |1 - rho_j m| < 1 is checked as m <= floor(2/rho_j), and the
-    quotient bound as q <= lambda_j.
+    where q = floor(n/b_j) and m = n + n' + 1.  validate checks the side
+    condition as m < 2 b_{j+1}, which proves it (see the module docstring),
+    and the quotient bound as q <= lambda_j.
     """
     j = tab.j_star(n)
     b = tab.b[j]
     q, n2 = divmod(n, b)
     m = n + n2 + 1
     if validate:
-        if m > tab.m_max[j]:
+        if m >= 2 * tab.b[j + 1]:
             raise AssertionError(f"Ostrowski side condition failed at n={n}")
-        if q > tab.cf.coeff(j):
+        if q > tab.lam[j]:
             raise AssertionError(f"floor(n/b_j*) > lambda_j* at n={n}")
     return j, n2, q * (m * tab.a[j] - b - (-1) ** j) // 2
 
 
-def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
+def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
                 tables: OstrowskiTables | None = None) -> tuple[Scalar, SumTrace]:
     """Exact S(n,t) for irrational t in O(log n) recursion steps.
 
-    `tables`, if given, must have been built for this t and cf; ValueError
-    otherwise.  The trace keeps (j, n, n', dF) per step."""
+    cf, if given, cross-checks the expansion (see `OstrowskiTables`).
+    `tables`, if given, must have been built for this t, and for this cf
+    when cf is given; ValueError otherwise.  The trace keeps (j, n, n', dF)
+    per step."""
     if n < 0:
         raise ValueError("n must be >= 0")
     tab = OstrowskiTables(t, cf) if tables is None else tables
-    if tab.t != t or tab.cf != cf:
+    if tab.t != t or (cf is not None and tab.cf != cf):
         raise ValueError("tables were built for another t or expansion")
     entry = _sum_from_floors(tab.t, midpoint=False)
     trace = SumTrace(_Steps(lambda j, n, n2, dF: OstrowskiStep(
@@ -331,30 +339,33 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion,
     return (entry(n0, F) if n0 else Fraction(0)), trace
 
 
-def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion, n_max: int,
-                    validate: bool = False):
-    """S(n,t), recursion depth and the Snfinal bound for every n <= n_max.
-
-    Memoizes F(n') across the sweep, so the whole table costs one recursion
-    step per n.  Returns (S, depth, bound) lists indexed by n, where bound[n]
-    is (1/2) * sum of lambda_1..lambda_{j*(n)}.
-    """
-    tab = OstrowskiTables(t, cf)
-    tab.extend_past(n_max)
-    entry = _sum_from_floors(t, midpoint=False)
-    half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
-        (Fraction(cf.coeff(k), 2) for k in range(1, len(tab.b))), initial=Fraction(0)))
-    F = [0] * (n_max + 1)
-    S: list = [Fraction(0)] * (n_max + 1)
-    depth = [0] * (n_max + 1)
-    bound: list = [Fraction(0)] * (n_max + 1)
+def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
+    """F(n,t), the recursion depth and j*(n) for every n <= n_max, as int
+    lists indexed by n.  Memoizes F(n') across the sweep, so the whole
+    table costs one recursion step per n."""
+    F, depth, js = [0] * (n_max + 1), [0] * (n_max + 1), [0] * (n_max + 1)
     for n in range(1, n_max + 1):
         j, n2, dF = _ostrowski_step(tab, n, validate=validate)
         F[n] = F[n2] + dF
-        S[n] = entry(n, F[n])
         depth[n] = depth[n2] + 1
-        bound[n] = half_sums[j]
-    return S, depth, bound
+        js[n] = j
+    return F, depth, js
+
+
+def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
+                    validate: bool = False):
+    """S(n,t), recursion depth and the Snfinal bound for every n <= n_max.
+
+    Returns (S, depth, bound) lists indexed by n, where bound[n] is
+    (1/2) * sum of lambda_1..lambda_{j*(n)}; cf as for `ostrowski_S`.
+    """
+    tab = OstrowskiTables(t, cf)
+    F, depth, js = _sweep(tab, n_max, validate)
+    entry = _sum_from_floors(t, midpoint=False)
+    half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
+        (Fraction(lam, 2) for lam in tab.lam[1:]), initial=Fraction(0)))
+    S = [Fraction(0)] + list(starmap(entry, enumerate(F[1:], 1)))
+    return S, depth, [half_sums[j] for j in js]
 
 
 # -- Gauss-map (Bsequence) recursion --------------------------------------
@@ -459,9 +470,10 @@ def thm21a_identity(n: int, a_over_b: Fraction, bstar: int,
     u = (n / x - bstar) / b
     rhs = (B(n, ab) + Fraction(1, 2 * b) + eta_tilde(x) / b
            - (x / n) * B_left(x, u) + x / (2 * b * n))
-    tail = Fraction(0)
-    for k in range(1, floor(x) + 1):
-        tail += beta(Fraction(n - k * bstar, b))
+    # the tail: the sum of beta((n - k b*)/b) over k <= X = floor(x)
+    X = floor(x)
+    tail = (Fraction(X * n - bstar * X * (X + 1) // 2, b)
+            - floor_sum(X, -bstar, b, n) - Fraction(X, 2))
     rhs = rhs + tail / n
     return lhs, rhs
 
@@ -473,7 +485,7 @@ def lemma31_bound(x: Scalar, a_over_b: Fraction):
     ab = Fraction(a_over_b)
     if not x > 0:
         raise DomainError("x must be positive")
-    value = rational_S(floor(x), ab, midpoint=True) / x
+    value = exact_S(floor(x), ab, midpoint=True) / x
     bound = ab.denominator / x
     return value, bound, abs(value) <= bound
 
@@ -483,7 +495,7 @@ def tab_sum(x: int, a_over_b: Fraction) -> Fraction:
     a-priori bound |sum| <= b(b+1) asserted."""
     ab = Fraction(a_over_b)
     b = ab.denominator
-    total = x + 2 * b * rational_S(x, ab)
+    total = x + 2 * b * exact_S(x, ab)
     if abs(total) > b * (b + 1):
         raise AssertionError("t_{a/b} partial sum bound violated")
     return total

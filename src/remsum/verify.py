@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from . import cfrac, dirichlet, farey, measure, sums
 from .exactnum import QuadExt, _floor_sqrt_times, beta0
@@ -28,25 +29,25 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
-def _abs_at_most(x: QuadExt, u: int, v: int) -> bool:
-    """|x| <= u/v for an irrational x = (p + q sqrt(d))/r, u >= 0 and v > 0,
-    decided by one isqrt: v x r = v p + v q sqrt(d) is irrational, so
-    -u r <= v x r <= u r holds exactly when -u r <= v p + floor(v q sqrt(d)) < u r."""
-    ur = u * x.r
-    return -ur <= v * x.p + _floor_sqrt_times(v * x.q, x.d) < ur
+def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
+    """|x| <= u/v for the irrational x = (p + q sqrt(d))/r (q != 0, d not a
+    square, r > 0), u >= 0 and v > 0, decided by one isqrt: v x r =
+    v p + v q sqrt(d) is irrational, so -u r <= v x r <= u r holds exactly
+    when -u r <= v p + floor(v q sqrt(d)) < u r."""
+    ur = u * r
+    return -ur <= v * p + _floor_sqrt_times(v * q, d) < ur
 
 
 def suite_oracle(size: str = "quick", seed: int = 0) -> list[dict]:
     n_max = 2000 if size == "full" else 300
     checks = []
     for label, t in corpus().items():
-        cf = cfrac.expand(t, 64)
         prefix = sums.s0_prefix(t, n_max)  # equals S(n,t): kt never integral
-        tab = sums.OstrowskiTables(t, cf)
+        tab = sums.OstrowskiTables(t)
         ok = True
         detail = ""
         for n in range(1, n_max + 1):
-            vo = sums.ostrowski_S(n, t, cf, tables=tab)[0]
+            vo = sums.ostrowski_S(n, t, tables=tab)[0]
             vb = sums.bseq_S(n, t)[0]
             if vo != prefix[n] or vb != prefix[n]:
                 ok, detail = False, f"disagreement at n={n}"
@@ -59,14 +60,18 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     checks = []
     n_sweep = 100000 if size == "full" else 2000
     t = corpus()["golden"]
-    cf = cfrac.expand(t, 8)
-    S, depth, bound = sums.ostrowski_sweep(t, cf, n_sweep, validate=True)
-    ok = all(_abs_at_most(S[n], bound[n].numerator, bound[n].denominator)
+    tab = sums.OstrowskiTables(t)
+    F, depth, js = sums._sweep(tab, n_sweep, validate=True)
+    # S(n,t) = (u + v sqrt(d))/(2r) and the Snfinal bound (1/2) L_j with
+    # L_j = lambda_1 + ... + lambda_j, j = j*(n)
+    uv, d, r2 = sums._numerators(t, midpoint=False), t.d, 2 * t.r
+    L = list(accumulate(tab.lam[1:], initial=0))
+    ok = all(_abs_at_most(*uv(n, F[n]), d, r2, L[js[n]], 2)
              for n in range(1, n_sweep + 1))
     checks.append(_check("snfinal-bound[golden]", ok))
     ok = all(depth[n] <= 4 * math.log(n) for n in range(3, n_sweep + 1))
     checks.append(_check("recursion-depth<=4logn[golden]", ok))
-    ok = all(_abs_at_most(S[n], *(2 * math.log(n)).as_integer_ratio())
+    ok = all(_abs_at_most(*uv(n, F[n]), d, r2, *(2 * math.log(n)).as_integer_ratio())
              for n in range(3, n_sweep + 1))
     checks.append(_check("golden-|S|<=2logn", ok))
 

@@ -15,6 +15,9 @@ from remsum import cfrac, cli, limits, measure, sums
 from remsum.exactnum import QuadExt
 
 
+# t = sqrt(10^9 + 7)/40000: its expansion has no period within 64 terms
+LONG_PERIOD = "quad:(0+1*sqrt(1000000007))/40000"
+
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads(
     (Path(__file__).parent / "data" / "sum_trace.json").read_text())
@@ -44,13 +47,13 @@ class TestTSpec:
 
 class TestSum:
     def test_all_methods_agree(self, capsys):
-        code, out, _ = run(capsys, "sum", "--n", "100",
-                           "--t", "quad:(-1+1*sqrt(5))/2")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "method,S,B,steps"
-        values = {ln.split(",")[0]: ln.split(",")[1] for ln in lines[1:]}
-        assert values["brute"] == values["ostrowski"] == values["bseq"]
+        for n, spec in (("100", "quad:(-1+1*sqrt(5))/2"), ("1000", LONG_PERIOD)):
+            code, out, _ = run(capsys, "sum", "--n", n, "--t", spec)
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert lines[0] == "method,S,B,steps"
+            values = {ln.split(",")[0]: ln.split(",")[1] for ln in lines[1:]}
+            assert values["brute"] == values["ostrowski"] == values["bseq"]
 
     def test_rational_is_brute_only(self, capsys):
         code, out, _ = run(capsys, "sum", "--n", "10", "--t", "rat:7/10")
@@ -78,17 +81,19 @@ class TestSum:
         assert len({r[1] for r in rows}) == 1
 
     def test_all_skips_brute_past_the_check_cap(self):
-        # brute_S is O(n): at n = 10^15 it would not finish
+        # brute_S is O(n): at n = 10^15 it would not finish.  The second t
+        # has no period within 64 terms, so only its orbit drives ostrowski
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "remsum", "sum", "--n", "1000000000000000",
-             "--t", "cf:0;(1)"], capture_output=True, text=True, env=env,
-            timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        rows = [ln.split(",") for ln in proc.stdout.strip().splitlines()[1:]]
-        assert [r[0] for r in rows] == ["ostrowski", "bseq"]
-        assert rows[0][1] == rows[1][1]
+        for n, spec in (("1000000000000000", "cf:0;(1)"),
+                        ("1000000000000000000", LONG_PERIOD)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "remsum", "sum", "--n", n, "--t", spec],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            rows = [ln.split(",") for ln in proc.stdout.strip().splitlines()[1:]]
+            assert [r[0] for r in rows] == ["ostrowski", "bseq"]
+            assert rows[0][1] == rows[1][1]
 
     @pytest.mark.parametrize("spec, t", [
         ("rat:7/10", F(7, 10)),
@@ -103,7 +108,7 @@ class TestSum:
             [sys.executable, "-m", "remsum", "sum", "--n", str(n), "--t", spec],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        S = sums.rational_S(n, t)
+        S = sums.exact_S(n, t)
         assert proc.stdout.splitlines()[1:] == [
             f"brute,{S.numerator}/{S.denominator},{S / n},{n}"]
 
@@ -290,14 +295,15 @@ class TestDirichletCommand:
 
 class TestBench:
     def test_columns_and_crosscheck(self, capsys):
-        code, out, _ = run(capsys, "bench", "--t", "cf:0;(2)",
-                           "--n-max", "1000", "--points", "3")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("n,brute_ops,")
-        for ln in lines[1:]:
-            cols = ln.split(",")
-            assert cols[0] == cols[1]  # brute op count equals n
+        for spec in ("cf:0;(2)", LONG_PERIOD):
+            code, out, _ = run(capsys, "bench", "--t", spec,
+                               "--n-max", "1000", "--points", "3")
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert lines[0].startswith("n,brute_ops,")
+            for ln in lines[1:]:
+                cols = ln.split(",")
+                assert cols[0] == cols[1]  # brute op count equals n
 
     def test_rejects_rational(self, capsys):
         code, _, err = run(capsys, "bench", "--t", "rat:1/3", "--n-max", "10")

@@ -196,6 +196,19 @@ class TestFloatsAndText:
     def test_format_parse_roundtrip(self, x):
         assert parse_scalar(format_scalar(x)) == x
 
+    def test_irrational_text_past_the_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10 ** (max(limit, 4300) + 10)
+        for x in (QuadExt(big + 1, big + 3, 5, big + 7),
+                  QuadExt(-big - 1, -big - 3, 6, 3),
+                  sums.ostrowski_S(10 ** 2200, GOLDEN)[0]):
+            sys.set_int_max_str_digits(0)  # no limit
+            try:
+                want = f"({x.p}{x.q:+d}*sqrt({x.d}))/{x.r}"
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert len(want) > limit and format_scalar(x) == want
+
     @given(st.fractions(max_denominator=10 ** 6))
     def test_fraction_roundtrip(self, x):
         assert parse_scalar(format_scalar(x)) == x

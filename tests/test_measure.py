@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from remsum import cfrac, measure
 from remsum.errors import BoundViolated, NotMember, TooLarge
+from remsum.exactnum import QuadExt
 
 
 class TestMeasureExact:
@@ -101,6 +102,12 @@ class TestFiniteNVerifiers:
         for k in corpus:
             rep = measure.verify_ae_bound(1000, F(1, 2), theta,
                                           corpus[k], corpus_cf[k])
+            assert rep["pass"] and rep["ratio"] <= 1
+        # no period within 64 terms: the quotients come from t's orbit
+        long_period = QuadExt(0, 1, 10 ** 9 + 7, 40000)
+        for n in (1000, 10 ** 18):
+            theta = 1 + math.log(1 + math.log(n))
+            rep = measure.verify_ae_bound(n, F(1, 2), theta, long_period)
             assert rep["pass"] and rep["ratio"] <= 1
 
     def test_ae_bound_rejects_large_quotients(self):

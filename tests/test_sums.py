@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from remsum import cfrac, sums
 from remsum.errors import DomainError, NotIrrational, NotNeighbors
-from remsum.exactnum import QuadExt, beta, beta0, floor
+from remsum.exactnum import QuadExt, beta, beta0, floor, is_rational
 from remsum.limits import eta_tilde
 
 
@@ -130,11 +130,22 @@ class TestFloorSum:
         assert sums.floor_sum(n + b, a, b) == \
             sums.floor_sum(n, a, b) + sums.floor_sum(b, a, b) + a * n
 
-    @given(st.integers(0, 300), st.fractions(max_denominator=60))
-    @settings(max_examples=200, deadline=None)
-    def test_front_door_matches_brute(self, n, t):
-        assert sums.rational_S(n, t) == sums.brute_S(n, t)
-        assert sums.rational_S(n, t, midpoint=True) == sums.brute_S0(n, t)
+    # rational t, a QuadExt with a square radicand (so rational too) and
+    # quadratic irrationals, also of long period (d up to 10^9 + 7)
+    @given(st.integers(0, 300), st.integers(0, 10 ** 18), st.one_of(
+        st.fractions(max_denominator=60),
+        st.builds(lambda p, s, r: QuadExt(p, 1, s * s, r), st.integers(-99, 99),
+                  st.integers(1, 99), st.integers(1, 99)),
+        quadratic_irrationals(), expansions().map(lambda t_cf: t_cf[0]),
+        st.builds(lambda p, d, r: QuadExt(p, 1, d, r), st.integers(-10 ** 5, 10 ** 5),
+                  st.integers(2, 10 ** 9 + 7), st.integers(1, 10 ** 5))))
+    @example(600, 10 ** 18, QuadExt(0, 1, 10 ** 9 + 7, 40000))
+    @settings(max_examples=300, deadline=None)
+    def test_front_door_matches_brute(self, n, n_huge, t):
+        assert sums.exact_S(n, t) == sums.brute_S(n, t)
+        assert sums.exact_S(n, t, midpoint=True) == sums.brute_S0(n, t)
+        if not is_rational(t):  # S is 1-periodic in t; bseq_S needs t in (0, 1)
+            assert sums.exact_S(n_huge, t) == sums.bseq_S(n_huge, t - floor(t))[0]
 
     def test_rejects_bad_arguments(self):
         for n, b in ((-1, 3), (3, 0), (3, -2)):
@@ -169,24 +180,25 @@ class TestOstrowski:
             for n in range(1, 201):
                 assert sums.ostrowski_S(n, t, cf, tables=tab)[0] == pre[n]
 
-    @given(expansions(), st.integers(0, 2000), st.integers(0, 10 ** 18))
+    @given(expansions(), st.booleans(), st.integers(0, 2000),
+           st.integers(0, 10 ** 18))
     @settings(max_examples=150, deadline=None)
-    def test_integer_recursion_property(self, t_cf, n_small, n_huge):
+    def test_integer_recursion_property(self, t_cf, with_cf, n_small, n_huge):
         t, cf = t_cf
+        cf = cf if with_cf else None  # half the draws read t's orbit alone
         tab = sums.OstrowskiTables(t, cf)
         for n in (n_small, n_huge):
             total, trace = sums.ostrowski_S(n, t, cf, tables=tab)
             if n == n_small:
                 assert total == sums.brute_S(n, t)
-            elif cf.lambda0 == 0:
+            elif floor(t) == 0:
                 assert total == sums.bseq_S(n, t)[0]
             assert sum((s.increment for s in trace.steps), F(0)) == total
             for s in trace.steps:
-                side = abs(1 - s.rho * (s.n_before + s.n_after + 1))
-                assert 0 < side < 1
-        for k, m_max in enumerate(tab.m_max[1:], 1):
-            rho = abs(tab.b[k] * t - tab.a[k])
-            assert m_max * rho < 2 < (m_max + 1) * rho
+                m = s.n_before + s.n_after + 1
+                assert 0 < abs(1 - s.rho * m) < 1
+                assert m < 2 * tab.b[s.j_star + 1]  # the bound of the proof
+                assert s.n_before // tab.b[s.j_star] <= tab.lam[s.j_star]
 
     def test_refuses_tables_of_another_t_or_expansion(self, corpus, corpus_cf):
         golden, cf = corpus["golden"], corpus_cf["golden"]
@@ -263,9 +275,9 @@ class TestOstrowski:
             assert depth[n] == len(trace.steps)
             assert abs(val) <= bound[n]
 
-    def test_depth_bound(self, corpus, corpus_cf):
+    def test_depth_bound(self, corpus):
         for k in corpus:
-            _, depth, _ = sums.ostrowski_sweep(corpus[k], corpus_cf[k], 2000)
+            _, depth, _ = sums.ostrowski_sweep(corpus[k], None, 2000)
             assert all(depth[n] <= 4 * math.log(n) for n in range(3, 2001))
 
 

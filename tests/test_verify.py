@@ -19,5 +19,6 @@ def test_abs_at_most_matches_quadext_compare(p, q, d, r, v, shift):
     # u/v within a few 1/v of |x|, from either side, and c = 0
     x = QuadExt(p, q, d, r)
     u = max(0, floor(abs(x) * v) + shift)
-    assert verify._abs_at_most(x, u, v) == (abs(x) <= F(u, v))
-    assert verify._abs_at_most(x, 0, v) is False
+    parts = x.p, x.q, x.d, x.r
+    assert verify._abs_at_most(*parts, u, v) == (abs(x) <= F(u, v))
+    assert verify._abs_at_most(*parts, 0, v) is False
