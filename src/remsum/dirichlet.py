@@ -8,8 +8,9 @@ summation with the observed maximum of |S0(n,t)| in the strip 0 < Re(s) <= 1
 Every series reads two float tables, beta0(kt) for k <= K and the prefix
 S0(n,t) for n <= K.  The tables hold no formula of their own.  Each is one
 pass over the integers (n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n,
-through `sums._numerators`, the map to the integer numerators of S0(n,t);
-beta0(nt) = S0(n,t) - S0(n-1,t) is taken on those numerators.  Each entry
+handed in bulk to `sums._numerators`, the map to the integer numerators of
+S0(n,t); beta0(nt) = S0(n,t) - S0(n-1,t) is taken on those numerators.
+`_s0_numerators` is that pass, shared by both tables.  Each entry
 goes through the one float boundary of `exactnum`, so it equals float() of
 the exact value bit for bit.  Each table is retained for the last (t, K) it
 was built for, so an s grid at one (t, K) builds it once.  The retained
@@ -24,7 +25,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 
 from . import sums
 from .errors import DomainError, PoleAtOne
@@ -81,14 +81,20 @@ def zeta(s) -> complex:
 # -- term tables -----------------------------------------------------------
 
 
+def _s0_numerators(t: Scalar, K: int):
+    """(d, 2r, the (u, v) of S0(n,t) = (u + v sqrt(d))/(2r) for n = 1..K),
+    read from `sums._numerators` in one pass over the integers F(n,t)."""
+    _, _, d, r = sums._parts(t)
+    return d, 2 * r, sums._numerators(t, True, enumerate(sums._floor_sums(t, K), 1))
+
+
 @functools.lru_cache(maxsize=1)
 def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(0.0, beta0(t), ..., beta0(Kt)), each correctly rounded."""
-    _, _, d, r = sums._parts(t)
-    r2, uv = 2 * r, sums._numerators(t, midpoint=True)
+    d, r2, uv = _s0_numerators(t, K)
     out = [0.0]
     u0 = v0 = 0
-    for u, v in starmap(uv, enumerate(sums._floor_sums(t, K), 1)):
+    for u, v in uv:
         out.append(_quad_float(u - u0, v - v0, d, r2))  # S0(n) - S0(n-1)
         u0, v0 = u, v
     return tuple(out)
@@ -97,10 +103,8 @@ def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=1)
 def _s0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(S0(0,t), S0(1,t), ..., S0(K,t)), each correctly rounded."""
-    _, _, d, r = sums._parts(t)
-    r2, uv = 2 * r, sums._numerators(t, midpoint=True)
-    return (0.0,) + tuple(_quad_float(u, v, d, r2) for u, v in
-                          starmap(uv, enumerate(sums._floor_sums(t, K), 1)))
+    d, r2, uv = _s0_numerators(t, K)
+    return (0.0,) + tuple(_quad_float(u, v, d, r2) for u, v in uv)
 
 
 def beta0_float_table(t: Scalar, K: int) -> list[float]:

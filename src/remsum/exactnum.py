@@ -393,7 +393,11 @@ def _int_str(n: int) -> str:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar."""
+    """Inverse of format_scalar while every integer part of the text (p, q,
+    d and r, or numerator and denominator) has at most
+    sys.get_int_max_str_digits() digits.  Longer text raises ValueError:
+    the interpreter's limit is kept, as it guards text from outside against
+    quadratic-time conversion."""
     text = text.strip()
     m = _QUAD_RE.match(text)
     if m:

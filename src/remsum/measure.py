@@ -101,12 +101,12 @@ def verify_b0_mass(n: int, theta_of_n, samples: int, seed: int) -> dict:
     |B_n(t)| <= 2 log^2(n) theta(n) / n exactly on every sample."""
     m, cutoff = mn_threshold(n, theta_of_n)
     bound_s = 2 * math.log(n) ** 2 * float(theta_of_n)  # bound for |S(n,t)|
-    bound_frac = Fraction(bound_s)
+    bound = bound_s.as_integer_ratio()  # exactly Fraction(bound_s)
     max_ratio = 0.0
     for i in range(samples):
         t, cf = _sample_cf(cutoff, m, seed + i)
         s_val = sums.ostrowski_S(n, t, cf)[0]
-        if abs(s_val) > bound_frac:
+        if not sums._abs_at_most(*sums._parts(s_val), *bound):
             raise BoundViolated(f"witness t = {t}")
         max_ratio = max(max_ratio, abs(float(s_val)) / bound_s)
     return {"n": n, "theta": float(theta_of_n), "samples": samples,
@@ -126,7 +126,7 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
         if lam > theta * j ** (1 + eps):
             raise NotMember(f"lambda_{j} = {lam} too large")
     bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|
-    if abs(s_val) > Fraction(bound_s):
+    if not sums._abs_at_most(*sums._parts(s_val), *bound_s.as_integer_ratio()):
         raise BoundViolated(f"witness t = {t}")
     ratio = abs(float(s_val)) / bound_s
     return {"n": n, "epsilon": eps, "theta": theta, "ratio": ratio, "pass": True}

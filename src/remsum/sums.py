@@ -2,10 +2,12 @@
 
 Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
 over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
-`_numerators` is the only (n, F) -> S map: it gives S(n,t), or S0(n,t),
-as integer numerators (u, v) of (u + v sqrt(d))/(2r), with t split once by
-`_parts`; `_sum_from_floors` makes the exact value from them, and the
-Dirichlet float tables round them.  brute_S is the oracle: it sums the
+`_numerators` is the only (n, F) -> S map: for a whole iterable of pairs
+(n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
+(u + v sqrt(d))/(2r), with t split once by `_parts`.  `_values` makes the
+exact values from them in one comprehension, the Dirichlet float tables
+round them, and `_abs_at_most` decides every |S| <= bound on them, or on
+the parts of an exact S, with one isqrt.  brute_S is the oracle: it sums the
 floors directly (over one period for rational t), as do brute_S0 and
 s0_prefix.  `exact_S` is the front door to S that B, B_left, lemma31_bound,
 tab_sum and the Theorem 2.1 identities go through: for rational t = a/b,
@@ -42,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -124,34 +126,40 @@ def _floor_sums(t: Scalar, n: int):
         yield total
 
 
-def _numerators(t: Scalar, midpoint: bool):
+def _numerators(t: Scalar, midpoint: bool, pairs):
     """The one map (n, F(n,t)) -> (u, v) with S(n,t) = (u + v sqrt(d))/(2r)
     for t = (p + q sqrt(d))/r as `_parts` gives it, or S0(n,t) if midpoint:
-    u = p n m - r (n + 2F - h) and v = q n m, with m = n + 1.
+    u = p n (n+1) - r (n + 2F - h) and v = q n (n+1).  Yields (u, v) for
+    each (n, F) of `pairs`, in order, with no call per pair.
 
     beta0 differs from beta by +1/2 exactly where k t is an integer: where
     r | k for rational t, and nowhere for irrational t; so h = floor(n/r)
-    for S0 at rational t, and h = 0 otherwise.  An optional third argument
-    m replaces n + 1: with n = N, F = F(n,t) - F(n',t) and m = n + n' + 1
-    the pair is that of S(n,t) - S(n',t) for n' = n - N."""
+    for S0 at rational t, and h = 0 otherwise."""
     p, q, d, r = _parts(t)
     mid = midpoint and not q
-
-    def numerators(n, F, m=0):
-        nm = n * (m or n + 1)
-        return p * nm - r * (n + 2 * F - (n // r if mid else 0)), q * nm
-    return numerators
+    return ((p * n * (n + 1) - r * (n + 2 * F - (n // r if mid else 0)),
+             q * n * (n + 1)) for n, F in pairs)
 
 
-def _sum_from_floors(t: Scalar, midpoint: bool):
-    """The exact value of `_numerators`: the map (n, F(n,t)[, m]) -> S(n,t),
-    or S0(n,t) if midpoint, as a Fraction for rational t and a QuadExt
-    otherwise."""
+def _values(t: Scalar, pairs, midpoint: bool = False) -> list:
+    """The exact values of `_numerators`: S(n,t), or S0(n,t) if midpoint,
+    for each (n, F(n,t)) of `pairs`, as Fractions for rational t and
+    QuadExts otherwise.  S is affine in F, so entry(n, F(n) - F(n')) less
+    entry(n', 0) is S(n,t) - S(n',t)."""
     _, q, d, r = _parts(t)
-    r2, uv = 2 * r, _numerators(t, midpoint)
-    if q:
-        return lambda n, F, m=0: _make(*uv(n, F, m), d, r2)
-    return lambda n, F, m=0: Fraction(uv(n, F, m)[0], r2)
+    r2 = 2 * r
+    return [_make(u, v, d, r2) if q else Fraction(u, r2)
+            for u, v in _numerators(t, midpoint, pairs)]
+
+
+def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
+    """|x| <= u/v for the irrational x = (p + q sqrt(d))/r (q != 0, d not a
+    square, r > 0), u >= 0 and v > 0, decided by one isqrt: v x r =
+    v p + v q sqrt(d) is irrational, so -u r <= v x r <= u r holds exactly
+    when -u r <= v p + floor(v q sqrt(d)) < u r.  The one test of every
+    |S| <= bound for irrational S."""
+    ur = u * r
+    return -ur <= v * p + _floor_sqrt_times(v * q, d) < ur
 
 
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
@@ -170,7 +178,7 @@ def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
     for Fb in _floor_sums(t, b if Q else 0):
         pass
     F = Q * Fb + FR + p * b * Q * (Q - 1) // 2 + p * Q * R
-    return _sum_from_floors(t, midpoint)(n, F)
+    return _values(t, [(n, F)], midpoint)[0]
 
 
 def brute_S(n: int, t: Scalar) -> Scalar:
@@ -188,8 +196,7 @@ def brute_S0(n: int, t: Scalar) -> Scalar:
 
 def s0_prefix(t: Scalar, n_max: int) -> list:
     """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep."""
-    entry = _sum_from_floors(t, midpoint=True)
-    return [Fraction(0)] + list(starmap(entry, enumerate(_floor_sums(t, n_max), 1)))
+    return [Fraction(0)] + _values(t, enumerate(_floor_sums(t, n_max), 1), midpoint=True)
 
 
 def floor_sum(n: int, a: int, b: int, c: int = 0) -> int:
@@ -226,7 +233,7 @@ def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
         return ostrowski_S(n, t)[0]
     fr = as_fraction(t)
     F = floor_sum(n, fr.numerator, fr.denominator)
-    return _sum_from_floors(fr, midpoint)(n, F)
+    return _values(fr, [(n, F)], midpoint)[0]
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -326,9 +333,12 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     tab = OstrowskiTables(t, cf) if tables is None else tables
     if tab.t != t or (cf is not None and tab.cf != cf):
         raise ValueError("tables were built for another t or expansion")
-    entry = _sum_from_floors(tab.t, midpoint=False)
-    trace = SumTrace(_Steps(lambda j, n, n2, dF: OstrowskiStep(
-        j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), entry(n - n2, dF, n + n2 + 1))))
+
+    def step(j, n, n2, dF):
+        S, S2 = _values(tab.t, [(n, dF), (n2, 0)])
+        return OstrowskiStep(j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), S - S2)
+
+    trace = SumTrace(_Steps(step))
     rows = trace.steps.rows
     n0, F = n, 0
     while n > 0:
@@ -336,7 +346,7 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
         rows.append((j, n, n2, dF))
         F += dF
         n = n2
-    return (entry(n0, F) if n0 else Fraction(0)), trace
+    return (_values(tab.t, [(n0, F)])[0] if n0 else Fraction(0)), trace
 
 
 def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
@@ -361,10 +371,9 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
     """
     tab = OstrowskiTables(t, cf)
     F, depth, js = _sweep(tab, n_max, validate)
-    entry = _sum_from_floors(t, midpoint=False)
     half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
         (Fraction(lam, 2) for lam in tab.lam[1:]), initial=Fraction(0)))
-    S = [Fraction(0)] + list(starmap(entry, enumerate(F[1:], 1)))
+    S = [Fraction(0)] + _values(t, enumerate(F[1:], 1))
     return S, depth, [half_sums[j] for j in js]
 
 
@@ -415,8 +424,8 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
         nj, sign = m, -sign
     if n == 0:
         return Fraction(0), trace
-    total = _sum_from_floors(t, midpoint=False)(n, (-n - G) // 2)
-    if 2 * abs(total) > lam_sum:
+    total = _values(t, [(n, (-n - G) // 2)])[0]
+    if not _abs_at_most(*_parts(total), lam_sum, 2):
         raise AssertionError("modified Bsequence estimate violated")
     return total, trace
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import cfrac, dirichlet, farey, measure, sums
-from .exactnum import QuadExt, _floor_sqrt_times, beta0
+from .exactnum import QuadExt, beta0
 
 
 def corpus() -> dict:
@@ -27,15 +27,6 @@ def corpus() -> dict:
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
-
-
-def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
-    """|x| <= u/v for the irrational x = (p + q sqrt(d))/r (q != 0, d not a
-    square, r > 0), u >= 0 and v > 0, decided by one isqrt: v x r =
-    v p + v q sqrt(d) is irrational, so -u r <= v x r <= u r holds exactly
-    when -u r <= v p + floor(v q sqrt(d)) < u r."""
-    ur = u * r
-    return -ur <= v * p + _floor_sqrt_times(v * q, d) < ur
 
 
 def suite_oracle(size: str = "quick", seed: int = 0) -> list[dict]:
@@ -62,18 +53,20 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     t = corpus()["golden"]
     tab = sums.OstrowskiTables(t)
     F, depth, js = sums._sweep(tab, n_sweep, validate=True)
-    # S(n,t) = (u + v sqrt(d))/(2r) and the Snfinal bound (1/2) L_j with
-    # L_j = lambda_1 + ... + lambda_j, j = j*(n)
-    uv, d, r2 = sums._numerators(t, midpoint=False), t.d, 2 * t.r
+    # S(n,t) = (u + v sqrt(d))/(2r), each n's (u, v) computed once, against
+    # the Snfinal bound (1/2) L_j, L_j = lambda_1 + ... + lambda_j, j = j*(n),
+    # and against 2 log n for n >= 3
+    d, r2 = t.d, 2 * t.r
     L = list(accumulate(tab.lam[1:], initial=0))
-    ok = all(_abs_at_most(*uv(n, F[n]), d, r2, L[js[n]], 2)
-             for n in range(1, n_sweep + 1))
-    checks.append(_check("snfinal-bound[golden]", ok))
+    snfinal = log_ok = True
+    for n, (u, v) in enumerate(sums._numerators(t, False, enumerate(F[1:], 1)), 1):
+        snfinal = snfinal and sums._abs_at_most(u, v, d, r2, L[js[n]], 2)
+        log_ok = log_ok and (n < 3 or sums._abs_at_most(
+            u, v, d, r2, *(2 * math.log(n)).as_integer_ratio()))
+    checks.append(_check("snfinal-bound[golden]", snfinal))
     ok = all(depth[n] <= 4 * math.log(n) for n in range(3, n_sweep + 1))
     checks.append(_check("recursion-depth<=4logn[golden]", ok))
-    ok = all(_abs_at_most(*uv(n, F[n]), d, r2, *(2 * math.log(n)).as_integer_ratio())
-             for n in range(3, n_sweep + 1))
-    checks.append(_check("golden-|S|<=2logn", ok))
+    checks.append(_check("golden-|S|<=2logn", log_ok))
 
     n_bseq = 2000 if size == "full" else 300
     ok = True

@@ -68,8 +68,12 @@ class TestSum:
         assert out.strip().splitlines()[1].split(",")[1] == "-1/2"
 
     def test_usage_error_exit_2(self, capsys):
-        code, _, err = run(capsys, "sum", "--n", "5", "--t", "junk")
-        assert code == 2 and "cannot parse" in err
+        # the interpreter's int-str limit stays on parsed text: an integer
+        # one digit longer than it allows is a usage error
+        over = "1" + "0" * sys.get_int_max_str_digits()
+        for spec in ("junk", f"rat:{over}/7"):
+            code, _, err = run(capsys, "sum", "--n", "5", "--t", spec)
+            assert code == 2 and "cannot parse" in err
 
     def test_cf_spec_keeps_its_expansion(self, capsys):
         # a period of 65 terms: re-expanding t with the 64-term limit fails

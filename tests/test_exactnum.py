@@ -209,6 +209,19 @@ class TestFloatsAndText:
                 sys.set_int_max_str_digits(limit)
             assert len(want) > limit and format_scalar(x) == want
 
+    def test_roundtrip_up_to_the_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert limit > 0
+        top = 10 ** limit - 1  # limit digits
+        for x in (F(-top, top - 1), F(top),
+                  QuadExt(-top, top, 10 ** limit - 3, top - 1)):
+            assert parse_scalar(format_scalar(x)) == x
+        over = "1" + "0" * limit  # one digit more
+        for text in (over, f"-{over}/3", f"1/{over}",
+                     f"(1+{over}*sqrt(5))/2", f"(1+1*sqrt(5))/{over}"):
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+
     @given(st.fractions(max_denominator=10 ** 6))
     def test_fraction_roundtrip(self, x):
         assert parse_scalar(format_scalar(x)) == x

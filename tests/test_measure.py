@@ -110,6 +110,13 @@ class TestFiniteNVerifiers:
             rep = measure.verify_ae_bound(n, F(1, 2), theta, long_period)
             assert rep["pass"] and rep["ratio"] <= 1
 
+    def test_ae_bound_raises_where_the_bound_fails(self):
+        # lambda_1 = 1000 passes the membership test at theta = 1000, eps = -3,
+        # but |S(500, t)| is about 125, far above the bound, about 20.1
+        t = cfrac.value(cfrac.CFExpansion(0, (1000,), (1,)))
+        with pytest.raises(BoundViolated):
+            measure.verify_ae_bound(500, -3, 1000, t)
+
     def test_ae_bound_rejects_large_quotients(self):
         # t with lambda_1 = 1000 is not in the membership set for small theta
         big = cfrac.value(cfrac.CFExpansion(0, (), (1000, 1)))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import verify
+from remsum import sums
 from remsum.exactnum import QuadExt, floor
 
 
@@ -20,5 +20,5 @@ def test_abs_at_most_matches_quadext_compare(p, q, d, r, v, shift):
     x = QuadExt(p, q, d, r)
     u = max(0, floor(abs(x) * v) + shift)
     parts = x.p, x.q, x.d, x.r
-    assert verify._abs_at_most(*parts, u, v) == (abs(x) <= F(u, v))
-    assert verify._abs_at_most(*parts, 0, v) is False
+    assert sums._abs_at_most(*parts, u, v) == (abs(x) <= F(u, v))
+    assert sums._abs_at_most(*parts, 0, v) is False
