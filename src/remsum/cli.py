@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,18 @@ class UsageError(Exception):
     pass
 
 
+_ECHO_CHARS = 60
+_REASON_CHARS = 150
+
+
+def _echo(text: str) -> str:
+    """repr(text), cut to its first 60 characters and its length when it is
+    longer: an error message never prints outside text back in full."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def parse_tspec(text: str) -> tuple[Scalar, cfrac.CFExpansion | None]:
     """t specifications: "rat:p/q", "quad:(p+q*sqrt(d))/r", "cf:l0;l1,(per)".
     A bare scalar (no prefix) is also accepted.  Returns (t, cf): cf is the
@@ -53,17 +66,20 @@ def parse_tspec(text: str) -> tuple[Scalar, cfrac.CFExpansion | None]:
             return cfrac.value(cf), cf
         return parse_scalar(text), None
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse t specification {text!r}: {exc}")
+        reason = str(exc)  # parse_cf's reason repeats the whole text
+        if len(reason) > _REASON_CHARS:
+            reason = reason[:_REASON_CHARS] + "..."
+        raise UsageError(f"cannot parse t specification {_echo(text)}: {reason}")
 
 
 def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"range must be lo:hi, got {text!r}")
+        raise UsageError(f"range must be lo:hi, got {_echo(text)}")
     try:
         lo, hi = Fraction(parts[0]), Fraction(parts[1])
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse range {text!r}")
+        raise UsageError(f"cannot parse range {_echo(text)}")
     if hi < lo:
         raise UsageError("range must satisfy lo <= hi")
     return lo, hi
@@ -155,7 +171,7 @@ def cmd_plot(args) -> int:
     try:
         step = Fraction(args.step)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse step {args.step!r}")
+        raise UsageError(f"cannot parse step {_echo(args.step)}")
     D, nums = _grid(lo, hi, step)
     with _open_out(args.out) as out:
         if args.which == "eta":
@@ -182,7 +198,7 @@ def cmd_plot(args) -> int:
             try:
                 ab = Fraction(args.a_over_b)
             except (ValueError, ZeroDivisionError):
-                raise UsageError(f"cannot parse --a-over-b {args.a_over_b!r}")
+                raise UsageError(f"cannot parse --a-over-b {_echo(args.a_over_b)}")
             print("x,value", file=out)
             for i in nums:
                 x = Fraction(i, D)
@@ -253,7 +269,7 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
     try:
         al = tuple(int(a) for a in text.replace(";", ",").split(","))
     except ValueError:
-        raise UsageError(f"cannot parse alphas {text!r}")
+        raise UsageError(f"cannot parse alphas {_echo(text)}")
     if not al or any(a < 1 for a in al):
         raise UsageError("alphas must be positive integers")
     return al
@@ -278,11 +294,11 @@ def _parse_s(text: str) -> complex:
     try:
         s = complex(spec)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse s value {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse s value {_echo(text)}")
     if not cmath.isfinite(s):
-        raise argparse.ArgumentTypeError(f"s must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"s must be finite, got {_echo(text)}")
     if not s.real > 0:
-        raise argparse.ArgumentTypeError(f"s must have Re(s) > 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"s must have Re(s) > 0, got {_echo(text)}")
     return s
 
 
@@ -292,9 +308,9 @@ def _int_at_least(lo: int):
         try:
             v = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid integer {_echo(text)}")
         if v < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {_echo(text)}")
         return v
     return parse
 
@@ -332,7 +348,11 @@ def cmd_dirichlet(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Reusing it is
+    safe: each parse_args call fills a fresh Namespace, and help and errors
+    look up sys.stdout and sys.stderr when they write."""
     p = argparse.ArgumentParser(
         prog="remsum",
         description="Exact sawtooth remainder sums, Farey sequences, "

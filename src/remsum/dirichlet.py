@@ -10,9 +10,14 @@ S0(n,t) for n <= K.  The tables hold no formula of their own.  Each is one
 pass over the integers (n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n,
 handed in bulk to `sums._numerators`, the map to the integer numerators of
 S0(n,t); beta0(nt) = S0(n,t) - S0(n-1,t) is taken on those numerators.
-`_s0_numerators` is that pass, shared by both tables.  Each entry
-goes through the one float boundary of `exactnum`, so it equals float() of
-the exact value bit for bit.  Each table is retained for the last (t, K) it
+`_s0_numerators` is that pass, shared by both tables.  Both stages read one
+fixed-point constant per (t, K) and are exact: `sums._floor_sums` takes
+floor(kt) from k floor(t 2^E) >> E, and `exactnum._quad_floats` rounds each
+entry from one floor(sqrt(d) 2^E) by two int true divisions that bracket it.
+Where a bracket cannot decide, at a multiple of 2^E or at a rounding
+boundary, the entry falls back to the exact isqrt floor or to
+`exactnum._quad_float`, so each entry equals float() of the exact value bit
+for bit.  Each table is retained for the last (t, K) it
 was built for, so an s grid at one (t, K) builds it once.  The retained
 tables stay allocated until a call with another (t, K): about 6 MB for the
 pair at K = 10^5, growing linearly in K.
@@ -25,10 +30,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 
 from . import sums
 from .errors import DomainError, PoleAtOne
-from .exactnum import Scalar, _quad_float
+from .exactnum import Scalar, _quad_floats
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
@@ -82,29 +88,33 @@ def zeta(s) -> complex:
 
 
 def _s0_numerators(t: Scalar, K: int):
-    """(d, 2r, the (u, v) of S0(n,t) = (u + v sqrt(d))/(2r) for n = 1..K),
+    """(d, 2r, the (u, v) of S0(n,t) = (u + v sqrt(d))/(2r) for n = 0..K),
     read from `sums._numerators` in one pass over the integers F(n,t)."""
     _, _, d, r = sums._parts(t)
-    return d, 2 * r, sums._numerators(t, True, enumerate(sums._floor_sums(t, K), 1))
+    return d, 2 * r, chain([(0, 0)], sums._numerators(
+        t, True, enumerate(sums._floor_sums(t, K), 1)))
+
+
+def _rounded(d: int, r2: int, uv, K: int) -> tuple[float, ...]:
+    """Each (u + v sqrt(d))/r2 of `uv`, correctly rounded in bulk.  The
+    numerators of these tables are O(K^2) and their values O(K), so the
+    bracket of E = 64 + 3 K.bit_length() bits leaves fallbacks rare."""
+    return tuple(_quad_floats(d, r2, uv, 64 + 3 * K.bit_length()))
 
 
 @functools.lru_cache(maxsize=1)
 def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(0.0, beta0(t), ..., beta0(Kt)), each correctly rounded."""
     d, r2, uv = _s0_numerators(t, K)
-    out = [0.0]
-    u0 = v0 = 0
-    for u, v in uv:
-        out.append(_quad_float(u - u0, v - v0, d, r2))  # S0(n) - S0(n-1)
-        u0, v0 = u, v
-    return tuple(out)
+    # beta0(0) = 0 and beta0(nt) = S0(n) - S0(n-1)
+    return _rounded(d, r2, chain([(0, 0)], (
+        (u - u0, v - v0) for (u0, v0), (u, v) in pairwise(uv))), K)
 
 
 @functools.lru_cache(maxsize=1)
 def _s0_floats(t: Scalar, K: int) -> tuple[float, ...]:
     """(S0(0,t), S0(1,t), ..., S0(K,t)), each correctly rounded."""
-    d, r2, uv = _s0_numerators(t, K)
-    return (0.0,) + tuple(_quad_float(u, v, d, r2) for u, v in uv)
+    return _rounded(*_s0_numerators(t, K), K)
 
 
 def beta0_float_table(t: Scalar, K: int) -> list[float]:

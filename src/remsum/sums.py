@@ -6,10 +6,13 @@ over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
 (n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
 (u + v sqrt(d))/(2r), with t split once by `_parts`.  `_values` makes the
 exact values from them in one comprehension, the Dirichlet float tables
-round them, and `_abs_at_most` decides every |S| <= bound on them, or on
-the parts of an exact S, with one isqrt.  brute_S is the oracle: it sums the
-floors directly (over one period for rational t), as do brute_S0 and
-s0_prefix.  `exact_S` is the front door to S that B, B_left, lemma31_bound,
+round them in bulk (`exactnum._quad_floats`), and `_abs_at_most` decides
+every |S| <= bound on them, or on the parts of an exact S, with one isqrt.
+brute_S is the oracle: it sums the floors directly (over one period for
+rational t), as do brute_S0 and s0_prefix, all through the one loop
+`_floor_sums`, which reads floor(k t) off one fixed-point multiple of t and
+takes it exactly, with one isqrt, only where that bracket cannot decide it.
+`exact_S` is the front door to S that B, B_left, lemma31_bound,
 tab_sum and the Theorem 2.1 identities go through: for rational t = a/b,
 `floor_sum` gives F(n, a/b) in O(log b) steps, and irrational t goes to
 ostrowski_S.
@@ -115,14 +118,32 @@ def _parts(t: Scalar) -> tuple[int, int, int, int]:
 
 
 def _floor_sums(t: Scalar, n: int):
-    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only."""
+    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only.
+
+    Rational t = p/r takes floor(k p/r) directly.  Irrational t reads one
+    fixed-point constant T = floor(t 2^E), E = 64 + n.bit_length(): t 2^E
+    lies in (T, T + 1), so with x = k T, carried by addition, k t 2^E lies
+    in (x, x + k), and floor(k t) = x >> E unless that bracket reaches the
+    next multiple of 2^E, (x mod 2^E) + k >= 2^E.  Only then is floor(k t)
+    taken exactly, as (k p + floor(k q sqrt(d)))//r with one isqrt; that
+    needs k t to lie less than k 2^-E < 2^-64 below an integer."""
     p, q, d, r = _parts(t)
     total = 0
-    for k in range(1, n + 1):
-        if q:  # q != 0 means d is not a square, so floor(k q sqrt(d)) is exact
-            total += (k * p + _floor_sqrt_times(k * q, d)) // r
-        else:
+    if not q:
+        for k in range(1, n + 1):
             total += k * p // r
+            yield total
+        return
+    # q != 0 means d is not a square, so floor(q sqrt(d) 2^E) is exact
+    E = 64 + n.bit_length()
+    T = ((p << E) + _floor_sqrt_times(q << E, d)) // r
+    x = 0
+    for k in range(1, n + 1):
+        x += T
+        f = x >> E
+        if (x + k) >> E != f:
+            f = (k * p + _floor_sqrt_times(k * q, d)) // r
+        total += f
         yield total
 
 

@@ -75,6 +75,23 @@ class TestSum:
             code, _, err = run(capsys, "sum", "--n", "5", "--t", spec)
             assert code == 2 and "cannot parse" in err
 
+    @pytest.mark.parametrize("spec", [
+        "rat:1" + "0" * sys.get_int_max_str_digits() + "/7",
+        "rat:" + "x" * 5000,  # int()'s reason repeats 200 characters
+        "cf:0;" + "x" * 100_000,  # parse_cf's reason repeats the text
+    ], ids=["int-str-limit", "bad-int", "long-cf"])
+    def test_usage_error_echoes_a_prefix_of_long_text(self, capsys, spec):
+        code, _, err = run(capsys, "sum", "--n", "5", "--t", spec)
+        assert code == 2 and err.startswith("error: cannot parse")
+        assert f"{spec[:60]!r}... ({len(spec)} characters)" in err
+        assert len(err.encode()) < 300
+
+    def test_out_of_range_n_echoes_a_prefix(self, capsys):
+        n = "-1" + "0" * 4000
+        code, _, err = run(capsys, "sum", "--n", n, "--t", "rat:1/3")
+        assert code == 2 and f"got {n[:60]!r}... (4002 characters)" in err
+        assert len(err.encode()) < 600  # the usage line comes first
+
     def test_cf_spec_keeps_its_expansion(self, capsys):
         # a period of 65 terms: re-expanding t with the 64-term limit fails
         period = ",".join(str(1 + i % 9) for i in range(64)) + ",9"
@@ -170,6 +187,27 @@ def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    # main parses every argv with the one parser of this process, while each
+    # subprocess builds its own: state left behind by one call would show
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to one width in both
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    t = ("--t", "cf:0;(1)")
+    for argv in (("sum", "--n", "30", *t, "--method", "brute", "--trace"),
+                 ("sum", "--n", "30", *t),
+                 ("sum", "--n", "x", *t),
+                 ("--help",),
+                 ("verify", "--json"),
+                 ("verify",)):
+        got = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "remsum", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert got[0] == (2 if "x" in argv else 0)
 
 
 class TestPlot:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, measure
+from remsum import cfrac, cli, measure, sums
 from remsum.errors import BoundViolated, NotMember, TooLarge
 from remsum.exactnum import QuadExt
 
@@ -96,6 +96,36 @@ class TestFiniteNVerifiers:
         theta = 1 + math.log(1 + math.log(100))
         rep = measure.verify_b0_mass(100, theta, 10, 0)
         assert rep["pass"] and rep["max_ratio"] <= 1
+
+    def test_b0_mass_raises_where_the_bound_fails(self, monkeypatch, capsys):
+        # no known seed samples a t past the bound, so S(n,t) is replaced by
+        # t + c, with t in (0, 1) and c an integer on either side of it
+        n, theta = 100, 1 + math.log(1 + math.log(100))
+        bound = 2 * math.log(n) ** 2 * theta  # the bound on |S(n,t)|
+        seen = []
+
+        def shifted_S(c):
+            def ostrowski_S(n, t, cf=None):
+                seen.append(t)
+                return t + c, None
+            return ostrowski_S
+
+        monkeypatch.setattr(sums, "ostrowski_S", shifted_S(math.floor(bound) - 1))
+        assert measure.verify_b0_mass(n, theta, 10, 0)["pass"] and len(seen) == 10
+        seen.clear()
+        monkeypatch.setattr(sums, "ostrowski_S", shifted_S(math.ceil(bound)))
+        with pytest.raises(BoundViolated) as info:
+            measure.verify_b0_mass(n, theta, 10, 0)
+        m, cutoff = measure.mn_threshold(n, theta)
+        witness = measure._sample_cf(cutoff, m, 0)[0]
+        assert seen == [witness] and str(info.value) == f"witness t = {witness}"
+        # the CLI reports it as a verification failure, exit 1
+        monkeypatch.setattr(sums, "ostrowski_S", shifted_S(10 ** 6))
+        capsys.readouterr()
+        assert cli.main(["verify", "--suite", "measure"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("verification failure: BoundViolated: witness t = ")
 
     def test_ae_bound_corpus(self, corpus, corpus_cf):
         theta = 1 + math.log(1 + math.log(1000))

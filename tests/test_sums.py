@@ -111,6 +111,59 @@ class TestBruteOracle:
         assert sums.brute_S0(25, t) == sums.brute_S(25, t)
 
 
+def _isqrt_floor_sums(t, n):
+    """F(k,t) for k = 1..n by the definition: floor(j t) for
+    t = (p + q sqrt(d))/r is (j p + floor(j q sqrt(d)))//r, one isqrt each."""
+    out, total = [], 0
+    for j in range(1, n + 1):
+        m = math.isqrt(j * j * t.q * t.q * t.d)
+        total += (j * t.p + (m if t.q > 0 else -m - 1)) // t.r
+        out.append(total)
+    return out
+
+
+# t = sqrt(m^2 - 1) - (m - 1), about 1 - 1/(2m), m = 10^22: for n < 1024,
+# 2^E < 2m, so floor(t 2^E) = 2^E - 1 and the fixed-point bracket of k t
+# reaches the next multiple of 2^E at every k
+ALWAYS_FALLS_BACK = QuadExt(-(10 ** 22 - 1), 1, 10 ** 44 - 1, 1)
+# t = 1/3 + sqrt(m^2 + 1) - m, about 1/3 + 1/(2m), m = 10^30: at k = 3j,
+# x >> E is floor(k t) - 1, so the answer is wrong unless the fallback is taken
+ONE_THIRD_AND_A_BIT = QuadExt(1 - 3 * 10 ** 30, 3, 10 ** 60 + 1, 3)
+
+
+class TestFixedPointFloors:
+    # large p, q and r, and radicands with a square factor the constructor
+    # keeps (1009^2)
+    @given(st.one_of(quadratic_irrationals(), st.builds(
+        QuadExt, st.integers(-10 ** 6, 10 ** 6),
+        st.integers(-10 ** 4, 10 ** 4).filter(bool),
+        st.sampled_from([2, 3, 5, 7, 1009 ** 2 * 3, 10 ** 18 + 9]),
+        st.integers(2, 10 ** 6))), st.integers(0, 1500))
+    @example(ALWAYS_FALLS_BACK, 1023)
+    @example(ONE_THIRD_AND_A_BIT, 600)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_isqrt_definition(self, t, n):
+        assert list(sums._floor_sums(t, n)) == _isqrt_floor_sums(t, n)
+
+    @pytest.mark.parametrize("t, n, fallbacks", [
+        (ALWAYS_FALLS_BACK, 1023, 1023),
+        (ONE_THIRD_AND_A_BIT, 600, 200),  # at k = 3, 6, ..., 600
+        (QuadExt(-1, 1, 5, 2), 10 ** 4, 0),
+    ])
+    def test_falls_back_only_where_the_bracket_reaches_an_integer(
+            self, monkeypatch, t, n, fallbacks):
+        calls = []
+
+        def counted(q, d):
+            calls.append(q)
+            return floor_sqrt_times(q, d)
+
+        floor_sqrt_times = sums._floor_sqrt_times
+        monkeypatch.setattr(sums, "_floor_sqrt_times", counted)
+        assert list(sums._floor_sums(t, n)) == _isqrt_floor_sums(t, n)
+        assert len(calls) == 1 + fallbacks  # one more for T = floor(t 2^E)
+
+
 class TestFloorSum:
     @given(st.integers(0, 3000), st.integers(-10 ** 6, 10 ** 6),
            st.integers(1, 10 ** 4))
