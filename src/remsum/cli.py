@@ -48,23 +48,22 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def parse_tspec(text: str) -> tuple[Scalar, cfrac.CFExpansion | None]:
+def parse_tspec(text: str) -> Scalar:
     """t specifications: "rat:p/q", "quad:(p+q*sqrt(d))/r", "cf:l0;l1,(per)".
-    A bare scalar (no prefix) is also accepted.  Returns (t, cf): cf is the
-    parsed expansion of a "cf:" spec and None otherwise."""
+    A bare scalar (no prefix) is also accepted.  Returns the exact t: a "cf:"
+    spec is read as its exact value, so no expansion passes this edge."""
     text = text.strip()
     try:
         if text.startswith("rat:"):
             v = parse_scalar(text[4:])
             if not is_rational(v):
                 raise ValueError("rat: spec must be rational")
-            return v, None
+            return v
         if text.startswith("quad:"):
-            return parse_scalar(text[5:]), None
+            return parse_scalar(text[5:])
         if text.startswith("cf:"):
-            cf = cfrac.parse_cf(text[3:])
-            return cfrac.value(cf), cf
-        return parse_scalar(text), None
+            return cfrac.value(cfrac.parse_cf(text[3:]))
+        return parse_scalar(text)
     except (ValueError, ZeroDivisionError) as exc:
         reason = str(exc)  # parse_cf's reason repeats the whole text
         if len(reason) > _REASON_CHARS:
@@ -112,8 +111,10 @@ def _eta_float(i: int, D: int) -> float:
 
 
 def _eta_prime_float(i: int, D: int) -> float:
-    """float(eta_tilde_prime(i/D)) = (i^2 - f(f+1)D^2)/(2i^2), f = floor(i/D),
-    for i/D not an integer."""
+    """float(eta_tilde_prime(i/D)) = (i^2 - f(f+1)D^2)/(2i^2), f = floor(i/D);
+    nan at the integers, where the derivative is undefined."""
+    if i % D == 0:
+        return math.nan
     f = i // D
     return (i * i - f * (f + 1) * D * D) / (2 * i * i)
 
@@ -124,46 +125,73 @@ def _open_out(path):
     return contextlib.nullcontext(sys.stdout)
 
 
+def _write_json(rec, path=None) -> None:
+    with _open_out(path) as out:
+        json.dump(rec, out, indent=2)
+        print(file=out)
+
+
+_METHODS = {
+    "brute": lambda n, t, tables: (sums.brute_S(n, t), None),
+    "ostrowski": lambda n, t, tables: sums.ostrowski_S(n, t, tables=tables),
+    "bseq": lambda n, t, tables: sums.bseq_S(n, t),
+}
+
+
+def _evaluate(n: int, t: Scalar, methods=None, tables=None) -> tuple[dict, bool]:
+    """S(n,t) by each method as {method: (S, trace)}, brute's trace None, and
+    whether the values agree.  By default every method runs, brute (O(n))
+    only up to _BRUTE_CHECK_CAP."""
+    if methods is None:
+        methods = [m for m in _METHODS if m != "brute" or n <= _BRUTE_CHECK_CAP]
+    results = {m: _METHODS[m](n, t, tables) for m in methods}
+    first = results[methods[0]][0]
+    return results, all(s == first for s, _ in results.values())
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_sum(args) -> int:
-    t, cf = parse_tspec(args.t)
-    n = args.n
-    methods = ["brute", "ostrowski", "bseq"] if args.method == "all" else [args.method]
-    if args.method == "all" and n > _BRUTE_CHECK_CAP and not is_rational(t):
-        methods.remove("brute")  # O(n); the two O(log n) methods still cross-check
+    t, n = parse_tspec(args.t), args.n
     if is_rational(t):
-        methods = [m for m in methods if m == "brute"]
-        if not methods:
+        if args.method not in ("brute", "all"):
             raise UsageError("only --method brute applies to rational t")
-    results = {}
-    traces = {}
-    for m in methods:
-        if m == "brute":
-            results[m] = sums.brute_S(n, t)
-        elif m == "ostrowski":
-            results[m], traces[m] = sums.ostrowski_S(n, t, cf)
-        else:
-            results[m], traces[m] = sums.bseq_S(n, t)
-    values = list(results.values())
-    agree = all(v == values[0] for v in values)
-    out = sys.stdout
-    print("method,S,B,steps", file=out)
-    for m in methods:
-        steps = n if m == "brute" else len(traces[m].steps)
-        s = results[m]
-        print(f"{m},{format_scalar(s)},{format_scalar(s / n if n else s)},{steps}",
-              file=out)
+        methods = ["brute"]  # one period of t: no cap
+    else:
+        methods = None if args.method == "all" else [args.method]
+    results, agree = _evaluate(n, t, methods)
+    print("method,S,B,steps")
+    for m, (s, trace) in results.items():
+        steps = n if trace is None else len(trace.steps)
+        print(f"{m},{format_scalar(s)},{format_scalar(s / n if n else s)},{steps}")
     if args.trace:
-        for m in methods:
-            if m in traces:
-                for st in traces[m].steps:
-                    print(f"# {m} {st}", file=out)
+        for m, (_, trace) in results.items():
+            for st in trace.steps if trace else ():
+                print(f"# {m} {st}")
     if not agree:
         print("cross-check disagreement between methods", file=sys.stderr)
         return EXIT_CROSSCHECK
     return EXIT_OK
+
+
+def _plot_value(args, lo: Fraction, hi: Fraction, D: int):
+    """(header, value): value(i) is the float plotted at x = i/D."""
+    if args.which == "eta":
+        return "x,value", functools.partial(_eta_float, D=D)
+    if args.which == "etaprime":
+        return "x,value", functools.partial(_eta_prime_float, D=D)
+    if args.which == "h":
+        tables = farey.build_tables(max(1, math.ceil(max(abs(lo), abs(hi)))))
+        return "x,h", lambda i: farey._h_one(Fraction(i, D), tables)
+    if args.a_over_b is None or args.rescale_n is None:
+        raise UsageError("--which rescaled needs --a-over-b and --rescale-n")
+    try:
+        ab = Fraction(args.a_over_b)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse --a-over-b {_echo(args.a_over_b)}")
+    return "x,value", lambda i: float(
+        limits.rescaled_eta(ab, args.rescale_n, Fraction(i, D)))
 
 
 def cmd_plot(args) -> int:
@@ -173,46 +201,18 @@ def cmd_plot(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse step {_echo(args.step)}")
     D, nums = _grid(lo, hi, step)
+    header, value = _plot_value(args, lo, hi, D)
     with _open_out(args.out) as out:
-        if args.which == "eta":
-            print("x,value", file=out)
-            for i in nums:
-                print(f"{_fmt_float(i / D)},{_fmt_float(_eta_float(i, D))}",
-                      file=out)
-        elif args.which == "etaprime":
-            print("x,value", file=out)
-            for i in nums:
-                # the derivative is undefined at the integers
-                val = "nan" if i % D == 0 else _fmt_float(_eta_prime_float(i, D))
-                print(f"{_fmt_float(i / D)},{val}", file=out)
-        elif args.which == "h":
-            nmax = max(1, int(math.ceil(max(abs(lo), abs(hi)))))
-            tables = farey.build_tables(nmax)
-            xs = [Fraction(i, D) for i in nums]
-            print("x,h", file=out)
-            for x, hval in zip(xs, farey.h_values(xs, tables)):
-                print(f"{_fmt_float(float(x))},{_fmt_float(hval)}", file=out)
-        else:  # rescaled
-            if args.a_over_b is None or args.rescale_n is None:
-                raise UsageError("--which rescaled needs --a-over-b and --rescale-n")
-            try:
-                ab = Fraction(args.a_over_b)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"cannot parse --a-over-b {_echo(args.a_over_b)}")
-            print("x,value", file=out)
-            for i in nums:
-                x = Fraction(i, D)
-                v = limits.rescaled_eta(ab, args.rescale_n, x)
-                print(f"{_fmt_float(float(x))},"
-                      f"{_fmt_float(float(v))}", file=out)
+        print(header, file=out)
+        for i in nums:  # i / D rounds correctly, as float(Fraction(i, D)) does
+            print(f"{_fmt_float(i / D)},{_fmt_float(value(i))}", file=out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.size, args.seed)
     if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
+        _write_json(report)
     else:
         for c in report["checks"]:
             status = "PASS" if c["pass"] else "FAIL"
@@ -224,39 +224,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    t, cf = parse_tspec(args.t)
+    t = parse_tspec(args.t)
     if is_rational(t):
         raise UsageError("bench needs irrational t")
-    tab = sums.OstrowskiTables(t, cf)
+    tab = sums.OstrowskiTables(t)
     points = sorted({max(1, int(round(args.n_max ** (i / (args.points - 1)))))
                      for i in range(args.points)}) if args.points > 1 else [args.n_max]
     with _open_out(args.out) as out:
         print("n,brute_ops,ostrowski_steps,bseq_steps,S", file=out)
         for n in points:
-            vo, tro = sums.ostrowski_S(n, t, cf, tables=tab)
-            vb, trb = sums.bseq_S(n, t)
-            agree = vo == vb
-            if n <= _BRUTE_CHECK_CAP:
-                agree = agree and sums.brute_S(n, t) == vo
+            results, agree = _evaluate(n, t, tables=tab)
             if not agree:
                 print(f"cross-check disagreement at n={n}", file=sys.stderr)
                 return EXIT_CROSSCHECK
-            print(f"{n},{n},{len(tro.steps)},{len(trb.steps)},"
-                  f"{format_scalar(vo)}", file=out)
+            (s, tro), (_, trb) = results["ostrowski"], results["bseq"]
+            print(f"{n},{n},{len(tro.steps)},{len(trb.steps)},{format_scalar(s)}",
+                  file=out)
     return EXIT_OK
 
 
 def cmd_farey(args) -> int:
     if args.t is not None:
-        t, _ = parse_tspec(args.t)
+        t = parse_tspec(args.t)
         tables = farey.build_tables(args.n)
         count, identity = farey.farey_count(args.n, t, tables)
         rec = {"n": args.n, "t": format_scalar(t), "count": count,
                "identity": format_scalar(identity) if is_rational(identity)
                else _fmt_float(float(identity)),
                "match": bool(identity == count)}
-        json.dump(rec, sys.stdout, indent=2)
-        print()
+        _write_json(rec, args.out)
         return EXIT_OK if rec["match"] else EXIT_VERIFY_FAILED
     with _open_out(args.out) as out:
         print("numerator,denominator", file=out)
@@ -316,7 +312,7 @@ def _int_at_least(lo: int):
 
 
 def cmd_dirichlet(args) -> int:
-    t, _ = parse_tspec(args.t)
+    t = parse_tspec(args.t)
     s = args.s
     K = args.K
     if args.mode == "evidence":
@@ -326,26 +322,32 @@ def cmd_dirichlet(args) -> int:
                "values": [[v.real, v.imag] for v in out["values"]],
                "cauchy_diffs": out["cauchy_diffs"],
                "decreasing": out["decreasing"]}
-        json.dump(rec, sys.stdout, indent=2)
-        print()
-        return EXIT_OK
-    if args.mode == "beta":
-        ev = dirichlet.f_beta_partial(t, s, K)
-    elif args.mode == "mellin":
-        ev = dirichlet.f_beta_mellin(t, s, K)
-    else:  # q
-        tables = farey.build_tables(K)
-        ev = dirichlet.f_q_partial(t, s, K, tables)
-    rec = {"t": format_scalar(t), "s": str(s), "K": ev.truncation_K,
-           "mode": args.mode, "value_re": ev.value.real,
-           "value_im": ev.value.imag, "tail_bound": ev.tail_bound,
-           "tail_mode": ev.mode}
-    json.dump(rec, sys.stdout, indent=2)
-    print()
+    else:
+        if args.mode == "beta":
+            ev = dirichlet.f_beta_partial(t, s, K)
+        elif args.mode == "mellin":
+            ev = dirichlet.f_beta_mellin(t, s, K)
+        else:  # q
+            ev = dirichlet.f_q_partial(t, s, K, farey.build_tables(K))
+        rec = {"t": format_scalar(t), "s": str(s), "K": ev.truncation_K,
+               "mode": args.mode, "value_re": ev.value.real,
+               "value_im": ev.value.imag, "tail_bound": ev.tail_bound,
+               "tail_mode": ev.mode}
+    _write_json(rec)
     return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse repeats a rejected value in its message (an invalid choice, an
+    unrecognized argument); the message is cut as a parse reason is."""
+
+    def error(self, message):
+        if len(message) > _REASON_CHARS:
+            message = message[:_REASON_CHARS] + "..."
+        super().error(message)
 
 
 @functools.cache
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use.  Reusing it is
     safe: each parse_args call fills a fresh Namespace, and help and errors
     look up sys.stdout and sys.stderr when they write."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="remsum",
         description="Exact sawtooth remainder sums, Farey sequences, "
                     "continued fractions and Dirichlet series.")
@@ -362,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sum", help="evaluate S(n,t) and B_n(t)")
     ps.add_argument("--n", type=_int_at_least(0), required=True)
     ps.add_argument("--t", required=True, help="rat:p/q | quad:(p+q*sqrt(d))/r | cf:l0;l1,(per)")
-    ps.add_argument("--method", choices=["brute", "ostrowski", "bseq", "all"],
-                    default="all")
+    ps.add_argument("--method", choices=[*_METHODS, "all"], default="all")
     ps.add_argument("--trace", action="store_true")
     ps.set_defaults(func=cmd_sum)
 

@@ -25,7 +25,6 @@ pair at K = 10^5, growing linearly in K.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass

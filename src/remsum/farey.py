@@ -105,11 +105,20 @@ def _divisors(k: int) -> list[int]:
     return small + large[::-1]
 
 
+def _beta_of(variant: str):
+    """beta for variant "beta", beta0 for "beta0"; ValueError otherwise."""
+    if variant == "beta":
+        return beta
+    if variant == "beta0":
+        return beta0
+    raise ValueError(f"variant must be 'beta' or 'beta0', got {variant!r}")
+
+
 def q_k(k: int, t: Scalar, tables: ArithTables, variant: str = "beta") -> Scalar:
     """q_k(t) = -sum over d|k of mu(d) * beta(kt/d); beta0 variant for q_{k,0}."""
     if k > tables.N:
         raise ValueError("k exceeds table size")
-    bfun = beta if variant == "beta" else beta0
+    bfun = _beta_of(variant)
     total: Scalar = Fraction(0)
     for d in _divisors(k):
         m = tables.mu[d]
@@ -121,7 +130,7 @@ def q_k(k: int, t: Scalar, tables: ArithTables, variant: str = "beta") -> Scalar
 def phi_x(x: Scalar, t: Scalar, tables: ArithTables,
           variant: str = "beta") -> Scalar:
     """Phi_x(t) via the Mertens-weighted form -(1/x) sum_j M(x/j) beta(jt)."""
-    bfun = beta if variant == "beta" else beta0
+    bfun = _beta_of(variant)
     nx = floor(x)
     if nx > tables.N:
         raise ValueError("x exceeds table size")
@@ -136,6 +145,7 @@ def phi_x(x: Scalar, t: Scalar, tables: ArithTables,
 def phi_x_qsum(x: Scalar, t: Scalar, tables: ArithTables,
                variant: str = "beta") -> Scalar:
     """Phi_x(t) as the direct mean of q_k(t); cross-check for phi_x."""
+    _beta_of(variant)  # also where no q_k is taken (x < 1)
     nx = floor(x)
     total: Scalar = Fraction(0)
     for k in range(1, nx + 1):

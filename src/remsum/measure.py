@@ -11,7 +11,7 @@ from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, NotMember, TooLarge
-from .exactnum import QuadExt, Scalar
+from .exactnum import Scalar
 
 _ENUM_GUARD = 10 ** 7
 
@@ -76,23 +76,19 @@ def mn_threshold(n: int, theta_of_n) -> tuple[int, int]:
     return int(4 * logn), 1 + int(float(theta_of_n) * logn)
 
 
-def _sample_cf(cutoff: int, m: int, seed: int) -> tuple[Scalar, cfrac.CFExpansion]:
+def sample_bounded_cf(cutoff: int, m: int, seed: int) -> Scalar:
+    """A quadratic irrational in (0,1) whose expansion is purely periodic with
+    all partial quotients in [1, cutoff-1] and period length >= m.
+
+    Membership is re-checked on t's own orbit: theta_j = lambda_j + t_j with
+    0 < t_j < 1, so theta_j < cutoff exactly when lambda_j < cutoff."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     rng = random.Random(seed)
-    length = max(m, 8)
-    coeffs = tuple(rng.randint(1, cutoff - 1) for _ in range(length))
-    cf = cfrac.CFExpansion(0, (), coeffs)
-    return cfrac.value(cf), cf
-
-
-def sample_bounded_cf(cutoff: int, m: int, seed: int) -> Scalar:
-    """A quadratic irrational in (0,1) whose expansion is purely periodic with
-    all partial quotients in [1, cutoff-1] and period length >= m."""
-    t, cf = _sample_cf(cutoff, m, seed)
-    # re-verify membership through the exact complete quotients
-    for j, th in enumerate(cfrac.theta_sequence(t, min(max(m, 1), 2 * len(cf.period))), 1):
-        assert th < cutoff, f"theta_{j} >= cutoff for sampled t"
+    period = tuple(rng.randint(1, cutoff - 1) for _ in range(max(m, 8)))
+    t = cfrac.value(cfrac.CFExpansion(0, (), period))
+    for j, (lam, _, _) in enumerate(islice(cfrac._orbit(t), 1, max(m, 1) + 1), 1):
+        assert lam < cutoff, f"theta_{j} >= cutoff for sampled t"
     return t
 
 
@@ -104,8 +100,8 @@ def verify_b0_mass(n: int, theta_of_n, samples: int, seed: int) -> dict:
     bound = bound_s.as_integer_ratio()  # exactly Fraction(bound_s)
     max_ratio = 0.0
     for i in range(samples):
-        t, cf = _sample_cf(cutoff, m, seed + i)
-        s_val = sums.ostrowski_S(n, t, cf)[0]
+        t = sample_bounded_cf(cutoff, m, seed + i)
+        s_val = sums.ostrowski_S(n, t)[0]
         if not sums._abs_at_most(*sums._parts(s_val), *bound):
             raise BoundViolated(f"witness t = {t}")
         max_ratio = max(max_ratio, abs(float(s_val)) / bound_s)
@@ -117,12 +113,15 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
                     cf: cfrac.CFExpansion | None = None) -> dict:
     """Check |B_n(t)| <= (4 log n)^(2+eps) theta(n) / (2n) for t whose partial
     quotients satisfy lambda_j <= theta(n) * j^(1+eps) up to the reachable depth.
-    The quotients are read from t's orbit; cf, if given, cross-checks them."""
+    The quotients are read from t's orbit; cf, if given, cross-checks them
+    (ValueError where they differ)."""
     eps = float(epsilon)
     theta = float(theta_of_n)
-    s_val = sums.ostrowski_S(n, t, cf)[0]
+    s_val = sums.ostrowski_S(n, t)[0]
     m = int(4 * math.log(n)) + 1
     for j, (lam, _, _) in enumerate(islice(cfrac._orbit(t), 1, m + 1), 1):
+        if cf is not None and lam != cf.coeff(j):
+            raise ValueError(f"cf has lambda_{j} = {cf.coeff(j)}, t has {lam}")
         if lam > theta * j ** (1 + eps):
             raise NotMember(f"lambda_{j} = {lam} too large")
     bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|

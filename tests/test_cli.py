@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,16 +12,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, cli, limits, measure, sums
+from remsum import cli, limits, measure, sums
 from remsum.exactnum import QuadExt
 
 
 # t = sqrt(10^9 + 7)/40000: its expansion has no period within 64 terms
 LONG_PERIOD = "quad:(0+1*sqrt(1000000007))/40000"
 
+DATA = Path(__file__).parent / "data"
+
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
-SUM_TRACES = json.loads(
-    (Path(__file__).parent / "data" / "sum_trace.json").read_text())
+SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
+
+# sha256 of the stdout of two plot grids; CI checks the same argv with
+# `sha256sum -c`
+PLOT_DIGESTS = {
+    "plot_rescaled.csv.sha256": ("plot", "--which", "rescaled", "--range=-3:3",
+                                 "--step", "1/7", "--a-over-b", "2/5",
+                                 "--rescale-n", "50"),
+    "plot_etaprime.csv.sha256": ("plot", "--which", "etaprime", "--range=-7/3:5",
+                                 "--step", "1/9"),
+}
 
 
 def run(capsys, *argv):
@@ -31,12 +43,10 @@ def run(capsys, *argv):
 
 class TestTSpec:
     def test_grammar(self):
-        assert cli.parse_tspec("rat:7/10") == (F(7, 10), None)
-        assert cli.parse_tspec("quad:(-1+1*sqrt(5))/2") \
-            == (QuadExt(-1, 1, 5, 2), None)
-        assert cli.parse_tspec("cf:0;(1)") \
-            == (QuadExt(-1, 1, 5, 2), cfrac.CFExpansion(0, (), (1,)))
-        assert cli.parse_tspec("3/4") == (F(3, 4), None)
+        assert cli.parse_tspec("rat:7/10") == F(7, 10)
+        assert cli.parse_tspec("quad:(-1+1*sqrt(5))/2") == QuadExt(-1, 1, 5, 2)
+        assert cli.parse_tspec("cf:0;(1)") == QuadExt(-1, 1, 5, 2)
+        assert cli.parse_tspec("3/4") == F(3, 4)
 
     def test_errors(self):
         with pytest.raises(cli.UsageError):
@@ -189,6 +199,24 @@ def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sum", "--n", "5", "--t", "rat:1/3", "--method", "{}"),
+    ("plot", "--which", "{}", "--range", "0:1", "--step", "1"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "2", "--mode", "{}"),
+    ("verify", "--suite", "{}"),
+    ("verify", "--size", "{}"),
+    ("{}",),
+    ("sum", "--n", "5", "--t", "rat:1/3", "{}"),
+    ("plot", "--which", "eta", "--range", "0:1", "--step", "1", "--rescale-n", "{}"),
+], ids=["method", "which", "mode", "suite", "size", "command", "unrecognized",
+        "rescale-n"])
+def test_argparse_errors_cut_a_long_value(capsys, argv):
+    # argparse repeats a rejected value in its message; the CLI cuts it
+    code, _, err = run(capsys, *(a.format("x" * 5000) for a in argv))
+    assert code == 2 and "error: " in err and "x" * 200 not in err
+    assert len(err.encode()) < 600
+
+
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
     # main parses every argv with the one parser of this process, while each
     # subprocess builds its own: state left behind by one call would show
@@ -251,6 +279,13 @@ class TestPlot:
             want = float(limits.eta_tilde_prime(x))
             assert cli._eta_prime_float(i, D).hex() == want.hex()
 
+    @pytest.mark.parametrize("name", sorted(PLOT_DIGESTS))
+    def test_stdout_matches_its_digest(self, capsys, name):
+        code, out, _ = run(capsys, *PLOT_DIGESTS[name])
+        assert code == 0
+        want = (DATA / name).read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "eta.csv"
         code, out, _ = run(capsys, "plot", "--which", "eta", "--range", "0:1",
@@ -295,6 +330,14 @@ class TestFareyCommand:
         code, out, _ = run(capsys, "farey", "--n", "3", "--t", "rat:2/5")
         rec = json.loads(out)
         assert code == 0 and rec["count"] == 2 and rec["match"] is True
+
+    def test_count_identity_out_file(self, capsys, tmp_path):
+        target = tmp_path / "f.json"
+        code, out, _ = run(capsys, "farey", "--n", "3", "--t", "rat:2/5",
+                           "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == run(capsys, "farey", "--n", "3",
+                                         "--t", "rat:2/5")[1]
 
 
 class TestMeasureCommand:

@@ -56,6 +56,15 @@ class TestQkAndPhi:
         assert farey.phi_x(3, F(2, 5), tables) == F(-1, 30)
         assert farey.phi_x(2, F(0), tables) == F(1, 4)
 
+    def test_unknown_variant_is_refused(self, tables):
+        for call in (farey.q_k, farey.phi_x, farey.phi_x_qsum):
+            with pytest.raises(ValueError, match="variant"):
+                call(5, F(1, 2), tables, "bogus")
+        with pytest.raises(ValueError, match="variant"):
+            farey.phi_x_qsum(F(1, 2), F(1, 2), tables, "bogus")  # no q_k taken
+        assert farey.phi_x(5, F(1, 2), tables, "beta") == F(1, 10)
+        assert farey.phi_x(5, F(1, 2), tables, "beta0") == 0
+
     def test_qk_is_mean_decomposition(self, tables):
         # Phi as Mertens form equals the direct q_k mean
         rng = random.Random(3)

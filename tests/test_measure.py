@@ -105,7 +105,7 @@ class TestFiniteNVerifiers:
         seen = []
 
         def shifted_S(c):
-            def ostrowski_S(n, t, cf=None):
+            def ostrowski_S(n, t):
                 seen.append(t)
                 return t + c, None
             return ostrowski_S
@@ -117,7 +117,7 @@ class TestFiniteNVerifiers:
         with pytest.raises(BoundViolated) as info:
             measure.verify_b0_mass(n, theta, 10, 0)
         m, cutoff = measure.mn_threshold(n, theta)
-        witness = measure._sample_cf(cutoff, m, 0)[0]
+        witness = measure.sample_bounded_cf(cutoff, m, 0)
         assert seen == [witness] and str(info.value) == f"witness t = {witness}"
         # the CLI reports it as a verification failure, exit 1
         monkeypatch.setattr(sums, "ostrowski_S", shifted_S(10 ** 6))
@@ -139,6 +139,11 @@ class TestFiniteNVerifiers:
             theta = 1 + math.log(1 + math.log(n))
             rep = measure.verify_ae_bound(n, F(1, 2), theta, long_period)
             assert rep["pass"] and rep["ratio"] <= 1
+
+    def test_ae_bound_cf_cross_checks_the_orbit(self, corpus, corpus_cf):
+        with pytest.raises(ValueError, match="lambda_1"):
+            measure.verify_ae_bound(1000, F(1, 2), 2.0, corpus["golden"],
+                                    corpus_cf["sqrt2m1"])
 
     def test_ae_bound_raises_where_the_bound_fails(self):
         # lambda_1 = 1000 passes the membership test at theta = 1000, eps = -3,
