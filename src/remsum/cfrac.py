@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import PeriodNotFound, RationalTerminated
-from .exactnum import QuadExt, Scalar, as_fraction, floor, is_rational
+from .exactnum import QuadExt, Scalar, _parts, floor
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
     """Continued-fraction expansion of t; periodic form for quadratic t."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if is_rational(t):
-        fr = as_fraction(t)
-        lam0 = fr.numerator // fr.denominator
+    p, q, _, den = _parts(t)
+    if not q:
+        lam0 = p // den
         coeffs = []
-        num, den = fr.numerator - lam0 * fr.denominator, fr.denominator
+        num = p - lam0 * den
         while num:
             num, den = den, num
             c, r = divmod(num, den)
@@ -104,9 +104,10 @@ def _orbit(t: QuadExt):
     t = (p + q sqrt(d))/r.  Q_j divides D - P_j^2 throughout, so
     1/t_j = (-P_j + sqrt(D))/Q' with Q' = (D - P_j^2)/Q_j, and
     lambda_{j+1} = floor(1/t_j)."""
-    D = (t.q * t.r) ** 2 * t.d
+    p, q, d, r = _parts(t)
+    D = (q * r) ** 2 * d
     root = math.isqrt(D)
-    P, Q = (t.p * t.r, t.r * t.r) if t.q > 0 else (-t.p * t.r, -t.r * t.r)
+    P, Q = (p * r, r * r) if q > 0 else (-p * r, -r * r)
     while True:
         lam = _floor_over(P, root, Q)
         P -= lam * Q

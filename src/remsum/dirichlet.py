@@ -33,7 +33,7 @@ from itertools import chain, pairwise
 
 from . import sums
 from .errors import DomainError, PoleAtOne
-from .exactnum import Scalar, _quad_floats
+from .exactnum import Scalar, _parts, _quad_floats
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
@@ -88,8 +88,11 @@ def zeta(s) -> complex:
 
 def _s0_numerators(t: Scalar, K: int):
     """(d, 2r, the (u, v) of S0(n,t) = (u + v sqrt(d))/(2r) for n = 0..K),
-    read from `sums._numerators` in one pass over the integers F(n,t)."""
-    _, _, d, r = sums._parts(t)
+    read from `sums._numerators` in one pass over the integers F(n,t).
+    Every table, and so every series, needs K >= 1; ValueError otherwise."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    _, _, d, r = _parts(t)
     return d, 2 * r, chain([(0, 0)], sums._numerators(
         t, True, enumerate(sums._floor_sums(t, K), 1)))
 

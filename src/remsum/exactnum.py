@@ -1,15 +1,18 @@
 """Exact scalar arithmetic over Q and real quadratic fields Q(sqrt(d)).
 
 A Scalar is either a `fractions.Fraction` (or plain int) or a `QuadExt`
-representing (p + q*sqrt(d))/r with integers p, q, r.  Floors, signs and
-comparisons are decided purely with integer arithmetic; no floating point
-enters any exact code path.  Floats appear only through `float()`, which
-is correctly rounded for every Scalar and is itself computed in integers.
-Its one boundary, `_quad_float(p, q, d, r)`, serves rationals too (q = 0)
-and also takes the integer parts of a value that was never built as a
-QuadExt.  `_quad_floats` rounds many values of one field in bulk from one
-fixed-point sqrt(d), and calls `_quad_float` only where that bracket
-cannot decide the rounding.
+representing (p + q*sqrt(d))/r with integers p, q, r.  `_parts` is the one
+integer view of a Scalar, (p, q, d, r), and raises TypeError for anything
+else, a float included.  Every floor, sign, rationality and order question
+is an integer test on that view with at most one isqrt (`floor`, `_sign`),
+and the other modules take a Scalar apart only through `_parts`.  No
+floating point enters any exact code path.  Floats appear only through
+`float()`, which is correctly rounded for every Scalar and is itself
+computed in integers.  Its one boundary, `_quad_float(p, q, d, r)`, serves
+rationals too (q = 0) and also takes the integer parts of a value that was
+never built as a QuadExt.  `_quad_floats` rounds many values of one field in
+bulk from one fixed-point sqrt(d), and calls `_quad_float` only where that
+bracket cannot decide the rounding.
 
 The radicand d is reduced only by the public `QuadExt` constructor, where a
 value enters.  Arithmetic stays in its operands' field: results reuse an
@@ -58,6 +61,15 @@ def _floor_sqrt_times(q: int, d: int) -> int:
     m = math.isqrt(q * q * d)
     # q*q*d is never a perfect square here, so sqrt is irrational.
     return m if q > 0 else -m - 1
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d), with d not a square when q != 0.  An irrational
+    p + q*sqrt(d) is positive exactly when its floor p + floor(q*sqrt(d)) is
+    >= 0, one isqrt."""
+    if not q:
+        return (p > 0) - (p < 0)
+    return 1 if p + _floor_sqrt_times(q, d) >= 0 else -1
 
 
 def _normal(p: int, q: int, r: int) -> tuple[int, int, int]:
@@ -113,20 +125,17 @@ class QuadExt:
         """(p, q, r, d): other as (p + q*sqrt(d))/r over the result's radicand
         d, or None if other is not a Scalar.  An irrational other from a field
         Q(sqrt(d')) with d*d' = m**2 is rescaled by sqrt(d') = (m/d)*sqrt(d)."""
-        if isinstance(other, int):
-            return other, 0, 1, self.d
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator, self.d
-        if not isinstance(other, QuadExt):
+        try:
+            p, q, d, r = _parts(other)
+        except TypeError:
             return None
-        p, q, r = other.p, other.q, other.r
-        if q == 0 or other.d == self.d:
+        if q == 0 or d == self.d:
             return p, q, r, self.d
         if self.q == 0:
-            return p, q, r, other.d
-        m = math.isqrt(self.d * other.d)
-        if m * m != self.d * other.d:
-            raise IncompatibleField(f"sqrt({self.d}) vs sqrt({other.d})")
+            return p, q, r, d
+        m = math.isqrt(self.d * d)
+        if m * m != self.d * d:
+            raise IncompatibleField(f"sqrt({self.d}) vs sqrt({d})")
         g = math.gcd(m, self.d)
         u, v = m // g, self.d // g
         return p * v, q * u, r * v, self.d
@@ -136,9 +145,7 @@ class QuadExt:
         return self.q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError("irrational QuadExt has no Fraction value")
-        return Fraction(self.p, self.r)
+        return as_fraction(self)
 
     # -- ring operations ---------------------------------------------------
 
@@ -198,28 +205,18 @@ class QuadExt:
         return self.reciprocal() * other
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if _sign(self.p, self.q, self.d) < 0 else self
 
     # -- order -------------------------------------------------------------
 
-    def _sign(self) -> int:
-        """Sign of p + q*sqrt(d), decided by integer arithmetic."""
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with q^2 d (never equal, d non-square)
-        if p > 0:  # q < 0
-            return 1 if p * p > q * q * d else -1
-        return -1 if p * p > q * q * d else 1
-
     def _cmp(self, other) -> int:
-        return (self - other)._sign()
+        """The sign of self - other, from the cross-multiplied integers of
+        both over one radicand; no difference is built."""
+        o = self._operand(other)
+        if o is None:
+            raise TypeError(f"cannot order QuadExt and {type(other).__name__}")
+        p, q, r, d = o
+        return _sign(self.p * r - p * self.r, self.q * r - q * self.r, d)
 
     def __eq__(self, other):
         try:
@@ -252,11 +249,7 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __floor__(self) -> int:
-        if self.q == 0:
-            return self.p // self.r
-        n = self.p + _floor_sqrt_times(self.q, self.d)
-        # value lies strictly between n and n+1, so floor(value/r) = n // r
-        return n // self.r
+        return floor(self)
 
     def __float__(self) -> float:
         return _quad_float(self.p, self.q, self.d, self.r)
@@ -335,38 +328,60 @@ def _quad_floats(d: int, r: int, pairs, E: int):
 # -- generic scalar operations --------------------------------------------
 
 
-def floor(x: Scalar) -> int:
-    """The unique integer m with m <= x < m + 1."""
+def _parts(x: Scalar) -> tuple[int, int, int, int]:
+    """The one integer view of a Scalar: (p, q, d, r) with x = (p + q sqrt(d))/r
+    and r > 0.  q = 0 exactly when x is rational, a QuadExt with a square
+    radicand included, and then p/r is x in lowest terms and d = 1; otherwise
+    d is the QuadExt's own, already reduced.  TypeError for anything that is
+    not an int, a Fraction or a QuadExt."""
     if isinstance(x, QuadExt):
-        return x.__floor__()
+        return (x.p, x.q, x.d, x.r) if x.q else (x.p, 0, 1, x.r)
+    if isinstance(x, int):
+        return x, 0, 1, 1
     if isinstance(x, Fraction):
-        return x.numerator // x.denominator
+        return x.numerator, 0, 1, x.denominator
+    raise TypeError(f"not an exact scalar: {type(x).__name__}")
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x with exact division: an int as a Fraction, any other Scalar as it
+    is; TypeError for a non-Scalar."""
+    if isinstance(x, int):
+        return Fraction(x)
+    _parts(x)
     return x
 
 
+def floor(x: Scalar) -> int:
+    """The unique integer m with m <= x < m + 1.  For irrational x,
+    p + q*sqrt(d) lies strictly between n = p + floor(q*sqrt(d)) and n + 1,
+    so floor(x) = n // r."""
+    p, q, d, r = _parts(x)
+    return (p + _floor_sqrt_times(q, d) if q else p) // r
+
+
 def is_integer(x: Scalar) -> bool:
-    if isinstance(x, QuadExt):
-        return x.q == 0 and x.p % x.r == 0
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    return True
+    _, q, _, r = _parts(x)
+    return not q and r == 1
 
 
 def is_rational(x: Scalar) -> bool:
-    return not isinstance(x, QuadExt) or x.is_rational
+    return not _parts(x)[1]
 
 
 def as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, QuadExt):
-        return x.as_fraction()
-    return Fraction(x)
+    p, q, _, r = _parts(x)
+    if q:
+        raise ValueError("irrational QuadExt has no Fraction value")
+    return Fraction(p, r)
 
 
 def beta(t: Scalar) -> Scalar:
-    """Centered remainder t - floor(t) - 1/2, in [-1/2, 1/2)."""
-    if isinstance(t, QuadExt) and t.q != 0:
-        return t - floor(t) - HALF
-    return Fraction(as_fraction(t)) - floor(t) - HALF
+    """Centered remainder t - floor(t) - 1/2, in [-1/2, 1/2): with t's parts
+    and m = floor(t), (2(p - m r) - r + 2 q sqrt(d))/(2r)."""
+    p, q, d, r = _parts(t)
+    u = 2 * (p - floor(t) * r) - r
+    return _make(u, 2 * q, d, 2 * r) if q else Fraction(u, 2 * r)
 
 
 def beta0(t: Scalar) -> Scalar:
@@ -388,12 +403,12 @@ def to_float(x: Scalar, precision_bits: int = 53):
         raise ValueError("precision_bits must be >= 53")
     import mpmath
 
+    p, q, d, r = _parts(x)
     with mpmath.workprec(precision_bits):
-        if isinstance(x, QuadExt) and x.q != 0:
-            m, e = _scaled_floor(x.p, x.q, x.d, x.r, precision_bits + 2)
+        if q:
+            m, e = _scaled_floor(p, q, d, r, precision_bits + 2)
             return mpmath.mpf((2 * m + 1, -e - 1))
-        fr = as_fraction(x)
-        return mpmath.mpf(fr.numerator) / fr.denominator
+        return mpmath.mpf(p) / r
 
 
 # -- text encoding ---------------------------------------------------------
@@ -404,14 +419,12 @@ _QUAD_RE = re.compile(
 
 def format_scalar(x: Scalar) -> str:
     """Bit-exact text form: "p/q" for rationals, "(p+q*sqrt(d))/r" otherwise."""
-    if isinstance(x, QuadExt) and x.q != 0:
-        q = _int_str(x.q)
-        return (f"({_int_str(x.p)}{q if x.q < 0 else '+' + q}"
-                f"*sqrt({_int_str(x.d)}))/{_int_str(x.r)}")
-    fr = as_fraction(x)
-    if fr.denominator == 1:
-        return _int_str(fr.numerator)
-    return f"{_int_str(fr.numerator)}/{_int_str(fr.denominator)}"
+    p, q, d, r = _parts(x)
+    if q:
+        qs = _int_str(q)
+        return (f"({_int_str(p)}{qs if q < 0 else '+' + qs}"
+                f"*sqrt({_int_str(d)}))/{_int_str(r)}")
+    return _int_str(p) if r == 1 else f"{_int_str(p)}/{_int_str(r)}"
 
 
 def _int_str(n: int) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, beta, beta0, floor
+from .exactnum import HALF, Scalar, _exact, beta, beta0, floor
 
 
 @dataclass
@@ -114,10 +114,21 @@ def _beta_of(variant: str):
     raise ValueError(f"variant must be 'beta' or 'beta0', got {variant!r}")
 
 
+def _table_index(x: Scalar, tables: ArithTables, name: str) -> int:
+    """floor(x) for x > 0 with floor(x) <= tables.N, the range the tables
+    cover; ValueError otherwise, before any table is read."""
+    if not x > 0:
+        raise ValueError(f"{name} must be > 0")
+    nx = floor(x)
+    if nx > tables.N:
+        raise ValueError(f"{name} exceeds table size")
+    return nx
+
+
 def q_k(k: int, t: Scalar, tables: ArithTables, variant: str = "beta") -> Scalar:
-    """q_k(t) = -sum over d|k of mu(d) * beta(kt/d); beta0 variant for q_{k,0}."""
-    if k > tables.N:
-        raise ValueError("k exceeds table size")
+    """q_k(t) = -sum over d|k of mu(d) * beta(kt/d); beta0 variant for q_{k,0},
+    for 1 <= k <= tables.N."""
+    _table_index(k, tables, "k")
     bfun = _beta_of(variant)
     total: Scalar = Fraction(0)
     for d in _divisors(k):
@@ -129,11 +140,10 @@ def q_k(k: int, t: Scalar, tables: ArithTables, variant: str = "beta") -> Scalar
 
 def phi_x(x: Scalar, t: Scalar, tables: ArithTables,
           variant: str = "beta") -> Scalar:
-    """Phi_x(t) via the Mertens-weighted form -(1/x) sum_j M(x/j) beta(jt)."""
+    """Phi_x(t) via the Mertens-weighted form -(1/x) sum_j M(x/j) beta(jt),
+    for x > 0 with floor(x) <= tables.N."""
     bfun = _beta_of(variant)
-    nx = floor(x)
-    if nx > tables.N:
-        raise ValueError("x exceeds table size")
+    nx = _table_index(x, tables, "x")
     total: Scalar = Fraction(0)
     for j in range(1, nx + 1):
         m = tables.M(nx // j)
@@ -144,9 +154,10 @@ def phi_x(x: Scalar, t: Scalar, tables: ArithTables,
 
 def phi_x_qsum(x: Scalar, t: Scalar, tables: ArithTables,
                variant: str = "beta") -> Scalar:
-    """Phi_x(t) as the direct mean of q_k(t); cross-check for phi_x."""
+    """Phi_x(t) as the direct mean of q_k(t); cross-check for phi_x, over
+    the same x."""
     _beta_of(variant)  # also where no q_k is taken (x < 1)
-    nx = floor(x)
+    nx = _table_index(x, tables, "x")
     total: Scalar = Fraction(0)
     for k in range(1, nx + 1):
         total = total + q_k(k, t, tables, variant)
@@ -155,7 +166,9 @@ def phi_x_qsum(x: Scalar, t: Scalar, tables: ArithTables,
 
 def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:
     """Number of extended-Farey fractions of order n in [0, t], together with
-    the identity value t*sum(phi) + n*Phi_n(t) + 1/2."""
+    the identity value t*sum(phi) + n*Phi_n(t) + 1/2, for
+    1 <= n <= tables.N."""
+    _table_index(n, tables, "n")
     if t < 0:
         raise DomainError("t must be >= 0")
     count = 0
@@ -169,7 +182,8 @@ def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:
 def h_values(grid, tables: ArithTables) -> list[float]:
     """h on the given grid: exact r_x - s_x plus 3x/pi^2 in floats.
 
-    h is odd; h(0) = 0.  Positive grid points must satisfy x <= tables.N."""
+    h is odd; h(0) = 0.  Each grid point needs floor(|x|) <= tables.N;
+    ValueError otherwise."""
     out = []
     for x in grid:
         out.append(_h_one(x, tables))
@@ -177,14 +191,13 @@ def h_values(grid, tables: ArithTables) -> list[float]:
 
 
 def _h_one(x: Scalar, tables: ArithTables) -> float:
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         return 0.0
     sign = 1.0
     if x < 0:
         sign, x = -1.0, -x
-    nx = floor(x)
+    nx = _table_index(x, tables, "x")
     r_x = tables.phi_sum(nx) / x
     s_x = tables.s_frac(nx)
     return sign * (3 * float(x) / math.pi ** 2 + float(r_x - s_x))

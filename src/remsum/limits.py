@@ -7,13 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, floor
+from .exactnum import HALF, Scalar, _exact, floor
 
 
 def eta_tilde(x: Scalar) -> Scalar:
     """Exact limit profile; continuous except at 0, vanishes at nonzero integers."""
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         return -HALF
     frac = x - floor(x)
@@ -22,8 +21,7 @@ def eta_tilde(x: Scalar) -> Scalar:
 
 def eta_tilde_prime(x: Scalar) -> Scalar:
     """Derivative 1/2 - floor(x)(floor(x)+1)/(2x^2), off the integers."""
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     fl = floor(x)
     if x == fl or x == 0:
         raise DomainError("derivative undefined at integers and 0")
@@ -34,8 +32,7 @@ def rescaled_eta(a_over_b: Fraction, n: int, x: Scalar) -> Scalar:
     """b * B_n(a/b + x/(bn)), the profile of B_n rescaled around a/b."""
     from .sums import B
 
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     ab = Fraction(a_over_b)
     b = ab.denominator
     if b > n:

@@ -11,7 +11,7 @@ from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, NotMember, TooLarge
-from .exactnum import Scalar
+from .exactnum import Scalar, _parts
 
 _ENUM_GUARD = 10 ** 7
 
@@ -102,7 +102,7 @@ def verify_b0_mass(n: int, theta_of_n, samples: int, seed: int) -> dict:
     for i in range(samples):
         t = sample_bounded_cf(cutoff, m, seed + i)
         s_val = sums.ostrowski_S(n, t)[0]
-        if not sums._abs_at_most(*sums._parts(s_val), *bound):
+        if not sums._abs_at_most(*_parts(s_val), *bound):
             raise BoundViolated(f"witness t = {t}")
         max_ratio = max(max_ratio, abs(float(s_val)) / bound_s)
     return {"n": n, "theta": float(theta_of_n), "samples": samples,
@@ -114,7 +114,10 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
     """Check |B_n(t)| <= (4 log n)^(2+eps) theta(n) / (2n) for t whose partial
     quotients satisfy lambda_j <= theta(n) * j^(1+eps) up to the reachable depth.
     The quotients are read from t's orbit; cf, if given, cross-checks them
-    (ValueError where they differ)."""
+    (ValueError where they differ).  n >= 3, as for `mn_threshold`: below it
+    the bound is not positive."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
     eps = float(epsilon)
     theta = float(theta_of_n)
     s_val = sums.ostrowski_S(n, t)[0]
@@ -125,7 +128,7 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
         if lam > theta * j ** (1 + eps):
             raise NotMember(f"lambda_{j} = {lam} too large")
     bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|
-    if not sums._abs_at_most(*sums._parts(s_val), *bound_s.as_integer_ratio()):
+    if not sums._abs_at_most(*_parts(s_val), *bound_s.as_integer_ratio()):
         raise BoundViolated(f"witness t = {t}")
     ratio = abs(float(s_val)) / bound_s
     return {"n": n, "epsilon": eps, "theta": theta, "ratio": ratio, "pass": True}

@@ -4,10 +4,11 @@ Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
 over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
 `_numerators` is the only (n, F) -> S map: for a whole iterable of pairs
 (n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
-(u + v sqrt(d))/(2r), with t split once by `_parts`.  `_values` makes the
-exact values from them in one comprehension, the Dirichlet float tables
-round them in bulk (`exactnum._quad_floats`), and `_abs_at_most` decides
-every |S| <= bound on them, or on the parts of an exact S, with one isqrt.
+(u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`.
+`_values` makes the exact values from them in one comprehension, the
+Dirichlet float tables round them in bulk (`exactnum._quad_floats`), and
+`_abs_at_most` decides every |S| <= bound on them, or on the parts of an
+exact S, with one isqrt.
 brute_S is the oracle: it sums the floors directly (over one period for
 rational t), as do brute_S0 and s0_prefix, all through the one loop
 `_floor_sums`, which reads floor(k t) off one fixed-point multiple of t and
@@ -51,7 +52,7 @@ from itertools import accumulate
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
-from .exactnum import (Scalar, _floor_sqrt_times, _make, as_fraction, floor,
+from .exactnum import (Scalar, _exact, _floor_sqrt_times, _make, _parts, floor,
                        is_rational)
 
 
@@ -105,16 +106,6 @@ class SumTrace:
 
 
 # -- brute-force oracle ----------------------------------------------------
-
-
-def _parts(t: Scalar) -> tuple[int, int, int, int]:
-    """(p, q, d, r) with t = (p + q sqrt(d))/r and r > 0.  q = 0 exactly when
-    t is rational, a QuadExt with a square radicand included, and then p/r
-    is t in lowest terms."""
-    if is_rational(t):
-        fr = as_fraction(t)
-        return fr.numerator, 0, 1, fr.denominator
-    return t.p, t.q, t.d, t.r  # d is already reduced
 
 
 def _floor_sums(t: Scalar, n: int):
@@ -250,11 +241,10 @@ def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
     included, costs O(log b) through floor_sum; irrational t costs O(log n)
     Ostrowski steps along its own orbit, where S0 = S as k t is never an
     integer."""
-    if not is_rational(t):
+    p, q, _, r = _parts(t)
+    if q:
         return ostrowski_S(n, t)[0]
-    fr = as_fraction(t)
-    F = floor_sum(n, fr.numerator, fr.denominator)
-    return _values(fr, [(n, F)], midpoint)[0]
+    return _values(t, [(n, floor_sum(n, p, r))], midpoint)[0]
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -272,8 +262,9 @@ def B_left(x: Scalar, t: Scalar) -> Scalar:
     fraction t = a/b it jumps there by -(1/x) floor(floor(x)/b), and it is
     continuous at irrational t."""
     value = B(x, t)
-    if is_rational(t):
-        value += Fraction(floor(x) // as_fraction(t).denominator) / x
+    _, q, _, r = _parts(t)
+    if not q:
+        value += Fraction(floor(x) // r) / x
     return value
 
 
@@ -419,11 +410,14 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if is_rational(t):
+    _, q, d, r = _parts(t)
+    if not q:
         raise NotIrrational("bseq recursion needs irrational t")
-    if not (0 < t <= 1):
+    orbit = cfrac._orbit(t)
+    lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
+    if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")
-    d, s = t.d, abs(t.q) * t.r  # sqrt(D) = s sqrt(d)
+    s = abs(q) * r  # sqrt(D) = s sqrt(d)
 
     def step(j, nj, P, Q):
         tj = _make(P, s, d, Q)
@@ -433,8 +427,6 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
 
     trace = SumTrace(_Steps(step))
     rows = trace.steps.rows
-    orbit = cfrac._orbit(t)
-    _, P, Q = next(orbit)  # t_0 = t, as 0 < t < 1
     nj, sign, G, lam_sum = n, 1, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
@@ -456,8 +448,7 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
 
 def thm21b_identity(n: int, t: Scalar) -> tuple[Scalar, Scalar]:
     """Both sides of the B_n(t) decomposition for 0 < t <= 1; must be equal."""
-    if isinstance(t, int):
-        t = Fraction(t)
+    t = _exact(t)
     if not (0 < t <= 1):
         raise DomainError("t must lie in (0, 1]")
     from .limits import eta_tilde
@@ -482,8 +473,7 @@ def thm21a_identity(n: int, a_over_b: Fraction, bstar: int,
     """
     from .limits import eta_tilde
 
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     ab = Fraction(a_over_b)
     a, b = ab.numerator, ab.denominator
     if bstar < 1 or (1 + a * bstar) % b != 0:
@@ -510,8 +500,7 @@ def thm21a_identity(n: int, a_over_b: Fraction, bstar: int,
 
 def lemma31_bound(x: Scalar, a_over_b: Fraction):
     """B_{x,0}(a/b) with the bound |value| <= b/x; returns (value, bound, holds)."""
-    if isinstance(x, int):
-        x = Fraction(x)
+    x = _exact(x)
     ab = Fraction(a_over_b)
     if not x > 0:
         raise DomainError("x must be positive")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import cfrac, dirichlet, farey, measure, sums
-from .exactnum import QuadExt, beta0
+from .exactnum import QuadExt, _parts, beta0
 
 
 def corpus() -> dict:
@@ -56,7 +56,8 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     # S(n,t) = (u + v sqrt(d))/(2r), each n's (u, v) computed once, against
     # the Snfinal bound (1/2) L_j, L_j = lambda_1 + ... + lambda_j, j = j*(n),
     # and against 2 log n for n >= 3
-    d, r2 = t.d, 2 * t.r
+    _, _, d, r = _parts(t)
+    r2 = 2 * r
     L = list(accumulate(tab.lam[1:], initial=0))
     snfinal = log_ok = True
     for n, (u, v) in enumerate(sums._numerators(t, False, enumerate(F[1:], 1)), 1):

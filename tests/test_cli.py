@@ -102,7 +102,7 @@ class TestSum:
         assert code == 2 and f"got {n[:60]!r}... (4002 characters)" in err
         assert len(err.encode()) < 600  # the usage line comes first
 
-    def test_cf_spec_keeps_its_expansion(self, capsys):
+    def test_cf_spec_past_the_expansion_limit(self, capsys):
         # a period of 65 terms: re-expanding t with the 64-term limit fails
         period = ",".join(str(1 + i % 9) for i in range(64)) + ",9"
         code, out, _ = run(capsys, "sum", "--n", "10", "--t", f"cf:0;({period})")

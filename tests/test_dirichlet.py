@@ -160,6 +160,18 @@ class TestSeries:
         with pytest.raises(ValueError):
             dirichlet.f_beta_partial(corpus["golden"], -1, 100)
 
+    @pytest.mark.parametrize("K", [0, -5])
+    def test_refuses_K_below_1(self, corpus, K):
+        t, tables = corpus["golden"], farey.build_tables(10)
+        for call in (lambda: dirichlet.f_beta_partial(t, 2, K),
+                     lambda: dirichlet.f_beta_partial(t, 0.5 + 3j, K),
+                     lambda: dirichlet.f_beta_mellin(t, 2, K),
+                     lambda: dirichlet.f_q_partial(t, 2, K, tables),
+                     lambda: dirichlet.beta0_float_table(t, K)):
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                call()
+        assert dirichlet.beta0_float_table(t, 1) == [0.0, float(beta0(t))]
+
 
 class TestContinuationEvidence:
     def test_cauchy_differences_decrease(self, corpus):

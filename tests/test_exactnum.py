@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import remsum
-from remsum import cfrac, exactnum, sums
+from remsum import cfrac, exactnum, limits, sums
 from remsum.errors import IncompatibleField
 from remsum.exactnum import (QuadExt, as_fraction, beta, beta0, floor,
                              format_scalar, is_integer, is_rational,
@@ -104,7 +104,8 @@ class TestFieldIdentity:
                 assert a + b == x + y and hash(a + b) == hash(x + y)
                 assert a * b == x * y and hash(a * b) == hash(x * y)
                 assert a - b == x - y and a / b == x / y
-                assert (a < b) == (x < y) and (b < a) == (y < x)
+                assert [a < b, a <= b, a > b, a >= b] == [x < y, x <= y, x > y, x >= y]
+                assert (b < a) == (y < x)
 
 
 class TestArithmetic:
@@ -157,6 +158,68 @@ class TestOrderAndFloor:
         assert floor(F(7, 2)) == 3
         assert floor(F(-7, 2)) == -4
         assert floor(5) == 5
+
+
+class TestIntegerView:
+    def test_floats_are_refused(self):
+        for call in (floor, is_integer, is_rational, as_fraction, beta, beta0,
+                     format_scalar, exactnum._parts, limits.eta_tilde):
+            with pytest.raises(TypeError):
+                call(2.5)
+        with pytest.raises(TypeError):
+            GOLDEN < 2.5
+        with pytest.raises(TypeError):
+            GOLDEN + 2.5
+        assert GOLDEN != 0.5 and not GOLDEN == 0.5
+
+    def test_rational_quadext_is_viewed_in_lowest_terms(self):
+        assert exactnum._parts(QuadExt(4, 0, 7, 6)) == (2, 0, 1, 3)
+        assert exactnum._parts(QuadExt(1, 3, 9, 2)) == (5, 0, 1, 1)
+        assert exactnum._parts(F(-4, 6)) == (-2, 0, 1, 3)
+        assert exactnum._parts(-7) == (-7, 0, 1, 1)
+        assert exactnum._parts(GOLDEN) == (-1, 1, 5, 2)
+
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+           st.sampled_from([2, 3, 5, 94, 5 * 1009 ** 2, 10 ** 9 + 7]))
+    # p + q sqrt(2) cancels in all but a few of its bits: the convergent
+    # 1393/985 of sqrt(2), and one off
+    @example(1393, -985, 2)
+    @example(-1393, 985, 2)
+    @example(1394, -985, 2)
+    @settings(max_examples=300, deadline=None)
+    def test_sign_matches_the_squares(self, p, q, d):
+        # p + q sqrt(d) takes the sign of its larger term, p or q sqrt(d),
+        # as p^2 and q^2 d decide; they are never equal unless both are 0
+        big = p if p * p > q * q * d else q
+        assert exactnum._sign(p, q, d) == (big > 0) - (big < 0)
+
+    def test_order_across_two_spellings(self):
+        # x = (b + 1) sqrt(5) written over sqrt(5 * 1009^2), y = a + sqrt(5)
+        # for convergents a/b of sqrt(5): x - y = b sqrt(5) - a is tiny
+        for c in cfrac.convergents(cfrac.expand(QuadExt(0, 1, 5), 64), 60)[2:]:
+            x = QuadExt(0, c.b + 1, 5 * 1009 ** 2, 1009)
+            y = QuadExt(c.a, 1, 5)
+            above = c.b * c.b * 5 > c.a * c.a
+            assert x.d != y.d and (x > y) == above and (x < y) != above
+            assert (y <= x) == above and x != y
+            same = QuadExt(0, c.b + 1, 5)
+            assert x == same and x <= same and x >= same and not x < same
+
+    def test_order_builds_no_value(self, monkeypatch):
+        x = QuadExt(0, 1, 5 * 1009 ** 2, 1009)  # sqrt(5), another spelling
+        pairs = [(GOLDEN, -GOLDEN), (GOLDEN, x), (x, GOLDEN), (GOLDEN, F(1, 2)),
+                 (GOLDEN, 1), (QuadExt(3, 0, 5, 2), x), (SQRT2, F(3, 2))]
+        calls = []
+        make = exactnum._make
+        monkeypatch.setattr(exactnum, "_make",
+                            lambda *a: calls.append(a) or make(*a))
+        assert not hasattr(QuadExt, "_sign")
+        for a, b in pairs:
+            assert [a < b, a <= b, a > b, a >= b] == [b > a, b >= a, b < a, b <= a]
+        assert calls == []
+        # the patch is live: arithmetic still builds through it
+        GOLDEN + 1
+        assert len(calls) == 1
 
 
 class TestBeta:

@@ -112,6 +112,40 @@ class TestCountingIdentity:
                 assert lhs == count
 
 
+class TestTableRange:
+    """Inputs outside the tables' range raise ValueError before any table
+    is read."""
+
+    def test_count_past_the_tables(self):
+        small = farey.build_tables(10)
+        for n in (11, 20, 0, -1):
+            with pytest.raises(ValueError, match="n "):
+                farey.farey_count(n, F(1, 3), small)
+        assert farey.farey_count(10, F(1, 3), small)[0] == 12
+
+    def test_phi_needs_positive_x(self, tables):
+        for call in (farey.phi_x, farey.phi_x_qsum):
+            for x in (0, -3, F(-1, 2)):
+                with pytest.raises(ValueError, match="x must be > 0"):
+                    call(x, F(2, 5), tables)
+            assert call(F(1, 2), F(2, 5), tables) == 0  # empty sum at 0 < x < 1
+
+    def test_qk_needs_k_in_the_tables(self):
+        small = farey.build_tables(10)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="k must be > 0"):
+                farey.q_k(k, F(2, 5), small)
+        with pytest.raises(ValueError, match="k exceeds table size"):
+            farey.q_k(11, F(2, 5), small)
+
+    def test_h_past_the_tables(self):
+        small = farey.build_tables(10)
+        for x in (20, -20, 11, F(-23, 2)):
+            with pytest.raises(ValueError, match="x exceeds table size"):
+                farey.h_values([x], small)
+        assert len(farey.h_values([10, F(21, 2), -10], small)) == 3
+
+
 class TestLimitFunctionH:
     def test_examples(self, tables):
         vals = farey.h_values([0, 1, 2], tables)

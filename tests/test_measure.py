@@ -152,6 +152,12 @@ class TestFiniteNVerifiers:
         with pytest.raises(BoundViolated):
             measure.verify_ae_bound(500, -3, 1000, t)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ae_bound_rejects_small_n(self, corpus, n):
+        # at n = 1 the bound (4 log n)^(2+eps) theta/2 is 0: no t could pass
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            measure.verify_ae_bound(n, 0, 1, corpus["golden"])
+
     def test_ae_bound_rejects_large_quotients(self):
         # t with lambda_1 = 1000 is not in the membership set for small theta
         big = cfrac.value(cfrac.CFExpansion(0, (), (1000, 1)))

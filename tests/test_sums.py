@@ -348,6 +348,18 @@ class TestBseq:
             sums.bseq_S(5, F(1, 3))
         with pytest.raises(DomainError):
             sums.bseq_S(5, corpus["golden"] + 1)
+        with pytest.raises(DomainError):
+            sums.bseq_S(5, -corpus["golden"])
+
+    def test_decides_its_domain_without_comparing(self, corpus, monkeypatch):
+        # t in (0, 1] comes from lambda_0 of the orbit walk, not from t < 1
+        def refuse(*_):
+            raise AssertionError("QuadExt comparison")
+        want = sums.bseq_S(10 ** 6, corpus["golden"])[0]
+        monkeypatch.setattr(QuadExt, "_cmp", refuse)
+        assert sums.bseq_S(10 ** 6, corpus["golden"])[0] == want
+        with pytest.raises(DomainError):
+            sums.bseq_S(5, corpus["golden"] + 1)
 
     def test_depth_bound(self, corpus):
         for t in corpus.values():
