@@ -183,7 +183,7 @@ def _plot_value(args, lo: Fraction, hi: Fraction, D: int):
         return "x,value", functools.partial(_eta_prime_float, D=D)
     if args.which == "h":
         tables = farey.build_tables(max(1, math.ceil(max(abs(lo), abs(hi)))))
-        return "x,h", lambda i: farey._h_one(Fraction(i, D), tables)
+        return "x,h", lambda i: farey._h(i, D, tables)
     if args.a_over_b is None or args.rescale_n is None:
         raise UsageError("--which rescaled needs --a-over-b and --rescale-n")
     try:
@@ -204,8 +204,8 @@ def cmd_plot(args) -> int:
     header, value = _plot_value(args, lo, hi, D)
     with _open_out(args.out) as out:
         print(header, file=out)
-        for i in nums:  # i / D rounds correctly, as float(Fraction(i, D)) does
-            print(f"{_fmt_float(i / D)},{_fmt_float(value(i))}", file=out)
+        # i / D rounds correctly, as float(Fraction(i, D)) does
+        out.write("".join(["%.12g,%.12g\n" % (i / D, value(i)) for i in nums]))
     return EXIT_OK
 
 

@@ -6,21 +6,18 @@ summation with the observed maximum of |S0(n,t)| in the strip 0 < Re(s) <= 1
 ("evidence" mode; no analytic claim is attached to those numbers).
 
 Every series reads two float tables, beta0(kt) for k <= K and the prefix
-S0(n,t) for n <= K.  The tables hold no formula of their own.  Each is one
-pass over the integers (n, F(n,t)), F(n,t) = sum of floor(kt) for k <= n,
-handed in bulk to `sums._numerators`, the map to the integer numerators of
-S0(n,t); beta0(nt) = S0(n,t) - S0(n-1,t) is taken on those numerators.
-`_s0_numerators` is that pass, shared by both tables.  Both stages read one
-fixed-point constant per (t, K) and are exact: `sums._floor_sums` takes
-floor(kt) from k floor(t 2^E) >> E, and `exactnum._quad_floats` rounds each
-entry from one floor(sqrt(d) 2^E) by two int true divisions that bracket it.
-Where a bracket cannot decide, at a multiple of 2^E or at a rounding
-boundary, the entry falls back to the exact isqrt floor or to
-`exactnum._quad_float`, so each entry equals float() of the exact value bit
-for bit.  Each table is retained for the last (t, K) it
-was built for, so an s grid at one (t, K) builds it once.  The retained
-tables stay allocated until a call with another (t, K): about 6 MB for the
-pair at K = 10^5, growing linearly in K.
+S0(n,t) for n <= K, and `_float_tables` makes both in one pass over k, each
+entry float() of the exact value bit for bit.  Rational t = p/r is exact in
+ints: beta0(kt) = (2(kp mod r) - r)/(2r), and 0 where r | k.  Irrational t
+reads one fixed-point constant floor(t 2^E) per (t, K): each entry is
+bracketed between two integers over 2^E, and where both ends round to the
+same float that float is the entry's (Ziv's rounding test).  Next to an
+integer k t the pass takes the exact floor of k t, and an entry whose
+bracket straddles a rounding boundary is float() of its exact value.
+The pair of tables is retained for the last (t, K) it was built for, so an
+s grid at one (t, K) builds it once.  It stays allocated until a call with
+another (t, K): two lists of K + 1 floats, 6.4 MB at K = 10^5
+(tracemalloc), growing linearly in K.
 """
 
 from __future__ import annotations
@@ -29,11 +26,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import accumulate
 
 from . import sums
 from .errors import DomainError, PoleAtOne
-from .exactnum import Scalar, _parts, _quad_floats
+from .exactnum import Scalar, _parts, beta0, floor
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
@@ -86,44 +83,62 @@ def zeta(s) -> complex:
 # -- term tables -----------------------------------------------------------
 
 
-def _s0_numerators(t: Scalar, K: int):
-    """(d, 2r, the (u, v) of S0(n,t) = (u + v sqrt(d))/(2r) for n = 0..K),
-    read from `sums._numerators` in one pass over the integers F(n,t).
-    Every table, and so every series, needs K >= 1; ValueError otherwise."""
+@functools.lru_cache(maxsize=1)
+def _float_tables(t: Scalar, K: int):
+    """([0.0, beta0(t), ..., beta0(Kt)], [S0(0,t), S0(1,t), ..., S0(K,t)]),
+    each entry float() of the exact value, both built in one pass over k.
+    The lists are shared through the memo; callers only read them.
+    Every table, and so every series, needs K >= 1; ValueError otherwise.
+
+    For irrational t the pass reads x_k = k T, T = floor(t 2^E): k t 2^E lies
+    in (x_k, x_k + k), so beta0(kt) 2^E lies in (m_k, m_k + k) with
+    m_k = (x_k mod 2^E) - 2^(E-1), and S0(n,t) 2^E in (M_n, M_n + n(n+1)/2)
+    with M_n the sum of m_k over k <= n.  Where the bracket of k t reaches
+    the next integer, (x_k mod 2^E) + k >= 2^E, the floor of k t is taken
+    exactly (one isqrt) and m_k corrected by it; unchecked, both ends of a
+    bracket there may round to 0.5 while beta0(kt) is near -1/2.  An entry
+    whose two ends round to different floats is float() of the exact value,
+    beta0(kt) or `sums.exact_S` (S0 = S at irrational t).
+    The ends are nonzero integers over 2^E with no underflow, so an entry
+    whose ends agree is not a signed zero and that float is its value.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
-    _, _, d, r = _parts(t)
-    return d, 2 * r, chain([(0, 0)], sums._numerators(
-        t, True, enumerate(sums._floor_sums(t, K), 1)))
-
-
-def _rounded(d: int, r2: int, uv, K: int) -> tuple[float, ...]:
-    """Each (u + v sqrt(d))/r2 of `uv`, correctly rounded in bulk.  The
-    numerators of these tables are O(K^2) and their values O(K), so the
-    bracket of E = 64 + 3 K.bit_length() bits leaves fallbacks rare."""
-    return tuple(_quad_floats(d, r2, uv, 64 + 3 * K.bit_length()))
-
-
-@functools.lru_cache(maxsize=1)
-def _beta0_floats(t: Scalar, K: int) -> tuple[float, ...]:
-    """(0.0, beta0(t), ..., beta0(Kt)), each correctly rounded."""
-    d, r2, uv = _s0_numerators(t, K)
-    # beta0(0) = 0 and beta0(nt) = S0(n) - S0(n-1)
-    return _rounded(d, r2, chain([(0, 0)], (
-        (u - u0, v - v0) for (u0, v0), (u, v) in pairwise(uv))), K)
-
-
-@functools.lru_cache(maxsize=1)
-def _s0_floats(t: Scalar, K: int) -> tuple[float, ...]:
-    """(S0(0,t), S0(1,t), ..., S0(K,t)), each correctly rounded."""
-    return _rounded(*_s0_numerators(t, K), K)
+    p, q, d, r = _parts(t)
+    if not q:  # t = p/r: beta0(kt) = (2(kp mod r) - r)/(2r), and 0 where r | k
+        u = [0] + [2 * (k * p % r) - r if k % r else 0 for k in range(1, K + 1)]
+        r2 = 2 * r
+        return [v / r2 for v in u], [v / r2 for v in accumulate(u)]
+    # the S0 brackets are n(n+1)/2 wide against values of O(log n)
+    E = 64 + 3 * K.bit_length()
+    one, half, ulp = 1 << E, 1 << (E - 1), 2.0 ** -E
+    T = floor(t * one)
+    y, step = 0, T & (one - 1)  # y = x_k mod 2^E
+    M = M_hi = 0
+    b0, s0 = [0.0], [0.0]
+    for k in range(1, K + 1):
+        y += step
+        if y >= one:
+            y -= one
+        m = y - half
+        m_hi = m + k
+        if m_hi >= half and floor(k * t) != (k * T) >> E:
+            m -= one  # k t lies just past an integer
+            m_hi -= one
+        M += m
+        M_hi += m_hi
+        v = m * ulp  # int times a power of 2: m/2^E correctly rounded
+        b0.append(v if v == m_hi * ulp else float(beta0(k * t)))
+        v = M * ulp
+        s0.append(v if v == M_hi * ulp else float(sums.exact_S(k, t)))
+    return b0, s0
 
 
 def beta0_float_table(t: Scalar, K: int) -> list[float]:
     """[0.0, beta0(t), beta0(2t), ..., beta0(Kt)], each entry float() of the
-    exact value, computed from the integers F(k,t).  The table is retained
+    exact value, computed in integers (`_float_tables`).  The table is retained
     for the last (t, K); the list returned is a fresh copy."""
-    return list(_beta0_floats(t, K))
+    return list(_float_tables(t, K)[0])
 
 
 # -- series ----------------------------------------------------------------
@@ -144,14 +159,14 @@ def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
     `s0` is accepted for old callers and not read: the terms come from the
     retained float tables."""
     s = complex(s)
-    terms = _beta0_floats(t, K)
+    terms, s0_floats = _float_tables(t, K)
     value = sum(terms[k] * k ** (-s) for k in range(1, K + 1))
     sigma = s.real
     if sigma > 1:
         tail = 0.5 * K ** (1 - sigma) / (sigma - 1)
         mode = "strict"
     elif sigma > 0:
-        a = max(map(abs, _s0_floats(t, K)))
+        a = max(map(abs, s0_floats))
         tail = a * (sigma + abs(s)) / (sigma * K ** sigma)
         mode = "evidence"
     else:
@@ -165,7 +180,7 @@ def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
 
     `s0` is accepted for old callers and not read."""
     s = complex(s)
-    sf = _s0_floats(t, X)
+    sf = _float_tables(t, X)[1]
     value = sum(_abel_terms(sf, s, X))
     sigma = s.real
     if sigma > 1:
@@ -191,7 +206,7 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
     if K > tables.N:
         raise ValueError("K exceeds table size")
     s = complex(s)
-    b0 = _beta0_floats(t, K)
+    b0 = _float_tables(t, K)[0]
     q = [0.0] * (K + 1)
     for d in range(1, K + 1):
         m = tables.mu[d]
@@ -215,7 +230,7 @@ def continuation_evidence(t: Scalar, s_grid, K: int, s0=None) -> list[dict]:
     if not levels[0] < levels[1] < levels[2]:
         raise DomainError(f"K = {K}: levels {levels} do not increase within "
                           f"[2, K]; need K >= 4")
-    sf = _s0_floats(t, K)
+    sf = _float_tables(t, K)[1]
     out = []
     for s in s_grid:
         s = complex(s)

@@ -10,9 +10,10 @@ floating point enters any exact code path.  Floats appear only through
 `float()`, which is correctly rounded for every Scalar and is itself
 computed in integers.  Its one boundary, `_quad_float(p, q, d, r)`, serves
 rationals too (q = 0) and also takes the integer parts of a value that was
-never built as a QuadExt.  `_quad_floats` rounds many values of one field in
-bulk from one fixed-point sqrt(d), and calls `_quad_float` only where that
-bracket cannot decide the rounding.
+never built as a QuadExt.  Bulk tables (the Dirichlet tables of
+`dirichlet`, h in `farey`) round most entries from a fixed-point bracket of
+their own and take float() of the exact value only where that bracket
+cannot decide the rounding.
 
 The radicand d is reduced only by the public `QuadExt` constructor, where a
 value enters.  Arithmetic stays in its operands' field: results reuse an
@@ -292,37 +293,6 @@ def _quad_float(p: int, q: int, d: int, r: int) -> float:
     if e >= -1:
         return (2 * m + 1) / (1 << (e + 1))
     return float((2 * m + 1) << (-e - 1))
-
-
-def _quad_floats(d: int, r: int, pairs, E: int):
-    """Yield the correctly rounded float of (u + v*sqrt(d))/r for each
-    (u, v) of `pairs`, in order; r > 0, and d not a square where v != 0.
-
-    One fixed-point W = floor(sqrt(d) 2^E) serves every entry: v sqrt(d) 2^E
-    lies between v W and v (W + 1), so the value lies between the two
-    rationals (u 2^E + v W)/(r 2^E) and (u 2^E + v W + v)/(r 2^E).  Int true
-    division rounds each correctly, and rounding is monotone, so when the
-    two floats are equal that float is the value's (Ziv's rounding test).
-    Otherwise the entry goes to `_quad_float`, and so does a zero (0.0 and
-    -0.0 compare equal, so an underflow could take the wrong sign) and a
-    bracket end past the largest float.  An entry whose bracket width
-    |v|/(r 2^E) is far below its ulp almost never falls back."""
-    if d == 1:  # rationals: sqrt(d) = 1, so int true division is exact
-        for u, v in pairs:
-            yield (u + v) / r
-        return
-    W = math.isqrt(d << 2 * E)
-    den = r << E
-    for u, v in pairs:
-        a = (u << E) + v * W
-        try:
-            x = a / den
-            if x and x == (a + v) / den:
-                yield x
-                continue
-        except OverflowError:
-            pass
-        yield _quad_float(u, v, d, r)
 
 
 # -- generic scalar operations --------------------------------------------

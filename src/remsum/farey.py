@@ -1,29 +1,44 @@
 """Farey sequences, totient/Moebius tables, the Farey counting identity and
-the limit function h(x) = 3x/pi^2 + r_x - s_x."""
+the limit function h(x) = 3x/pi^2 + r_x - s_x, with r_x = Phi(n)/x,
+s_x = sum of phi(k)/k over k <= n and n = floor(x).
+
+h is computed in integers at rational x = i/D.  One integer prefix of
+floor(phi(k) 2^96 / k), shared by every x, and one floor division per x put
+r_x - s_x between two integers over 2^96; where both ends round to one
+float, that float is float(r_x - s_x).  Only an undecided bracket (x <= 1 in
+practice) takes the exact Fraction s_n, summed for that n alone; no
+Fraction prefix is kept."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, _exact, beta, beta0, floor
+from .exactnum import HALF, Scalar, as_fraction, beta, beta0, floor
+
+
+# fixed-point bits of the s_x prefix that h reads; |r_x - s_x| is about
+# 0.3 x for x >= 2, so a bracket about x 2^-96 wide almost never straddles
+# a rounding boundary
+_H_BITS = 96
 
 
 @dataclass
 class ArithTables:
     """Immutable sieve tables: phi, mu, Mertens and totient prefix sums.
 
-    Lists are 1-indexed (index 0 is a dummy).  The exact Fraction prefix of
-    phi(k)/k is built lazily because it is only needed for h."""
+    Lists are 1-indexed (index 0 is a dummy).  The integer prefix of
+    floor(phi(k) 2^96 / k), which h reads, is built lazily on first use."""
 
     N: int
     phi: list[int]
     mu: list[int]
     mertens: list[int]
     phi_prefix: list[int]
-    _phi_over_k: list = field(default_factory=list, repr=False)
 
     def M(self, x: int) -> int:
         return self.mertens[x] if x >= 1 else 0
@@ -32,14 +47,17 @@ class ArithTables:
         return self.phi_prefix[x] if x >= 1 else 0
 
     def s_frac(self, x: int) -> Fraction:
-        """Exact s_x = sum of phi(k)/k for k <= x."""
-        if not self._phi_over_k:
-            acc = Fraction(0)
-            self._phi_over_k.append(acc)
-            for k in range(1, self.N + 1):
-                acc += Fraction(self.phi[k], k)
-                self._phi_over_k.append(acc)
-        return self._phi_over_k[x]
+        """Exact s_x = sum of phi(k)/k for k <= x, summed for this x alone."""
+        return sum((Fraction(self.phi[k], k) for k in range(1, x + 1)),
+                   Fraction(0))
+
+    @functools.cached_property
+    def _s_fixed(self) -> list[int]:
+        """Index x -> the sum of floor(phi(k) 2^96 / k) over k <= x, so that
+        s_x 2^96 lies in [it, it + x)."""
+        return list(accumulate(
+            ((self.phi[k] << _H_BITS) // k for k in range(1, self.N + 1)),
+            initial=0))
 
 
 def build_tables(N: int) -> ArithTables:
@@ -180,24 +198,32 @@ def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:
 
 
 def h_values(grid, tables: ArithTables) -> list[float]:
-    """h on the given grid: exact r_x - s_x plus 3x/pi^2 in floats.
-
-    h is odd; h(0) = 0.  Each grid point needs floor(|x|) <= tables.N;
-    ValueError otherwise."""
-    out = []
-    for x in grid:
-        out.append(_h_one(x, tables))
-    return out
+    """h on the given grid of rational x (ints, Fractions or rational
+    QuadExts); ValueError for an irrational x, and for floor(|x|) > tables.N.
+    h is odd; h(0) = 0."""
+    return [_h(x.numerator, x.denominator, tables) for x in map(as_fraction, grid)]
 
 
-def _h_one(x: Scalar, tables: ArithTables) -> float:
-    x = _exact(x)
-    if x == 0:
+def _h(i: int, D: int, tables: ArithTables) -> float:
+    """h(x) for x = i/D, D >= 1: 3x/pi^2 in floats plus float(r_x - s_x),
+    correctly rounded, with r_x = Phi(n)/x and n = floor(x).
+
+    r_x 2^E lies in [R, R + 1) for R = floor(Phi(n) D 2^E / i) and s_x 2^E
+    in [S, S + n) for the fixed-point prefix S, so r_x - s_x lies in
+    [R - S - n, R + 1 - S]/2^E, E = 96.  Where both ends round to one float
+    that float is its value; otherwise, as at x = 1 where r_x - s_x = 0,
+    the exact s_n is summed for this n alone."""
+    if i < 0:
+        return -_h(-i, D, tables)
+    if not i:
         return 0.0
-    sign = 1.0
-    if x < 0:
-        sign, x = -1.0, -x
-    nx = _table_index(x, tables, "x")
-    r_x = tables.phi_sum(nx) / x
-    s_x = tables.s_frac(nx)
-    return sign * (3 * float(x) / math.pi ** 2 + float(r_x - s_x))
+    n = i // D
+    if n > tables.N:
+        raise ValueError("x exceeds table size")
+    phi_sum = tables.phi_sum(n)
+    R = (phi_sum * D << _H_BITS) // i
+    S = tables._s_fixed[n]
+    diff = (R - S - n) / (1 << _H_BITS)
+    if diff != (R + 1 - S) / (1 << _H_BITS):
+        diff = float(Fraction(phi_sum * D, i) - tables.s_frac(n))
+    return 3 * (i / D) / math.pi ** 2 + diff

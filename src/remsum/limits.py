@@ -55,10 +55,15 @@ def convergence_report(a_over_b: Fraction, n_list, x_star: Scalar,
     """Sup-grid deviation of the rescaled profile from eta_tilde, per n.
 
     Grid points sit at odd multiples of grid_step/2 so they avoid the jump
-    set of the rescaled functions.
+    set of the rescaled functions.  ValueError for grid_step <= 0 and for
+    x_star < grid_step/2, where the grid is empty.
     """
     ab = Fraction(a_over_b)
     step = Fraction(grid_step)
+    if step <= 0:
+        raise ValueError("grid_step must be > 0")
+    if x_star < step / 2:
+        raise ValueError("x_star < grid_step/2: the grid is empty")
     xs: list[Fraction] = []
     i = 0
     while True:

@@ -5,8 +5,7 @@ over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
 `_numerators` is the only (n, F) -> S map: for a whole iterable of pairs
 (n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
 (u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`.
-`_values` makes the exact values from them in one comprehension, the
-Dirichlet float tables round them in bulk (`exactnum._quad_floats`), and
+`_values` makes the exact values from them in one comprehension, and
 `_abs_at_most` decides every |S| <= bound on them, or on the parts of an
 exact S, with one isqrt.
 brute_S is the oracle: it sums the floors directly (over one period for

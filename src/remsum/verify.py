@@ -188,7 +188,8 @@ def suite_dirichlet(size: str = "quick", seed: int = 0) -> list[dict]:
             em = dirichlet.f_beta_mellin(t, s, K)
             if abs(ea.value - em.value) > ea.tail_bound + em.tail_bound:
                 ok_a = False
-        eb = dirichlet.f_beta_partial(t, 2, K)
+            if s == 2:
+                eb = ea
         eq = dirichlet.f_q_partial(t, 2, K, tables)
         if abs(dirichlet.zeta(2) * eq.value + eb.value) > \
                 abs(dirichlet.zeta(2)) * eq.tail_bound + eb.tail_bound:

@@ -24,14 +24,23 @@ DATA = Path(__file__).parent / "data"
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
 
-# sha256 of the stdout of two plot grids; CI checks the same argv with
-# `sha256sum -c`
+# sha256 of the stdout of three plot grids and one Dirichlet record; CI
+# checks the same argv with `sha256sum -c`
 PLOT_DIGESTS = {
     "plot_rescaled.csv.sha256": ("plot", "--which", "rescaled", "--range=-3:3",
                                  "--step", "1/7", "--a-over-b", "2/5",
                                  "--rescale-n", "50"),
     "plot_etaprime.csv.sha256": ("plot", "--which", "etaprime", "--range=-7/3:5",
                                  "--step", "1/9"),
+    # h on a symmetric range, past the README's
+    "plot_h_symmetric.csv.sha256": ("plot", "--which", "h", "--range=-600:600",
+                                    "--step", "1/3"),
+}
+# rational t, and S0 at Re(s) <= 1
+DIRICHLET_DIGESTS = {
+    "dirichlet_rational_mellin.json.sha256": (
+        "dirichlet", "--t", "rat:377/991", "--s", "0.7+2j", "--K", "20000",
+        "--mode", "mellin"),
 }
 
 
@@ -376,6 +385,13 @@ class TestDirichletCommand:
                            "--s", "0.7+3i", "--K", "300", "--mode", "evidence")
         rec = json.loads(out)
         assert code == 0 and rec["decreasing"] is True
+
+    @pytest.mark.parametrize("name", sorted(DIRICHLET_DIGESTS))
+    def test_stdout_matches_its_digest(self, capsys, name):
+        code, out, _ = run(capsys, *DIRICHLET_DIGESTS[name])
+        assert code == 0
+        want = (DATA / name).read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestBench:

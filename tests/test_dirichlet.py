@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from remsum import dirichlet, farey, sums
 from remsum.errors import DomainError, PoleAtOne
 from remsum.exactnum import QuadExt, beta0, to_float
+from test_sums import ALWAYS_FALLS_BACK, ONE_THIRD_AND_A_BIT
 
 
 # t = (p + q sqrt(d))/r with q of both signs, r > 1 and radicands that keep
@@ -21,6 +22,15 @@ quadratic_ts = st.builds(
     st.integers(1, 60))
 # small denominators, so that b | k happens inside the table
 rational_ts = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+# The tables read floor(t 2^E) with E = 64 + 3 K.bit_length(), E = 91 for
+# 256 <= K < 512.  t = sqrt(m^2 - 1) - (m - 1) with m = 2^91 is about
+# 1 - 2^-92, so floor(t 2^91) = 2^91 - 1 and the bracket of k t reaches the
+# next integer at every k
+WRAPS_AT_EVERY_K = QuadExt(1 - 2 ** 91, 1, 4 ** 91 - 1, 1)
+# t = 1/2 + sqrt(m^2 + 1) - m, m = 10^40: at odd k, beta0(kt) is about
+# k 10^-40 > 0 while the bracket starts at exactly 0
+HALF_AND_A_BIT = QuadExt(1 - 2 * 10 ** 40, 2, 10 ** 80 + 1, 2)
 
 
 class TestZeta:
@@ -62,6 +72,12 @@ class TestTermTables:
     @given(st.one_of(quadratic_ts, rational_ts), st.integers(1, 300))
     @example(QuadExt(1, 1, 1018081, 2000), 300)  # square radicand: 101/200
     @example(-3, 40)
+    @example(ALWAYS_FALLS_BACK, 300)
+    # k t lies just past an integer at k = 3j, where the unchecked bracket
+    # ends both round to 0.5 and beta0(kt) is about -1/2
+    @example(ONE_THIRD_AND_A_BIT, 300)
+    @example(WRAPS_AT_EVERY_K, 300)
+    @example(HALF_AND_A_BIT, 300)
     @settings(max_examples=80, deadline=None)
     def test_tables_are_float_of_the_exact_values(self, t, K):
         exact = sums.s0_prefix(t, K)
@@ -69,7 +85,34 @@ class TestTermTables:
         want_b0 = [0.0.hex()] + [float(exact[k] - exact[k - 1]).hex()
                                  for k in range(1, K + 1)]
         assert [v.hex() for v in dirichlet.beta0_float_table(t, K)] == want_b0
-        assert [v.hex() for v in dirichlet._s0_floats(t, K)] == want_s0
+        assert [v.hex() for v in dirichlet._float_tables(t, K)[1]] == want_s0
+
+    @pytest.mark.parametrize("t, K, floors, roundings", [
+        (WRAPS_AT_EVERY_K, 300, 300, 0),
+        # floors at k = 3, 6, ..., 300; S0(2,t) is about 1.5e-30
+        (ONE_THIRD_AND_A_BIT, 300, 100, 1),
+        (HALF_AND_A_BIT, 300, 0, 151),  # beta0 at odd k, and S0(1,t)
+        (QuadExt(-1, 1, 5, 2), 10 ** 4, 0, 0),
+    ])
+    def test_falls_back_only_where_the_bracket_cannot_decide(
+            self, monkeypatch, t, K, floors, roundings):
+        floor_calls, exact_calls = [], []
+
+        def counted(fn, calls):
+            return lambda *a: calls.append(a) or fn(*a)
+
+        monkeypatch.setattr(dirichlet, "floor", counted(dirichlet.floor, floor_calls))
+        monkeypatch.setattr(dirichlet, "beta0", counted(dirichlet.beta0, exact_calls))
+        monkeypatch.setattr(sums, "exact_S", counted(sums.exact_S, exact_calls))
+        dirichlet._float_tables.cache_clear()
+        b0, s0 = dirichlet._float_tables(t, K)
+        # one more floor for T = floor(t 2^E)
+        assert (len(floor_calls), len(exact_calls)) == (1 + floors, roundings)
+        if K <= 300:
+            exact = sums.s0_prefix(t, K)
+            assert list(s0) == [float(v) for v in exact]
+            assert list(b0[1:]) == [float(exact[k] - exact[k - 1])
+                                    for k in range(1, K + 1)]
 
     def test_retained_table_follows_t_and_K(self, corpus):
         t1, t2 = corpus["golden"], F(3, 7)
@@ -79,7 +122,7 @@ class TestTermTables:
             exact = want[t, K]
             assert dirichlet.beta0_float_table(t, K) == \
                 [0.0] + [float(exact[k] - exact[k - 1]) for k in range(1, K + 1)]
-            assert list(dirichlet._s0_floats(t, K)) == [float(v) for v in exact]
+            assert list(dirichlet._float_tables(t, K)[1]) == [float(v) for v in exact]
             s = 2 + 0j
             assert dirichlet.f_beta_mellin(t, s, K).value == sum(
                 float(exact[n]) * (n ** -s - (n + 1) ** -s) for n in range(1, K))
@@ -125,7 +168,7 @@ class TestSeries:
     def test_abel_sums_equal_the_two_power_formula(self, t, s, K):
         # each power is computed once and carried into the next term; the
         # floats must be those of computing n^(-s) and (n+1)^(-s) per term
-        sf = dirichlet._s0_floats(t, K)
+        sf = dirichlet._float_tables(t, K)[1]
         diffs = [sf[n] * (n ** (-s) - (n + 1) ** (-s)) for n in range(1, K)]
         assert dirichlet.f_beta_mellin(t, s, K).value == sum(diffs)
         rec, = dirichlet.continuation_evidence(t, [s], K)

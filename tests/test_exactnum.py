@@ -329,6 +329,8 @@ def _assert_nearest(x, v: F, below: F, above: F):
 
 def _assert_float_nearest(x):
     f = float(x)
+    if f == 0 and x != 0:  # an underflow keeps the sign of x
+        assert math.copysign(1.0, f) == (1.0 if x > 0 else -1.0)
     _assert_nearest(x, F(f), F(math.nextafter(f, -math.inf)),
                     F(math.nextafter(f, math.inf)))
 
@@ -345,6 +347,14 @@ def _assert_to_float_nearest(x, bits: int):
 
 class TestFloatBoundary:
     @given(irrationals())
+    # x > 0 underflows to zero, which must be +0.0
+    @example(QuadExt(-16616132878186749607, 11749380235262596085, 2, 2 ** 1060))
+    # x is about 1.75e308, next to the largest float
+    @example(QuadExt(0, int(1.75e308 / math.sqrt(2)), 2, 1))
+    # x = 1 + 2^-53 (1 + e), e about 2^-41.5, from the convergent
+    # 2140758220993/1513744654945 of sqrt(2): just above the rounding
+    # boundary 1 + 2^-53
+    @example(QuadExt(2 ** 53 + 1 - 2140758220993, 1513744654945, 2, 2 ** 53))
     @settings(max_examples=300, deadline=None)
     def test_float_within_half_ulp(self, x):
         _assert_float_nearest(x)
@@ -364,42 +374,20 @@ class TestFloatBoundary:
             for v in sums.s0_prefix(t, 2000):
                 _assert_float_nearest(v)
 
-    # E = 1 leaves a bracket as wide as |v|/(2r): nearly every entry falls
-    # back; the tables' E at K = 10^6 decides nearly every entry itself
-    @given(irrationals(), st.sampled_from([1, 64, 64 + 3 * 20]))
-    # x > 0 underflows, and its bracket ends round to -0.0 and 0.0
-    @example(QuadExt(-16616132878186749607, 11749380235262596085, 2, 2 ** 1060), 124)
-    # x is about 1.75e308, and its upper bracket end overflows
-    @example(QuadExt(0, int(1.75e308 / math.sqrt(2)), 2, 1), 1)
-    # x = 1 + 2^-53 (1 + e), e about 2^-41.5, from the convergent
-    # 2140758220993/1513744654945 of sqrt(2): just above the rounding
-    # boundary 1 + 2^-53, which lies inside its bracket at E = 64
-    @example(QuadExt(2 ** 53 + 1 - 2140758220993, 1513744654945, 2, 2 ** 53), 64)
-    @settings(max_examples=300, deadline=None)
-    def test_bulk_rounding_is_quad_float(self, x, E):
-        got, = exactnum._quad_floats(x.d, x.r, [(x.p, x.q)], E)
-        assert got.hex() == float(x).hex()
-
     @pytest.mark.parametrize("d", [2, 3, 13, 94])
-    def test_bulk_rounding_of_cancelling_entries(self, monkeypatch, d):
-        # u + v sqrt(d) for the convergents u/v of -sqrt(d), and one off:
-        # the value is about 1/v while u and v reach 2^300
+    def test_bulk_rounding_of_cancelling_entries(self, d):
+        # u + v sqrt(d) for the convergents u/v of -sqrt(d), and one off,
+        # over r = 7 and handed to _quad_float as (3u, 3v, d, 21), not in
+        # lowest terms: the value is about 1/v while u and v reach 2^300
         pairs = []
         for c in cfrac.convergents(cfrac.expand(QuadExt(0, 1, d), 64), 400)[1:]:
             pairs += [(-c.a, c.b), (c.a, -c.b), (1 - c.a, c.b)]
         assert max(v for _, v in pairs).bit_length() > 300
-        want = [exactnum._quad_float(u, v, d, 7).hex() for u, v in pairs]
-        calls = []
-        quad_float = exactnum._quad_float
-        monkeypatch.setattr(exactnum, "_quad_float",
-                            lambda *a: calls.append(a) or quad_float(*a))
-        for E in (1, 64 + 3 * 20):
-            calls.clear()
-            got = exactnum._quad_floats(d, 7, pairs, E)
-            assert [v.hex() for v in got] == want
-            # every entry falls back at E = 1, and only the largest
-            # (v^2 past 2^(E-53)) at the tables' E
-            assert (len(calls) == len(pairs)) == (E == 1)
+        for u, v in pairs:
+            x = QuadExt(u, v, d, 7)
+            got = exactnum._quad_float(3 * u, 3 * v, d, 21)
+            assert got.hex() == float(x).hex()
+            _assert_float_nearest(x)
 
     def test_cli_import_needs_no_mpmath(self):
         src = os.path.dirname(os.path.dirname(remsum.__file__))

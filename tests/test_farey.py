@@ -3,11 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remsum import farey
-from remsum.exactnum import beta0
+from remsum.exactnum import QuadExt, beta0
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,55 @@ class TestTableRange:
         assert len(farey.h_values([10, F(21, 2), -10], small)) == 3
 
 
+def _h_by_fractions(x, tables):
+    """h(x) = sign(x) (3|x|/pi^2 + float(Phi(n)/|x| - s_n)), n = floor(|x|),
+    with s_n summed as Fractions."""
+    if x == 0:
+        return 0.0
+    a = abs(x)
+    n = math.floor(a)
+    s = sum((F(tables.phi[k], k) for k in range(1, n + 1)), F(0))
+    v = 3 * float(a) / math.pi ** 2 + float(tables.phi_sum(n) / a - s)
+    return v if x > 0 else -v
+
+
 class TestLimitFunctionH:
+    # (i, D) with |i/D| <= 600 and D up to 12, not in lowest terms, as the
+    # plot grid hands them over
+    @given(st.integers(1, 12).flatmap(
+        lambda D: st.tuples(st.integers(-600 * D, 600 * D), st.just(D))))
+    @example((1, 1))  # r_1 - s_1 = 0
+    @example((-1, 1))
+    @example((3, 4))  # 0 < x < 1, where r_x - s_x = 0
+    @example((-2, 3))
+    @example((0, 5))
+    @example((10, 10))
+    @example((7, 6))  # 1 < x < 2, where r_x - s_x = 1/x - 1 is small
+    @example((-7200, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_is_float_of_the_fraction_formula(self, tables, iD):
+        i, D = iD
+        want = _h_by_fractions(F(i, D), tables).hex()
+        assert farey._h(i, D, tables).hex() == want
+        assert farey.h_values([F(i, D)], tables)[0].hex() == want
+
+    def test_takes_the_exact_sum_only_where_the_bracket_cannot_decide(
+            self, monkeypatch, tables):
+        calls = []
+        s_frac = tables.s_frac
+        monkeypatch.setattr(tables, "s_frac",
+                            lambda n: calls.append(n) or s_frac(n))
+        # the grid of `plot --which h --range 0:500 --step 0.25`
+        farey.h_values([F(i, 4) for i in range(2001)], tables)
+        assert calls == [0, 0, 0, 1]  # x = 1/4, 1/2, 3/4 and 1
+
+    def test_refuses_irrational_x(self, tables):
+        with pytest.raises(ValueError, match="irrational"):
+            farey.h_values([QuadExt(-1, 1, 5, 2)], tables)
+        # a QuadExt with a square radicand is rational
+        assert farey.h_values([QuadExt(1, 1, 9, 2)], tables) == \
+            farey.h_values([2], tables)
+
     def test_examples(self, tables):
         vals = farey.h_values([0, 1, 2], tables)
         assert vals[0] == 0.0

@@ -95,3 +95,17 @@ class TestConvergenceReport:
         sups = [r.sup_abs_dev for r in reports]
         assert sups[0] > sups[1] > sups[2]
         assert all(abs(r.argmax_x) <= 4 for r in reports)
+
+    @pytest.mark.parametrize("step", [F(0), F(-1, 4)])
+    def test_refuses_a_step_that_is_not_positive(self, step):
+        # the grid x = (2i + 1) step/2 never passed x_star: the call ran on
+        with pytest.raises(ValueError, match="grid_step must be > 0"):
+            limits.convergence_report(F(2, 5), [100], F(1), step)
+
+    def test_refuses_an_empty_grid(self):
+        # x_star < step/2 left no grid point and returned sup_abs_dev = -1.0
+        with pytest.raises(ValueError, match="the grid is empty"):
+            limits.convergence_report(F(2, 5), [100], F(1, 10), F(1, 4))
+        # x_star = step/2 keeps the two points +-step/2
+        report, = limits.convergence_report(F(2, 5), [100], F(1, 8), F(1, 4))
+        assert abs(report.argmax_x) == F(1, 8) and report.sup_abs_dev >= 0
