@@ -374,6 +374,33 @@ class TestFloatBoundary:
             for v in sums.s0_prefix(t, 2000):
                 _assert_float_nearest(v)
 
+    # the rule of the bulk float tables (dirichlet._float_tables): x lies in
+    # (m, m + 1)/2^E, m = floor(x 2^E); where both ends round to one float,
+    # that float is float(x), and elsewhere float(x) lies between them.
+    # E = 1 leaves a bracket as wide as 1/2; the tables' E reaches 124
+    @given(irrationals(), st.sampled_from([1, 64, 64 + 3 * 20]))
+    # x > 0 underflows to +0.0, inside a bracket (0, 2^-124) left undecided
+    @example(QuadExt(-16616132878186749607, 11749380235262596085, 2, 2 ** 1060), 124)
+    # x is about 1.75e308, next to the largest float
+    @example(QuadExt(0, int(1.75e308 / math.sqrt(2)), 2, 1), 1)
+    # x = 1 + 2^-53 (1 + e), e about 2^-41.5, from the convergent
+    # 2140758220993/1513744654945 of sqrt(2): just above the rounding
+    # boundary 1 + 2^-53, which lies inside its bracket at E = 1
+    @example(QuadExt(2 ** 53 + 1 - 2140758220993, 1513744654945, 2, 2 ** 53), 1)
+    @example(QuadExt(2 ** 53 + 1 - 2140758220993, 1513744654945, 2, 2 ** 53), 124)
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_rounding_is_quad_float(self, x, E):
+        got = exactnum._quad_float(x.p, x.q, x.d, x.r)
+        assert got.hex() == float(x).hex()
+        m = exactnum.floor(x * (1 << E))
+        lo, hi = m / (1 << E), (m + 1) / (1 << E)  # int division rounds once
+        if lo == hi:
+            assert got.hex() == lo.hex()
+        else:
+            assert lo <= got <= hi
+        if got == 0:
+            assert math.copysign(1.0, got) == (1.0 if x > 0 else -1.0)
+
     @pytest.mark.parametrize("d", [2, 3, 13, 94])
     def test_bulk_rounding_of_cancelling_entries(self, d):
         # u + v sqrt(d) for the convergents u/v of -sqrt(d), and one off,
