@@ -1,12 +1,20 @@
 """Continued fractions: expansion, convergents, evaluation, fundamental intervals.
 
+Everything here is read off one of two integer walks.
+
+- The orbit walk, `_orbit`, expands a quadratic irrational t along its
+  orbit under the Gauss map: each state t_j = (P_j + sqrt(D))/Q_j is the
+  integer pair (P_j, Q_j) over one D, and the first repeated pair gives
+  the eventually periodic form.  The Ostrowski and Gauss-map recursions
+  of `sums` walk the same orbit.
+- The continuant walk, `_continuants`, runs the forward recurrence of the
+  convergents a_k/b_k.  `convergents` lists it, `evaluate` takes its last
+  term, `value` solves a period's fixed point from its last two terms and
+  maps the pre-period onto it, and `fundamental_interval` reads its
+  endpoints a_m/b_m and (a_m + a_{m-1})/(b_m + b_{m-1}) off the same two.
+
 Rationals get their full finite expansion (canonical: last coefficient >= 2
-unless the expansion is a single term).  A quadratic irrational t is
-expanded along its orbit under the Gauss map, walked in integers by
-`_orbit`: each state t_j = (P_j + sqrt(D))/Q_j is the integer pair
-(P_j, Q_j) over one D, and the first repeated pair gives the eventually
-periodic form.  The Ostrowski and Gauss-map recursions of `sums` walk the
-same orbit.
+unless the expansion is a single term).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, count, islice
 
 from .errors import PeriodNotFound, RationalTerminated
 from .exactnum import QuadExt, Scalar, _parts, floor
@@ -50,11 +58,6 @@ class CFExpansion:
         if self.period:
             return self.period[(j - 1 - len(self.pre)) % len(self.period)]
         raise IndexError(f"finite expansion has only {len(self.pre)} coefficients")
-
-    def __len__(self):
-        if self.period:
-            raise ValueError("infinite expansion has no length")
-        return len(self.pre)
 
     def __str__(self):
         return format_cf(self)
@@ -128,71 +131,58 @@ def theta_sequence(t: Scalar, m: int) -> list[Scalar]:
     return out
 
 
+def _continuants(lambda0: int, lams):
+    """Yield (a_k, b_k) for k = 0, 1, ...: a_0/b_0 = 1/0, a_1/b_1 = lambda0/1
+    and a_{k+1} = lambda_k a_k + a_{k-1}, likewise b, so that
+    a_k/b_k = <lambda0; lambda_1, ..., lambda_{k-1}>.  `lams` (lambda_1, ...)
+    is read lazily, one quotient per term."""
+    a0, b0, a, b = 0, 1, 1, 0
+    yield a, b
+    for lam in chain((lambda0,), lams):
+        a0, b0, a, b = a, b, lam * a + a0, lam * b + b0
+        yield a, b
+
+
 def convergents(cf: CFExpansion, upto_k: int) -> list[Convergent]:
     """Convergents a_k/b_k for k = 0..upto_k; a_k/b_k = <l0,...,l_{k-1}>."""
-    out = [Convergent(1, 0, 0)]
-    if upto_k >= 1:
-        out.append(Convergent(cf.lambda0, 1, 1))
-    a0, b0, a1, b1 = 1, 0, cf.lambda0, 1
-    for k in range(1, upto_k):
-        lam = cf.coeff(k)
-        a0, b0, a1, b1 = a1, b1, a0 + lam * a1, b0 + lam * b1
-        out.append(Convergent(a1, b1, k + 1))
-    return out
+    terms = _continuants(cf.lambda0, map(cf.coeff, count(1)))
+    return [Convergent(a, b, k)
+            for k, (a, b) in enumerate(islice(terms, max(upto_k, 0) + 1))]
 
 
 def evaluate(cf: CFExpansion) -> Fraction:
     """Exact rational value of a finite expansion."""
     if not cf.is_finite:
         raise ValueError("evaluate needs a finite expansion")
-    val = Fraction(cf.lambda0)
-    if cf.pre:
-        val = Fraction(cf.pre[-1])
-        for c in reversed(cf.pre[:-1]):
-            val = c + 1 / val
-        val = cf.lambda0 + 1 / val
-    return val
-
-
-def _pure_periodic_value(period: tuple[int, ...]) -> QuadExt:
-    """Value y > 1 of the purely periodic expansion <p1; p2,...,pL, p1,...>."""
-    h0, h1 = 1, period[0]
-    k0, k1 = 0, 1
-    for c in period[1:]:
-        h0, h1 = h1, c * h1 + h0
-        k0, k1 = k1, c * k1 + k0
-    # y = <p1,...,pL, y>  =>  k1*y^2 + (k0 - h1)*y - h0 = 0
-    disc = (h1 - k0) ** 2 + 4 * k1 * h0
-    return QuadExt(h1 - k0, 1, disc, 2 * k1)
+    *_, (a, b) = _continuants(cf.lambda0, cf.pre)
+    return Fraction(a, b)
 
 
 def value(cf: CFExpansion) -> Scalar:
     """Exact value of the expansion (Fraction if finite, QuadExt if periodic)."""
     if cf.is_finite:
         return evaluate(cf)
-    x: Scalar = _pure_periodic_value(cf.period)
-    for c in reversed(cf.pre):
-        x = c + x.reciprocal()
-    return cf.lambda0 + x.reciprocal()
+    # y = <p1; p2, ..., pL, y> = (h y + h')/(k y + k')
+    #   =>  k y^2 + (k' - h) y - h' = 0, and y > 1 is its larger root
+    *_, (h1, k1), (h, k) = _continuants(cf.period[0], cf.period[1:])
+    y = QuadExt(h - k1, 1, (h - k1) ** 2 + 4 * k * h1, 2 * k)
+    *_, (a1, b1), (a, b) = _continuants(cf.lambda0, cf.pre)
+    return (a * y + a1) / (b * y + b1)
 
 
 def fundamental_interval(lambdas) -> tuple[Fraction, Fraction, Fraction]:
     """Interval of irrationals in (0,1) whose expansion starts with `lambdas`.
 
-    Returns (lo, hi, length), endpoints sorted ascending.
+    Returns (lo, hi, length), endpoints sorted ascending: a/b = <0; lambdas>
+    and (a + a')/(b + b'), with a'/b' the convergent one level up, so the
+    length is 1/(b (b + b')).
     """
     lams = tuple(lambdas)
     if not lams or any(c < 1 for c in lams):
         raise ValueError("need a nonempty tuple of positive integers")
-    e1 = evaluate(CFExpansion(0, lams))
-    e2 = evaluate(CFExpansion(0, lams[:-1] + (lams[-1] + 1,)))
-    lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
-    length = hi - lo
-    # closed form: 1 / ((b_j (l_j + 1) + b_{j-1}) (b_j l_j + b_{j-1}))
-    cv = convergents(CFExpansion(0, lams), len(lams))
-    bj, bj1 = cv[-1].b, cv[-2].b
-    assert length == Fraction(1, (bj * (lams[-1] + 1) + bj1) * (bj * lams[-1] + bj1))
-    return lo, hi, length
+    *_, (a1, b1), (a, b) = _continuants(0, lams)
+    lo, hi = sorted((Fraction(a, b), Fraction(a + a1, b + b1)))
+    return lo, hi, Fraction(1, b * (b + b1))
 
 
 # -- text encoding ---------------------------------------------------------

@@ -84,12 +84,8 @@ def build_tables(N: int) -> ArithTables:
                 break
             phi[i * p] = phi[i] * (p - 1)
             mu[i * p] = -mu[i]
-    mert = [0] * (N + 1)
-    pref = [0] * (N + 1)
-    for k in range(1, N + 1):
-        mert[k] = mert[k - 1] + mu[k]
-        pref[k] = pref[k - 1] + phi[k]
-    return ArithTables(N, phi, mu, mert, pref)
+    # mu[0] = phi[0] = 0, so the running sums start at 0 as well
+    return ArithTables(N, phi, mu, list(accumulate(mu)), list(accumulate(phi)))
 
 
 @dataclass

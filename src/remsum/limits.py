@@ -59,12 +59,12 @@ def convergence_report(a_over_b: Fraction, n_list, x_star: Scalar,
     x_star < grid_step/2, where the grid is empty.
     """
     ab = Fraction(a_over_b)
-    step = Fraction(grid_step)
+    step = _exact(grid_step)
     if step <= 0:
         raise ValueError("grid_step must be > 0")
     if x_star < step / 2:
         raise ValueError("x_star < grid_step/2: the grid is empty")
-    xs: list[Fraction] = []
+    xs: list[Scalar] = []
     i = 0
     while True:
         x = (2 * i + 1) * step / 2

@@ -142,6 +142,51 @@ class TestThetaSequence:
                 assert floor(th) == cf.coeff(j)
 
 
+def _reference_evaluate(cf):
+    """Backward Fraction fold <l0; l1, ..., lm> = l0 + 1/(l1 + 1/(...))."""
+    val = F(cf.lambda0)
+    if cf.pre:
+        val = F(cf.pre[-1])
+        for c in reversed(cf.pre[:-1]):
+            val = c + 1 / val
+        val = cf.lambda0 + 1 / val
+    return val
+
+
+def _reference_value(cf):
+    """The purely periodic tail y = <p1; p2, ..., pL, y> from its quadratic,
+    then one QuadExt reciprocal per quotient of the pre-period and lambda0,
+    folded backwards.  The reference for value's continuant walk."""
+    if not cf.period:
+        return _reference_evaluate(cf)
+    h0, h1 = 1, cf.period[0]
+    k0, k1 = 0, 1
+    for c in cf.period[1:]:
+        h0, h1 = h1, c * h1 + h0
+        k0, k1 = k1, c * k1 + k0
+    x = QuadExt(h1 - k0, 1, (h1 - k0) ** 2 + 4 * k1 * h0, 2 * k1)
+    for c in reversed(cf.pre):
+        x = c + x.reciprocal()
+    return cf.lambda0 + x.reciprocal()
+
+
+_quotients = st.one_of(st.integers(1, 9), st.integers(1, 1000))
+
+
+class TestValue:
+    @given(st.integers(-1000, 1000), st.lists(_quotients, max_size=6),
+           st.lists(_quotients, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example(-3, [2, 5, 9], [1, 1, 4])
+    @example(0, [3], [7, 1, 250])
+    @example(-1, [], [1000])
+    @example(0, [], [])
+    def test_matches_the_backward_fold(self, lam0, pre, period):
+        # repr, not ==: the canonical form and the radicand d must agree too
+        cf = CFExpansion(lam0, tuple(pre), tuple(period))
+        assert repr(cfrac.value(cf)) == repr(_reference_value(cf))
+
+
 class TestConvergents:
     def test_golden_denominators_are_fibonacci(self, corpus, corpus_cf):
         cv = cfrac.convergents(corpus_cf["golden"], 7)
@@ -195,6 +240,18 @@ class TestFundamentalIntervals:
         e1 = cfrac.evaluate(CFExpansion(0, lams + (1,)))
         e2 = cfrac.evaluate(CFExpansion(0, lams + (K + 1,)))
         assert covered == abs(e1 - e2)
+
+    @given(st.lists(_quotients, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([1])
+    @example([1000, 1, 1000])
+    def test_endpoints_are_the_two_evaluations(self, lams):
+        lams = tuple(lams)
+        e1 = cfrac.evaluate(CFExpansion(0, lams))
+        e2 = cfrac.evaluate(CFExpansion(0, lams[:-1] + (lams[-1] + 1,)))
+        lo, hi, ln = cfrac.fundamental_interval(lams)
+        assert (lo, hi) == (min(e1, e2), max(e1, e2))
+        assert ln == hi - lo
 
     def test_irrational_membership(self, corpus):
         # golden starts with lambda_1 = 1, sqrt2m1 with lambda_1 = 2

@@ -41,6 +41,10 @@ DIRICHLET_DIGESTS = {
     "dirichlet_rational_mellin.json.sha256": (
         "dirichlet", "--t", "rat:377/991", "--s", "0.7+2j", "--K", "20000",
         "--mode", "mellin"),
+    # negative lambda0 and a pre-period; the JSON prints t's canonical form
+    "dirichlet_cf_preperiod_beta.json.sha256": (
+        "dirichlet", "--t", "cf:-3;2,5,9,(1,1,4)", "--s", "2+1j", "--K", "5000",
+        "--mode", "beta"),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from remsum import limits
 from remsum.errors import DomainError
+from remsum.exactnum import QuadExt
 
 
 class TestEtaTilde:
@@ -101,6 +102,18 @@ class TestConvergenceReport:
         # the grid x = (2i + 1) step/2 never passed x_star: the call ran on
         with pytest.raises(ValueError, match="grid_step must be > 0"):
             limits.convergence_report(F(2, 5), [100], F(1), step)
+
+    def test_takes_an_irrational_step(self):
+        # Fraction(grid_step) refused a QuadExt step with a TypeError
+        step = QuadExt(0, 1, 2, 10)  # sqrt(2)/10
+        report, = limits.convergence_report(F(2, 5), [100], 1, step)
+        xs = [s * (2 * i + 1) * step / 2 for i in range(7) for s in (1, -1)]
+        assert all(abs(x) <= 1 for x in xs) and 15 * step / 2 > 1
+        assert report.sup_abs_dev == max(
+            abs(float(limits.rescaled_eta(F(2, 5), 100, x) - limits.eta_tilde(x)))
+            for x in xs)
+        with pytest.raises(ValueError, match="grid_step must be > 0"):
+            limits.convergence_report(F(2, 5), [100], 1, -step)
 
     def test_refuses_an_empty_grid(self):
         # x_star < step/2 left no grid point and returned sup_abs_dev = -1.0
