@@ -5,7 +5,9 @@ representing (p + q*sqrt(d))/r with integers p, q, r.  `_parts` is the one
 integer view of a Scalar, (p, q, d, r), and raises TypeError for anything
 else, a float included.  Every floor, sign, rationality and order question
 is an integer test on that view with at most one isqrt (`floor`, `_sign`),
-and the other modules take a Scalar apart only through `_parts`.  No
+and the other modules take a Scalar apart only through `_parts`.  A
+weighted sum of c beta(j t) is likewise taken on t's parts, as four integer
+sums and one exact value (`_beta_sum`), not as a fold of exact terms.  No
 floating point enters any exact code path.  Floats appear only through
 `float()`, which is correctly rounded for every Scalar and is itself
 computed in integers.  Its one boundary, `_quad_float(p, q, d, r)`, serves
@@ -359,6 +361,35 @@ def beta0(t: Scalar) -> Scalar:
     if is_integer(t):
         return Fraction(0)
     return beta(t)
+
+
+def _beta_sum(t: Scalar, pairs, midpoint: bool = False) -> Scalar:
+    """The sum of c beta(j t), or of c beta0(j t) if midpoint, over the
+    (j, c) of `pairs`, built once from four integer sums.  With t's parts,
+    floor(j t) = (j p + floor(j q sqrt(d)))//r, and the sum is
+    t A - B - C/2 + D/2 for A = sum of c j, B = sum of c floor(j t),
+    C = sum of c, and D = the sum of c where j t is an integer (r | j,
+    rational t only) if midpoint, 0 otherwise.  A pair with c = 0 adds
+    nothing; the value is a QuadExt over t's radicand for irrational t with
+    any nonzero c, and a Fraction otherwise, as a Fraction(0)-started fold
+    of the nonzero terms would give."""
+    p, q, d, r = _parts(t)
+    A = B = C = D = 0
+    nonzero = False
+    for j, c in pairs:
+        if not c:
+            continue
+        nonzero = True
+        A += c * j
+        C += c
+        if q:
+            B += c * ((j * p + _floor_sqrt_times(j * q, d)) // r)
+        else:
+            B += c * (j * p // r)
+            if midpoint and not j % r:
+                D += c
+    u = 2 * (p * A - r * B) - r * (C - D)
+    return _make(u, 2 * q * A, d, 2 * r) if q and nonzero else Fraction(u, 2 * r)
 
 
 def to_float(x: Scalar, precision_bits: int = 53):

@@ -2,6 +2,11 @@
 the limit function h(x) = 3x/pi^2 + r_x - s_x, with r_x = Phi(n)/x,
 s_x = sum of phi(k)/k over k <= n and n = floor(x).
 
+The Farey sequence is walked as integer pairs (`_farey_pairs`), which
+`farey()` turns into Fractions.  q_k, Phi_x and its q_k mean are each one
+sum of c beta(j t) over integer pairs (j, c) (`exactnum._beta_sum`): four
+integer sums, one exact value at the end.
+
 h is computed in integers at rational x = i/D.  One integer prefix of
 floor(phi(k) 2^96 / k), shared by every x, and one floor division per x put
 r_x - s_x between two integers over 2^96; where both ends round to one
@@ -18,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, as_fraction, beta, beta0, floor
+from .exactnum import HALF, Scalar, _beta_sum, as_fraction, floor
 
 
 # fixed-point bits of the s_x prefix that h reads; |r_x - s_x| is about
@@ -94,17 +99,22 @@ class FareySequence:
     fractions: list[Fraction]
 
 
-def farey(n: int) -> FareySequence:
-    """Farey sequence of order n on [0, 1] via the neighbor recurrence."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    seq = [Fraction(0, 1)]
+def _farey_pairs(n: int):
+    """Yield (numerator, denominator) of the Farey sequence of order n >= 1
+    on [0, 1], in order, by the neighbor recurrence; ints only."""
     a, b, c, d = 0, 1, 1, n
+    yield a, b
     while c <= n:
-        seq.append(Fraction(c, d))
+        yield c, d
         k = (n + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return FareySequence(n, seq)
+
+
+def farey(n: int) -> FareySequence:
+    """Farey sequence of order n on [0, 1], as Fractions of `_farey_pairs`."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return FareySequence(n, [Fraction(a, b) for a, b in _farey_pairs(n)])
 
 
 def _divisors(k: int) -> list[int]:
@@ -119,12 +129,11 @@ def _divisors(k: int) -> list[int]:
     return small + large[::-1]
 
 
-def _beta_of(variant: str):
-    """beta for variant "beta", beta0 for "beta0"; ValueError otherwise."""
-    if variant == "beta":
-        return beta
-    if variant == "beta0":
-        return beta0
+def _midpoint(variant: str) -> bool:
+    """False for variant "beta", True for "beta0" (the midpoint convention
+    at jumps); ValueError otherwise."""
+    if variant in ("beta", "beta0"):
+        return variant == "beta0"
     raise ValueError(f"variant must be 'beta' or 'beta0', got {variant!r}")
 
 
@@ -143,39 +152,34 @@ def q_k(k: int, t: Scalar, tables: ArithTables, variant: str = "beta") -> Scalar
     """q_k(t) = -sum over d|k of mu(d) * beta(kt/d); beta0 variant for q_{k,0},
     for 1 <= k <= tables.N."""
     _table_index(k, tables, "k")
-    bfun = _beta_of(variant)
-    total: Scalar = Fraction(0)
-    for d in _divisors(k):
-        m = tables.mu[d]
-        if m:
-            total = total + m * bfun((k // d) * t)
-    return -total
+    midpoint = _midpoint(variant)
+    mu = tables.mu
+    return -_beta_sum(t, ((k // d, mu[d]) for d in _divisors(k)), midpoint)
 
 
 def phi_x(x: Scalar, t: Scalar, tables: ArithTables,
           variant: str = "beta") -> Scalar:
     """Phi_x(t) via the Mertens-weighted form -(1/x) sum_j M(x/j) beta(jt),
     for x > 0 with floor(x) <= tables.N."""
-    bfun = _beta_of(variant)
+    midpoint = _midpoint(variant)
     nx = _table_index(x, tables, "x")
-    total: Scalar = Fraction(0)
-    for j in range(1, nx + 1):
-        m = tables.M(nx // j)
-        if m:
-            total = total + m * bfun(j * t)
-    return -total / x
+    M = tables.mertens
+    return -_beta_sum(t, ((j, M[nx // j]) for j in range(1, nx + 1)),
+                      midpoint) / x
 
 
 def phi_x_qsum(x: Scalar, t: Scalar, tables: ArithTables,
                variant: str = "beta") -> Scalar:
-    """Phi_x(t) as the direct mean of q_k(t); cross-check for phi_x, over
-    the same x."""
-    _beta_of(variant)  # also where no q_k is taken (x < 1)
+    """Phi_x(t) as the direct mean (1/x) sum of q_k(t) over k <= x;
+    cross-check for phi_x, over the same x.  One sum over the pairs
+    (k/d, mu(d)) for k <= x and d | k, taken as the multiples k = m d of
+    each d: it reads mu alone, never the Mertens prefix phi_x reads."""
+    midpoint = _midpoint(variant)
     nx = _table_index(x, tables, "x")
-    total: Scalar = Fraction(0)
-    for k in range(1, nx + 1):
-        total = total + q_k(k, t, tables, variant)
-    return total / x
+    mu = tables.mu
+    pairs = ((m, mu[d]) for d in range(1, nx + 1) if mu[d]
+             for m in range(1, nx // d + 1))
+    return -_beta_sum(t, pairs, midpoint) / x
 
 
 def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:

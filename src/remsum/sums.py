@@ -35,6 +35,11 @@ orbit.  bseq_S is the alternative recursion through the Gauss-map orbit of
 t, an independent cross-check that uses no convergents and carries F in
 integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
 `cfrac._orbit`, the walk `cfrac.expand` uses, so neither needs a period.
+Each has an integer core that returns the int F(n,t) and its trace rows:
+`_ostrowski_F` sums the dF of the steps, and `_bseq_F` takes F from the
+alternating sum G below, asserting the Bsequence estimate on the integer
+numerators of S.  ostrowski_S and bseq_S are `_values` of their cores, and
+`verify` compares the cores' ints with the `_floor_sums` prefix directly.
 All three agree exactly on every input.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
@@ -80,8 +85,8 @@ class _Steps:
 
     __slots__ = ("rows", "_build")
 
-    def __init__(self, build):
-        self.rows: list[tuple] = []
+    def __init__(self, build, rows: list[tuple]):
+        self.rows = rows
         self._build = build
 
     def __len__(self) -> int:
@@ -331,9 +336,23 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
     return j, n2, q * (m * tab.a[j] - b - (-1) ** j) // 2
 
 
+def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
+    """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
+    its trace rows (j, n, n', dF), one per validated step; ints only."""
+    rows = []
+    F = 0
+    while n > 0:
+        j, n2, dF = _ostrowski_step(tab, n)
+        rows.append((j, n, n2, dF))
+        F += dF
+        n = n2
+    return F, rows
+
+
 def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
                 tables: OstrowskiTables | None = None) -> tuple[Scalar, SumTrace]:
-    """Exact S(n,t) for irrational t in O(log n) recursion steps.
+    """Exact S(n,t) for irrational t in O(log n) recursion steps: the value
+    of F(n,t) from `_ostrowski_F`.
 
     cf, if given, cross-checks the expansion (see `OstrowskiTables`).
     `tables`, if given, must have been built for this t, and for this cf
@@ -349,15 +368,9 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
         S, S2 = _values(tab.t, [(n, dF), (n2, 0)])
         return OstrowskiStep(j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), S - S2)
 
-    trace = SumTrace(_Steps(step))
-    rows = trace.steps.rows
-    n0, F = n, 0
-    while n > 0:
-        j, n2, dF = _ostrowski_step(tab, n)
-        rows.append((j, n, n2, dF))
-        F += dF
-        n = n2
-    return (_values(tab.t, [(n0, F)])[0] if n0 else Fraction(0)), trace
+    F, rows = _ostrowski_F(n, tab)
+    return ((_values(tab.t, [(n, F)])[0] if n else Fraction(0)),
+            SumTrace(_Steps(step, rows)))
 
 
 def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
@@ -391,8 +404,40 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
+def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
+    """F(n,t) by the Gauss-map recursion of `bseq_S`, with its trace rows
+    (j, n_j, P_j, Q_j); ints only.  The modified Bsequence estimate is
+    asserted on the numerators (u, v) of S(n,t), so no QuadExt is built."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _, q, d, r = _parts(t)
+    if not q:
+        raise NotIrrational("bseq recursion needs irrational t")
+    orbit = cfrac._orbit(t)
+    lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
+    if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
+        raise DomainError("t must lie in (0, 1]")
+    s = abs(q) * r  # sqrt(D) = s sqrt(d)
+    rows = []
+    nj, sign, G, lam_sum = n, 1, 0, 0
+    while nj > 0:
+        rows.append((len(rows), nj, P, Q))
+        m = cfrac._floor_over(nj * P, _floor_sqrt_times(nj * s, d), Q)
+        lam, P, Q = next(orbit)
+        G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
+        lam_sum += lam
+        nj, sign = m, -sign
+    F = (-n - G) // 2
+    if n:
+        (u, v), = _numerators(t, False, [(n, F)])
+        if not _abs_at_most(u, v, d, 2 * r, lam_sum, 2):
+            raise AssertionError("modified Bsequence estimate violated")
+    return F, rows
+
+
 def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
-    """Exact S(n,t) via the orbit t_j of the Gauss map and n_{j+1} = floor(t_j n_j).
+    """Exact S(n,t) via the orbit t_j of the Gauss map and n_{j+1} = floor(t_j n_j):
+    the value of F(n,t) from `_bseq_F`.
 
     Theorem 2.1(b) gives S(n,t) = sum over j of (-1)^j (n_j eta_tilde(t_j n_j)
     + frac(t_j n_j)/2).  The orbit comes from `cfrac._orbit` as integer
@@ -407,16 +452,9 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     The modified Bsequence estimate |S| <= (1/2) sum of lambda_{j+1} over the
     steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    F, rows = _bseq_F(n, t)
     _, q, d, r = _parts(t)
-    if not q:
-        raise NotIrrational("bseq recursion needs irrational t")
-    orbit = cfrac._orbit(t)
-    lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
-    if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
-        raise DomainError("t must lie in (0, 1]")
-    s = abs(q) * r  # sqrt(D) = s sqrt(d)
+    s = abs(q) * r
 
     def step(j, nj, P, Q):
         tj = _make(P, s, d, Q)
@@ -424,22 +462,8 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
         f = x - floor(x)  # n_j eta_tilde(x) = f(f - 1)/(2 t_j)
         return BseqStep(j, nj, tj, (f * (f - 1) / tj + f) / 2)
 
-    trace = SumTrace(_Steps(step))
-    rows = trace.steps.rows
-    nj, sign, G, lam_sum = n, 1, 0, 0
-    while nj > 0:
-        rows.append((len(rows), nj, P, Q))
-        m = cfrac._floor_over(nj * P, _floor_sqrt_times(nj * s, d), Q)
-        lam, P, Q = next(orbit)
-        G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
-        lam_sum += lam
-        nj, sign = m, -sign
-    if n == 0:
-        return Fraction(0), trace
-    total = _values(t, [(n, (-n - G) // 2)])[0]
-    if not _abs_at_most(*_parts(total), lam_sum, 2):
-        raise AssertionError("modified Bsequence estimate violated")
-    return total, trace
+    return ((_values(t, [(n, F)])[0] if n else Fraction(0)),
+            SumTrace(_Steps(step, rows)))
 
 
 # -- Theorem identities and bounds -----------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from . import cfrac, dirichlet, farey, measure, sums
 from .exactnum import QuadExt, _parts, beta0
@@ -30,21 +30,38 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def suite_oracle(size: str = "quick", seed: int = 0) -> list[dict]:
+    # S(n,t) is affine in the integer F(n,t), so S agrees where F does: the
+    # two recursions' F against the brute-force prefix, as ints
     n_max = 2000 if size == "full" else 300
     checks = []
     for label, t in corpus().items():
-        prefix = sums.s0_prefix(t, n_max)  # equals S(n,t): kt never integral
         tab = sums.OstrowskiTables(t)
-        ok = True
         detail = ""
-        for n in range(1, n_max + 1):
-            vo = sums.ostrowski_S(n, t, tables=tab)[0]
-            vb = sums.bseq_S(n, t)[0]
-            if vo != prefix[n] or vb != prefix[n]:
-                ok, detail = False, f"disagreement at n={n}"
+        for n, f_brute in enumerate(sums._floor_sums(t, n_max), 1):
+            f_ostrowski = sums._ostrowski_F(n, tab)[0]
+            f_bseq = sums._bseq_F(n, t)[0]
+            if f_ostrowski != f_brute or f_bseq != f_brute:
+                off = [name for name, f in (("ostrowski", f_ostrowski),
+                                            ("bseq", f_bseq)) if f != f_brute]
+                verb = "disagree" if len(off) > 1 else "disagrees"
+                detail = (f"{' and '.join(off)} {verb} with brute at n={n}:"
+                          f" F(n,t) = {f_ostrowski} (ostrowski), {f_bseq} (bseq),"
+                          f" {f_brute} (brute)")
                 break
-        checks.append(_check(f"oracle-equality[{label}, n<={n_max}]", ok, detail))
+        checks.append(_check(f"oracle-equality[{label}, n<={n_max}]",
+                             not detail, detail))
     return checks
+
+
+def _at_most_2logn(n: int, held: bool, L_j: int, u: int, v: int, d: int,
+                   r2: int) -> bool:
+    """|S(n,t)| <= B, B = 2 log n as a float, for S = (u + v sqrt(d))/r2.
+    Where the Snfinal bound |S| <= L_j/2 held at n, L_j <= 2B (an exact
+    int/float compare) decides it; otherwise `_abs_at_most` does, with one
+    isqrt."""
+    B = 2 * math.log(n)
+    return (held and L_j <= 2 * B) or sums._abs_at_most(
+        u, v, d, r2, *B.as_integer_ratio())
 
 
 def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
@@ -61,9 +78,9 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     L = list(accumulate(tab.lam[1:], initial=0))
     snfinal = log_ok = True
     for n, (u, v) in enumerate(sums._numerators(t, False, enumerate(F[1:], 1)), 1):
-        snfinal = snfinal and sums._abs_at_most(u, v, d, r2, L[js[n]], 2)
-        log_ok = log_ok and (n < 3 or sums._abs_at_most(
-            u, v, d, r2, *(2 * math.log(n)).as_integer_ratio()))
+        L_j = L[js[n]]
+        snfinal = snfinal and sums._abs_at_most(u, v, d, r2, L_j, 2)
+        log_ok = log_ok and (n < 3 or _at_most_2logn(n, snfinal, L_j, u, v, d, r2))
     checks.append(_check("snfinal-bound[golden]", snfinal))
     ok = all(depth[n] <= 4 * math.log(n) for n in range(3, n_sweep + 1))
     checks.append(_check("recursion-depth<=4logn[golden]", ok))
@@ -73,7 +90,7 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     ok = True
     for label, t in corpus().items():
         for n in range(8, n_bseq + 1, 7):
-            if len(sums.bseq_S(n, t)[1].steps) > 4 * math.log(n):
+            if len(sums._bseq_F(n, t)[1]) > 4 * math.log(n):
                 ok = False
     checks.append(_check("bseq-depth<=4logn", ok))
 
@@ -136,9 +153,8 @@ def suite_farey(size: str = "quick", seed: int = 0) -> list[dict]:
     nmax = 300 if size == "full" else 60
     ok = True
     for n in range(1, nmax + 1, 7):
-        fr = farey.farey(n).fractions
-        if any(y.numerator * x.denominator - x.numerator * y.denominator != 1
-               for x, y in zip(fr, fr[1:])):
+        if any(c * b - a * d != 1
+               for (a, b), (c, d) in pairwise(farey._farey_pairs(n))):
             ok = False
     checks.append(_check("neighbor-determinant", ok))
 

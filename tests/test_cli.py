@@ -24,8 +24,8 @@ DATA = Path(__file__).parent / "data"
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
 
-# sha256 of the stdout of three plot grids and one Dirichlet record; CI
-# checks the same argv with `sha256sum -c`
+# sha256 of the stdout of three plot grids, two Dirichlet records and two
+# Farey counting identities; CI checks the same argv with `sha256sum -c`
 PLOT_DIGESTS = {
     "plot_rescaled.csv.sha256": ("plot", "--which", "rescaled", "--range=-3:3",
                                  "--step", "1/7", "--a-over-b", "2/5",
@@ -45,6 +45,12 @@ DIRICHLET_DIGESTS = {
     "dirichlet_cf_preperiod_beta.json.sha256": (
         "dirichlet", "--t", "cf:-3;2,5,9,(1,1,4)", "--s", "2+1j", "--K", "5000",
         "--mode", "beta"),
+}
+# the counting identity at a quadratic t with negative q, and at a rational t
+FAREY_DIGESTS = {
+    "farey_golden_conjugate.json.sha256": (
+        "farey", "--n", "200", "--t", "quad:(-1+1*sqrt(5))/2"),
+    "farey_rational.json.sha256": ("farey", "--n", "300", "--t", "rat:377/991"),
 }
 
 
@@ -351,6 +357,13 @@ class TestFareyCommand:
         assert code == 0 and out == ""
         assert target.read_text() == run(capsys, "farey", "--n", "3",
                                          "--t", "rat:2/5")[1]
+
+    @pytest.mark.parametrize("name", sorted(FAREY_DIGESTS))
+    def test_stdout_matches_its_digest(self, capsys, name):
+        code, out, _ = run(capsys, *FAREY_DIGESTS[name])
+        assert code == 0
+        want = (DATA / name).read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestMeasureCommand:

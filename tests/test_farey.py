@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import farey
-from remsum.exactnum import QuadExt, beta0
+from remsum import cfrac, farey
+from remsum.exactnum import QuadExt, beta, beta0
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,94 @@ class TestQkAndPhi:
     def test_phi_forms_property(self, x, t):
         tb = farey.build_tables(300)
         assert farey.phi_x(x, t, tb) == farey.phi_x_qsum(x, t, tb)
+
+
+# q_k, Phi_x and its q_k mean as they were once written: one exact beta
+# value per term, folded from Fraction(0) one addition at a time.  The
+# references for the integer sums behind them.
+def _reference_beta_of(variant):
+    if variant == "beta":
+        return beta
+    if variant == "beta0":
+        return beta0
+    raise ValueError(f"variant must be 'beta' or 'beta0', got {variant!r}")
+
+
+def _reference_q_k(k, t, tables, variant="beta"):
+    farey._table_index(k, tables, "k")
+    bfun = _reference_beta_of(variant)
+    total = F(0)
+    for d in farey._divisors(k):
+        m = tables.mu[d]
+        if m:
+            total = total + m * bfun((k // d) * t)
+    return -total
+
+
+def _reference_phi_x(x, t, tables, variant="beta"):
+    bfun = _reference_beta_of(variant)
+    nx = farey._table_index(x, tables, "x")
+    total = F(0)
+    for j in range(1, nx + 1):
+        m = tables.M(nx // j)
+        if m:
+            total = total + m * bfun(j * t)
+    return -total / x
+
+
+def _reference_phi_x_qsum(x, t, tables, variant="beta"):
+    _reference_beta_of(variant)
+    nx = farey._table_index(x, tables, "x")
+    total = F(0)
+    for k in range(1, nx + 1):
+        total = total + _reference_q_k(k, t, tables, variant)
+    return total / x
+
+
+_NONSQUARE = st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d)
+# rational t of both signs, b <= 200; quadratic t with q < 0; and quadratic
+# t with a pre-period, lambda_0 of either sign
+_T = st.one_of(
+    st.builds(F, st.integers(-1000, 1000), st.integers(1, 200)),
+    st.builds(QuadExt, st.integers(-60, 60), st.integers(-6, -1), _NONSQUARE,
+              st.integers(1, 12)),
+    st.builds(lambda lam0, pre, period: cfrac.value(
+        cfrac.CFExpansion(lam0, tuple(pre), tuple(period))),
+        st.integers(-3, 3), st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+# whole and non-integer x, 0 < x < 1 (the empty sums) included
+_X = st.one_of(st.integers(1, 150),
+               st.fractions(min_value=F(1, 7), max_value=150,
+                            max_denominator=20).filter(lambda x: x > 0))
+
+
+class TestIntegerSums:
+    """q_k, phi_x and phi_x_qsum equal the Fraction/QuadExt folds they
+    replaced in value, type and repr."""
+
+    @given(_X, _T, st.sampled_from(["beta", "beta0"]))
+    # b | j t for every j (beta0 = 0 there): t an integer, and t = a/b with
+    # b | j for many j <= x
+    @example(8, F(3, 4), "beta0")
+    @example(F(17, 2), F(-5, 2), "beta0")
+    @example(12, F(0), "beta0")
+    @example(12, F(2), "beta")
+    @example(F(1, 2), QuadExt(2, -1, 3, 1), "beta")  # no term: Fraction(0)
+    @example(30, QuadExt(2, -1, 3, 1), "beta0")
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_folds(self, x, t, variant):
+        tables = farey.build_tables(150)
+        k = max(1, math.floor(x))
+        for got, want in (
+                (farey.q_k(k, t, tables, variant),
+                 _reference_q_k(k, t, tables, variant)),
+                (farey.phi_x(x, t, tables, variant),
+                 _reference_phi_x(x, t, tables, variant)),
+                (farey.phi_x_qsum(x, t, tables, variant),
+                 _reference_phi_x_qsum(x, t, tables, variant))):
+            assert got == want
+            assert type(got) is type(want)
+            assert repr(got) == repr(want)
 
 
 class TestCountingIdentity:

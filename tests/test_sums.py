@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, sums
+from remsum import cfrac, sums, verify
 from remsum.errors import DomainError, NotIrrational, NotNeighbors
 from remsum.exactnum import QuadExt, beta, beta0, floor, is_rational
 from remsum.limits import eta_tilde
@@ -405,6 +405,47 @@ class TestBseq:
         assert trace_b.steps[2:5] == ref_steps[2:5]
         assert trace_o.steps[0].n_before == n
         assert sum((s.increment for s in trace_o.steps), F(0)) == value_o
+
+
+class TestIntegerCores:
+    """The integer cores behind ostrowski_S and bseq_S: F(n,t) against the
+    brute-force prefix of floor sums."""
+
+    @staticmethod
+    def _check(t, ns):
+        prefix = [0, *sums._floor_sums(t, max(ns))]
+        tab = sums.OstrowskiTables(t)
+        for n in ns:
+            F_o, rows_o = sums._ostrowski_F(n, tab)
+            F_b, rows_b = sums._bseq_F(n, t)
+            assert F_o == F_b == prefix[n]
+            assert len(rows_o) == len(sums.ostrowski_S(n, t, tables=tab)[1].steps)
+            assert len(rows_b) == len(sums.bseq_S(n, t)[1].steps)
+
+    # every n up to 3000, where the fixed-point floors fall back at every k
+    # or at every third k
+    @pytest.mark.parametrize("t", [ALWAYS_FALLS_BACK, ONE_THIRD_AND_A_BIT,
+                                   QuadExt(-1, 1, 5, 2)])
+    def test_match_the_floor_sums_up_to_3000(self, t):
+        self._check(t, range(1, 3001))
+
+    # t - floor(t) in (0, 1), as bseq needs; large quotients included
+    @given(st.one_of(quadratic_irrationals(),
+                     expansions().map(lambda t_cf: t_cf[0]),
+                     expansions(max_quotient=1000).map(lambda t_cf: t_cf[0])),
+           st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_floor_sums(self, t, n_max):
+        t = t - floor(t)
+        self._check(t, [*range(1, n_max + 1, 1 + n_max // 200), n_max])
+
+    def test_estimate_failure_still_raises(self, corpus, monkeypatch):
+        monkeypatch.setattr(sums, "_abs_at_most", lambda *args: False)
+        with pytest.raises(AssertionError, match="Bsequence"):
+            sums.bseq_S(10, corpus["golden"])
+        with pytest.raises(AssertionError, match="Bsequence"):
+            verify.suite_oracle("quick")
+        assert sums.bseq_S(0, corpus["golden"])[0] == 0  # nothing to bound
 
 
 class TestTheorem21:
