@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, count, islice
 
@@ -29,21 +29,20 @@ from .errors import PeriodNotFound, RationalTerminated
 from .exactnum import QuadExt, Scalar, _parts, floor
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(namedtuple("CFExpansion", "lambda0 pre period")):
     """<lambda0; lambdas...>, finite or eventually periodic.
 
     `pre` holds the coefficients before the period; an empty `period` means
     the expansion is finite.
     """
 
-    lambda0: int
-    pre: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c < 1 for c in self.pre) or any(c < 1 for c in self.period):
+    def __new__(cls, lambda0: int, pre: tuple[int, ...] = (),
+                period: tuple[int, ...] = ()):
+        if any(c < 1 for c in pre) or any(c < 1 for c in period):
             raise ValueError("partial quotients must be >= 1")
+        return super().__new__(cls, lambda0, pre, period)
 
     @property
     def is_finite(self) -> bool:
@@ -63,11 +62,7 @@ class CFExpansion:
         return format_cf(self)
 
 
-@dataclass(frozen=True)
-class Convergent:
-    a: int
-    b: int
-    k: int
+Convergent = namedtuple("Convergent", "a b k")
 
 
 def expand(t: Scalar, max_terms: int) -> CFExpansion:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -38,12 +38,8 @@ from .exactnum import to_float  # noqa: F401
 from .farey import ArithTables
 
 
-@dataclass
-class SeriesEval:
-    value: complex
-    truncation_K: int
-    tail_bound: float
-    mode: str = "strict"
+SeriesEval = namedtuple("SeriesEval", "value truncation_K tail_bound mode",
+                        defaults=("strict",))
 
 
 # Bernoulli numbers B_2, B_4, ..., B_20

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Union
 
 from .errors import IncompatibleField
@@ -36,26 +37,50 @@ Scalar = Union[int, Fraction, "QuadExt"]
 
 HALF = Fraction(1, 2)
 
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by a bytearray sieve."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
 # Primes used to pull small square factors out of the radicand.  Full
 # square-free reduction would need integer factorization, which is not
 # feasible for the large discriminants produced by long-period continued
 # fractions.  Two radicands left with different square factors still name
 # one field, Q(sqrt(d1)) = Q(sqrt(d2)) when d1*d2 is a square, and
-# QuadExt arithmetic and equality treat them so.
-_SMALL_PRIMES = [p for p in range(2, 1000)
-                 if all(p % q for q in range(2, int(math.isqrt(p)) + 1))]
+# QuadExt arithmetic and equality treat them so.  P is their product.
+_SMALL_PRIMES = _primes_below(1000)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_PRIMORIAL_SQ = _PRIMORIAL * _PRIMORIAL
 
 
 def _reduce_radicand(d: int) -> tuple[int, int]:
-    """Return (d', s) with d = d' * s**2 and d' free of small square factors."""
+    """Return (d', s) with d = d' * s**2 and d' free of small square factors.
+
+    w = gcd(d, P^2)/gcd(d, P) is the product of the small primes p with
+    p^2 | d, so a radicand with w = 1 costs two gcds, and otherwise only the
+    primes dividing w are tried."""
+    w = math.gcd(d, _PRIMORIAL_SQ) // math.gcd(d, _PRIMORIAL)
+    if w == 1:
+        return d, 1
     s = 1
     for p in _SMALL_PRIMES:
+        if w % p:
+            continue
         p2 = p * p
         if p2 > d:
             break
         while d % p2 == 0:
             d //= p2
             s *= p
+        w //= p
+        if w == 1:
+            break
     return d, s
 
 

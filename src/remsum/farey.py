@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -32,18 +32,12 @@ from .exactnum import HALF, Scalar, _beta_sum, as_fraction, floor
 _H_BITS = 96
 
 
-@dataclass
-class ArithTables:
+class ArithTables(namedtuple("ArithTables", "N phi mu mertens phi_prefix")):
     """Immutable sieve tables: phi, mu, Mertens and totient prefix sums.
 
     Lists are 1-indexed (index 0 is a dummy).  The integer prefix of
-    floor(phi(k) 2^96 / k), which h reads, is built lazily on first use."""
-
-    N: int
-    phi: list[int]
-    mu: list[int]
-    mertens: list[int]
-    phi_prefix: list[int]
+    floor(phi(k) 2^96 / k), which h reads, is built lazily on first use;
+    it lives in the instance __dict__, so this subclass has no __slots__."""
 
     def M(self, x: int) -> int:
         return self.mertens[x] if x >= 1 else 0
@@ -93,10 +87,7 @@ def build_tables(N: int) -> ArithTables:
     return ArithTables(N, phi, mu, list(accumulate(mu)), list(accumulate(phi)))
 
 
-@dataclass
-class FareySequence:
-    order: int
-    fractions: list[Fraction]
+FareySequence = namedtuple("FareySequence", "order fractions")
 
 
 def _farey_pairs(n: int):

@@ -3,7 +3,7 @@ closed form eta_tilde(x) = frac(x)(frac(x)-1)/(2x) with eta_tilde(0) = -1/2."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -40,14 +40,8 @@ def rescaled_eta(a_over_b: Fraction, n: int, x: Scalar) -> Scalar:
     return b * B(n, ab + x / (b * n))
 
 
-@dataclass
-class DeviationReport:
-    a_over_b: Fraction
-    n: int
-    x_star: Scalar
-    grid_step: Scalar
-    sup_abs_dev: float
-    argmax_x: Scalar
+DeviationReport = namedtuple(
+    "DeviationReport", "a_over_b n x_star grid_step sup_abs_dev argmax_x")
 
 
 def convergence_report(a_over_b: Fraction, n_list, x_star: Scalar,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -16,18 +16,18 @@ from .exactnum import Scalar, _parts
 _ENUM_GUARD = 10 ** 7
 
 
-@dataclass
-class MeasureSet:
+class MeasureSet(namedtuple("MeasureSet",
+                            "alphas exact_measure lower_bound upper_bound")):
     """{t in (0,1)\\Q : theta_j(t) < alpha_j for j <= m} with its exact
     Lebesgue measure and the a-priori product bounds."""
 
-    alphas: tuple[int, ...]
-    exact_measure: Fraction
-    lower_bound: Fraction
-    upper_bound: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.lower_bound <= self.exact_measure <= self.upper_bound
+    def __new__(cls, alphas: tuple[int, ...], exact_measure: Fraction,
+                lower_bound: Fraction, upper_bound: Fraction):
+        assert lower_bound <= exact_measure <= upper_bound
+        return super().__new__(cls, alphas, exact_measure, lower_bound,
+                               upper_bound)
 
 
 def measure_exact(alphas) -> MeasureSet:

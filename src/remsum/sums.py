@@ -50,7 +50,7 @@ built from it only when the trace is read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -60,21 +60,8 @@ from .exactnum import (Scalar, _exact, _floor_sqrt_times, _make, _parts, floor,
                        is_rational)
 
 
-@dataclass
-class OstrowskiStep:
-    j_star: int
-    n_before: int
-    n_after: int
-    rho: Scalar
-    increment: Scalar
-
-
-@dataclass
-class BseqStep:
-    j: int
-    n_j: int
-    t_j: Scalar
-    term: Scalar
+OstrowskiStep = namedtuple("OstrowskiStep", "j_star n_before n_after rho increment")
+BseqStep = namedtuple("BseqStep", "j n_j t_j term")
 
 
 class _Steps:
@@ -101,12 +88,11 @@ class _Steps:
         return (self._build(*row) for row in self.rows)
 
 
-@dataclass
-class SumTrace:
+class SumTrace(namedtuple("SumTrace", "steps")):
     """Audit record of one recursion run: its steps, in order, read as
     `OstrowskiStep` or `BseqStep` objects."""
 
-    steps: _Steps
+    __slots__ = ()
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 
 from . import cfrac, dirichlet, farey, measure, sums
-from .exactnum import QuadExt, _parts, beta0
+from .exactnum import QuadExt, _beta_sum, _parts, beta0
 
 
 def corpus() -> dict:
@@ -173,9 +173,11 @@ def suite_farey(size: str = "quick", seed: int = 0) -> list[dict]:
     ok = True
     for label, t in list(corpus().items())[:2]:
         for n in range(1, nmax_mob + 1, 9):
-            total = sum(farey.q_k(d, t, tables, "beta0")
-                        for d in farey._divisors(n))
-            if beta0(n * t) != -total:
+            # sum over d | n of q_{d,0}(t) = -sum over d | n, e | d of
+            # mu(e) beta0((d/e) t), as one exact sum
+            pairs = ((d // e, tables.mu[e]) for d in farey._divisors(n)
+                     for e in farey._divisors(d))
+            if beta0(n * t) != _beta_sum(t, pairs, midpoint=True):
                 ok = False
     checks.append(_check("moebius-inversion-beta0", ok))
 

@@ -60,6 +60,31 @@ class TestCanonicalForm:
         with pytest.raises(IncompatibleField):
             GOLDEN + SQRT2
 
+    def test_small_primes_by_trial_division(self):
+        assert exactnum._SMALL_PRIMES == [
+            p for p in range(2, 1000)
+            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+    @given(st.integers(1, 2 ** 200), st.lists(st.sampled_from(
+        [2, 3, 5, 7, 31, 997, 1009]), max_size=6))
+    @example(1, [])
+    @example(997 ** 2 * 991 ** 4, [])
+    @settings(max_examples=500, deadline=None)
+    def test_reduce_radicand_matches_trial_division(self, d, squares):
+        # the reference: every small prime in turn, up to p^2 > d
+        def trial_division(d):
+            s = 1
+            for p in exactnum._SMALL_PRIMES:
+                if p * p > d:
+                    break
+                while d % (p * p) == 0:
+                    d //= p * p
+                    s *= p
+            return d, s
+
+        d *= math.prod(p * p for p in squares)
+        assert exactnum._reduce_radicand(d) == trial_division(d)
+
 
 # s >= 1000 includes primes that the radicand reduction does not pull out,
 # so the two spellings of one value keep different radicands
