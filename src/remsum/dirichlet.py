@@ -14,19 +14,34 @@ bracketed between two integers over 2^E, and where both ends round to the
 same float that float is the entry's (Ziv's rounding test).  Next to an
 integer k t the pass takes the exact floor of k t, and an entry whose
 bracket straddles a rounding boundary is float() of its exact value.
-The pair of tables is retained for the last (t, K) it was built for, so an
-s grid at one (t, K) builds it once.  It stays allocated until a call with
-another (t, K): two lists of K + 1 floats, 6.4 MB at K = 10^5
-(tracemalloc), growing linearly in K.
+Every series also reads the powers 1^(-s), ..., K^(-s) (`_powers`), each
+k ** (-s) as Python computes it, and sums the products with a float table
+in one C-level `map`, term for term and in the order of a loop over
+k = 1..K.  Every series refuses an s that is not finite with Re(s) > 0
+(ValueError) before it builds or reads a table.
+
+Two memos hold tables between calls; callers only read them.
+- `_float_tables` keeps the pair of float tables of the last (t, K) it was
+  built for, so an s grid at one (t, K) builds it once.  It stays allocated
+  until a call with another (t, K): two lists of K + 1 floats, 6.4 MB at
+  K = 10^5 (tracemalloc), growing linearly in K.
+- `_powers` keeps the power tables of the current K, keyed by s, so a grid
+  of t that shares an s grid computes each power once.  A call at another
+  K drops them all; until then they stay allocated, never more than
+  _POWERS_BUDGET = 2^18 entries in all (41 bytes an entry, 10.2 MiB by
+  tracemalloc), the oldest s going first.  A K past the budget stores
+  nothing: its powers are computed as the sum reads them.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat, tee
+from operator import mul, sub
 
 from . import sums
 from .errors import DomainError, PoleAtOne
@@ -140,13 +155,49 @@ def beta0_float_table(t: Scalar, K: int) -> list[float]:
 # -- series ----------------------------------------------------------------
 
 
+def _check_s(s) -> complex:
+    """s as a complex; ValueError unless it is finite with Re(s) > 0."""
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real > 0):
+        raise ValueError(f"need finite s with Re(s) > 0, got {s}")
+    return s
+
+
+_POWERS_BUDGET = 1 << 18
+# power tables of one K, keyed by the bits of s (so that -0.0 and 0.0 parts
+# stay apart), oldest first
+_powers_memo: dict = {}
+
+
+def _powers(s: complex, K: int):
+    """An iterator over 1 ** (-s), 2 ** (-s), ..., K ** (-s).  The table of
+    the current K is retained within _POWERS_BUDGET entries (module
+    docstring); a longer one is computed as it is read and never stored."""
+    memo = _powers_memo
+    if memo and len(next(iter(memo.values()))) != K:
+        memo.clear()
+    if K > _POWERS_BUDGET:
+        return map(pow, range(1, K + 1), repeat(-s))
+    key = (s.real.hex(), s.imag.hex())
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = list(map(pow, range(1, K + 1), repeat(-s)))
+        while len(memo) * K > _POWERS_BUDGET:
+            del memo[next(iter(memo))]
+    return iter(table)
+
+
+def _dot(terms: list[float], s: complex, K: int):
+    """The sum of terms[k] * k^(-s) over k = 1..K, in that order."""
+    return sum(map(mul, islice(terms, 1, None), _powers(s, K)))
+
+
 def _abel_terms(sf, s: complex, X: int):
-    """Yield sf[n] * (n^(-s) - (n+1)^(-s)) for n = 1..X-1, computing each
-    power once: (n+1)^(-s) is carried into the next term."""
-    upper = 1 ** (-s)
-    for n in range(1, X):
-        lower, upper = upper, (n + 1) ** (-s)
-        yield sf[n] * (lower - upper)
+    """sf[n] * (n^(-s) - (n+1)^(-s)) for n = 1..X-1, in that order, each
+    power read once from `_powers(s, X)`."""
+    lower, upper = tee(_powers(s, X))
+    next(upper, None)
+    return map(mul, islice(sf, 1, None), map(sub, lower, upper))
 
 
 def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
@@ -154,19 +205,17 @@ def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
 
     `s0` is accepted for old callers and not read: the terms come from the
     retained float tables."""
-    s = complex(s)
+    s = _check_s(s)
     terms, s0_floats = _float_tables(t, K)
-    value = sum(terms[k] * k ** (-s) for k in range(1, K + 1))
+    value = _dot(terms, s, K)
     sigma = s.real
     if sigma > 1:
         tail = 0.5 * K ** (1 - sigma) / (sigma - 1)
         mode = "strict"
-    elif sigma > 0:
+    else:
         a = max(map(abs, s0_floats))
         tail = a * (sigma + abs(s)) / (sigma * K ** sigma)
         mode = "evidence"
-    else:
-        raise ValueError("need Re(s) > 0")
     return SeriesEval(value, K, tail, mode)
 
 
@@ -175,7 +224,7 @@ def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
     piecewise-constant structure of the exact prefix sums S0(n,t).
 
     `s0` is accepted for old callers and not read."""
-    s = complex(s)
+    s = _check_s(s)
     sf = _float_tables(t, X)[1]
     value = sum(_abel_terms(sf, s, X))
     sigma = s.real
@@ -183,12 +232,10 @@ def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
         # |S0(x,t)| <= x/2 gives |s * int_X^inf S0 x^{-s-1} dx| <= ...
         tail = abs(s) * X ** (1 - sigma) / (2 * (sigma - 1))
         mode = "strict"
-    elif sigma > 0:
+    else:
         a = max(map(abs, sf))
         tail = abs(s) * a * X ** (-sigma) / sigma
         mode = "evidence"
-    else:
-        raise ValueError("need Re(s) > 0")
     return SeriesEval(value, X, tail, mode)
 
 
@@ -201,7 +248,7 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
     and not read."""
     if K > tables.N:
         raise ValueError("K exceeds table size")
-    s = complex(s)
+    s = _check_s(s)
     b0 = _float_tables(t, K)[0]
     q = [0.0] * (K + 1)
     for d in range(1, K + 1):
@@ -209,7 +256,7 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
         if m:
             for k in range(d, K + 1, d):
                 q[k] -= m * b0[k // d]
-    value = sum(q[k] * k ** (-s) for k in range(1, K + 1))
+    value = _dot(q, s, K)
     sigma = s.real
     tail = K ** (1.5 - sigma) / (sigma - 1.5) if sigma > 1.5 else math.inf
     return SeriesEval(value, K, tail, "strict" if sigma > 1.5 else "evidence")
@@ -226,12 +273,10 @@ def continuation_evidence(t: Scalar, s_grid, K: int, s0=None) -> list[dict]:
     if not levels[0] < levels[1] < levels[2]:
         raise DomainError(f"K = {K}: levels {levels} do not increase within "
                           f"[2, K]; need K >= 4")
+    grid = list(map(_check_s, s_grid))
     sf = _float_tables(t, K)[1]
     out = []
-    for s in s_grid:
-        s = complex(s)
-        if s.real <= 0:
-            raise ValueError("need Re(s) > 0")
+    for s in grid:
         diffs = list(_abel_terms(sf, s, K))
         values = [sum(diffs[:L - 1]) for L in levels]
         cauchy = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]

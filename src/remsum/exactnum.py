@@ -28,12 +28,8 @@ import math
 import re
 from fractions import Fraction
 from itertools import compress
-from typing import Union
 
 from .errors import IncompatibleField
-
-Rational = Union[int, Fraction]
-Scalar = Union[int, Fraction, "QuadExt"]
 
 HALF = Fraction(1, 2)
 
@@ -287,6 +283,10 @@ class QuadExt:
 
     def __str__(self):
         return format_scalar(self)
+
+
+Rational = int | Fraction
+Scalar = int | Fraction | QuadExt
 
 
 def _scaled_floor(p: int, q: int, d: int, r: int,

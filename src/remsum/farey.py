@@ -20,10 +20,12 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import countOf
 
 from .errors import DomainError
-from .exactnum import HALF, Scalar, _beta_sum, as_fraction, floor
+from .exactnum import (HALF, Scalar, _beta_sum, _floor_sqrt_times, _parts,
+                       as_fraction, floor)
 
 
 # fixed-point bits of the s_x prefix that h reads; |r_x - s_x| is about
@@ -180,10 +182,12 @@ def farey_count(n: int, t: Scalar, tables: ArithTables) -> tuple[int, Scalar]:
     _table_index(n, tables, "n")
     if t < 0:
         raise DomainError("t must be >= 0")
+    p, q, d, r = _parts(t)
     count = 0
     for b in range(1, n + 1):
-        top = floor(t * b)
-        count += sum(1 for a in range(0, top + 1) if math.gcd(a, b) == 1)
+        # floor(t b) = floor((p b + q b sqrt(d))/r), in integers
+        top = (p * b + _floor_sqrt_times(q * b, d) if q else p * b) // r
+        count += countOf(map(math.gcd, range(top + 1), repeat(b)), 1)
     lhs = t * tables.phi_sum(n) + n * phi_x(n, t, tables) + HALF
     return count, lhs
 

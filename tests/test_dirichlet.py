@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from fractions import Fraction as F
 
@@ -31,6 +32,22 @@ WRAPS_AT_EVERY_K = QuadExt(1 - 2 ** 91, 1, 4 ** 91 - 1, 1)
 # t = 1/2 + sqrt(m^2 + 1) - m, m = 10^40: at odd k, beta0(kt) is about
 # k 10^-40 > 0 while the bracket starts at exactly 0
 HALF_AND_A_BIT = QuadExt(1 - 2 * 10 ** 40, 2, 10 ** 80 + 1, 2)
+
+
+@functools.cache
+def _arith_tables(N):
+    return farey.build_tables(N)
+
+
+def _q_floats(b0, mu, K):
+    """[0.0, q_1, ..., q_K] as floats: q_k = -sum of mu(d) beta0(kt/d) over
+    the divisors d of k with mu(d) != 0, subtracted in increasing d."""
+    q = [0.0] * (K + 1)
+    for k in range(1, K + 1):
+        for d in range(1, k + 1):
+            if k % d == 0 and mu[d]:
+                q[k] -= mu[d] * b0[k // d]
+    return q
 
 
 class TestZeta:
@@ -174,6 +191,61 @@ class TestSeries:
         rec, = dirichlet.continuation_evidence(t, [s], K)
         assert rec["values"] == [sum(diffs[:L - 1]) for L in rec["levels"]]
 
+    @given(st.one_of(quadratic_ts, rational_ts), st.one_of(quadratic_ts, rational_ts),
+           st.builds(complex, st.floats(0.05, 4), st.floats(-40, 40)),
+           st.integers(1, 300), st.integers(1, 300))
+    @example(QuadExt(-1, 1, 5, 2), F(3, 7), complex(2, -0.0), 300, 1)
+    @example(F(1, 2), QuadExt(-1, 1, 2, 1), complex(0.5, -0.0), 17, 200)
+    @settings(max_examples=40, deadline=None)
+    def test_partial_sums_equal_the_power_formula(self, t1, t2, s, K1, K2):
+        # one s at two t and two K, next to complex(2, +-0.0): every value is
+        # the sum of the terms times k ** (-s), in order from k = 1, and the
+        # power memo holds the tables of the current K only
+        tables = _arith_tables(300)
+        for K in (K1, K2):
+            for t in (t1, t2):
+                b0 = dirichlet._float_tables(t, K)[0]
+                q = _q_floats(b0, tables.mu, K)
+                for z in (s, complex(2, 0.0), complex(2, -0.0)):
+                    assert dirichlet.f_beta_partial(t, z, K).value == sum(
+                        b0[k] * k ** (-z) for k in range(1, K + 1))
+                    assert dirichlet.f_q_partial(t, z, K, tables).value == sum(
+                        q[k] * k ** (-z) for k in range(1, K + 1))
+                    memo = dirichlet._powers_memo
+                    assert {len(v) for v in memo.values()} == {K}
+                    assert len(memo) * K <= dirichlet._POWERS_BUDGET
+
+    def test_power_memo_keeps_the_newest_tables_within_its_budget(
+            self, corpus, monkeypatch):
+        t, K = corpus["golden"], 100
+        grid = [0.5 + 1j, 2, 2 + 5j, complex(2, -0.0)]
+        b0 = dirichlet._float_tables(t, 400)[0]
+
+        def direct(s, K):
+            return sum(b0[k] * k ** (-complex(s)) for k in range(1, K + 1))
+
+        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", 3 * K)
+        memo = dirichlet._powers_memo
+        memo.clear()
+        for s in grid:
+            dirichlet.f_beta_partial(t, s, K)
+        # the oldest s went first; complex(2, -0.0) has a table of its own
+        assert list(memo) == [(z.real.hex(), z.imag.hex())
+                              for z in map(complex, grid[1:])]
+        kept = list(memo.values())
+        assert dirichlet.f_beta_partial(t, 2 + 5j, K).value == direct(2 + 5j, K)
+        assert all(a is b for a, b in zip(memo.values(), kept, strict=True))
+        # a K past the budget drops the tables of the old K and stores none
+        assert dirichlet.f_beta_partial(t, 2, 400).value == direct(2, 400)
+        sf, s = dirichlet._float_tables(t, 400)[1], complex(2)
+        assert dirichlet.f_beta_mellin(t, s, 400).value == sum(
+            sf[n] * (n ** (-s) - (n + 1) ** (-s)) for n in range(1, 400))
+        assert memo == {}
+        # a call at a new K drops the tables of the old one
+        dirichlet.f_beta_partial(t, 2, K)
+        dirichlet.f_beta_partial(t, 2, K - 1)
+        assert [len(v) for v in memo.values()] == [K - 1]
+
     def test_mellin_identity_within_tails(self, corpus):
         for t in corpus.values():
             for s in (2, 3, 2 + 5j):
@@ -202,6 +274,30 @@ class TestSeries:
     def test_domain(self, corpus):
         with pytest.raises(ValueError):
             dirichlet.f_beta_partial(corpus["golden"], -1, 100)
+
+    @pytest.mark.parametrize("s", [
+        -1, 0, complex(-0.0, 3), -0.5 + 2j, math.nan, complex(2, math.nan),
+        complex(math.nan, 1), complex(2, math.inf), math.inf,
+        complex(math.inf, -1)])
+    def test_refuses_s_before_any_table(self, corpus, s):
+        # f_q_partial once returned NaN at s = nan and a value labelled
+        # "evidence" at s = -1; f_beta_partial raised ZeroDivisionError at
+        # 2 + inf j.  A refused s builds no table and leaves both memos as
+        # they were.
+        t, K = corpus["golden"], 100
+        tables = farey.build_tables(K)
+        dirichlet.f_beta_partial(F(3, 7), 2, 50)
+        info = dirichlet._float_tables.cache_info()
+        memo = list(dirichlet._powers_memo.items())
+        for call in (lambda: dirichlet.f_beta_partial(t, s, K),
+                     lambda: dirichlet.f_beta_mellin(t, s, K),
+                     lambda: dirichlet.f_q_partial(t, s, K, tables),
+                     lambda: dirichlet.continuation_evidence(t, [2, s], K)):
+            with pytest.raises(ValueError, match=r"need finite s with Re\(s\) > 0"):
+                call()
+        assert dirichlet._float_tables.cache_info() == info
+        assert all(a == b and a[1] is b[1] for a, b in
+                   zip(dirichlet._powers_memo.items(), memo, strict=True))
 
     @pytest.mark.parametrize("K", [0, -5])
     def test_refuses_K_below_1(self, corpus, K):
