@@ -24,7 +24,11 @@ Two memos hold tables between calls; callers only read them.
 - `_float_tables` keeps the pair of float tables of the last (t, K) it was
   built for, so an s grid at one (t, K) builds it once.  It stays allocated
   until a call with another (t, K): two lists of K + 1 floats, 6.4 MB at
-  K = 10^5 (tracemalloc), growing linearly in K.
+  K = 10^5 (tracemalloc), growing linearly in K.  The first `f_q_partial`
+  at that (t, K) adds its q_{k,0} float table to the pair (`_Pair.q`),
+  K + 1 more floats (3.2 MB at K = 10^5), and later calls at that (t, K)
+  read it; it is dropped with the pair.  q depends on t and K alone: the
+  Moebius values of every `ArithTables` with N >= K agree on d <= K.
 - `_powers` keeps the power tables of the current K, keyed by s, so a grid
   of t that shares an s grid computes each power once.  A call at another
   K drops them all; until then they stay allocated, never more than
@@ -94,11 +98,19 @@ def zeta(s) -> complex:
 # -- term tables -----------------------------------------------------------
 
 
+class _Pair(tuple):
+    """The pair of float tables of one (t, K), and in `q` the float table
+    of q_{k,0}(t) once `f_q_partial` has built it (None until then)."""
+
+    q = None
+
+
 @functools.lru_cache(maxsize=1)
 def _float_tables(t: Scalar, K: int):
     """([0.0, beta0(t), ..., beta0(Kt)], [S0(0,t), S0(1,t), ..., S0(K,t)]),
-    each entry float() of the exact value, both built in one pass over k.
-    The lists are shared through the memo; callers only read them.
+    each entry float() of the exact value, both built in one pass over k,
+    as a `_Pair`.  The lists are shared through the memo; callers only read
+    them.
     Every table, and so every series, needs K >= 1; ValueError otherwise.
 
     For irrational t the pass reads x_k = k T, T = floor(t 2^E): k t 2^E lies
@@ -119,7 +131,7 @@ def _float_tables(t: Scalar, K: int):
     if not q:  # t = p/r: beta0(kt) = (2(kp mod r) - r)/(2r), and 0 where r | k
         u = [0] + [2 * (k * p % r) - r if k % r else 0 for k in range(1, K + 1)]
         r2 = 2 * r
-        return [v / r2 for v in u], [v / r2 for v in accumulate(u)]
+        return _Pair(([v / r2 for v in u], [v / r2 for v in accumulate(u)]))
     # the S0 brackets are n(n+1)/2 wide against values of O(log n)
     E = 64 + 3 * K.bit_length()
     one, half, ulp = 1 << E, 1 << (E - 1), 2.0 ** -E
@@ -142,7 +154,7 @@ def _float_tables(t: Scalar, K: int):
         b0.append(v if v == m_hi * ulp else float(beta0(k * t)))
         v = M * ulp
         s0.append(v if v == M_hi * ulp else float(sums.exact_S(k, t)))
-    return b0, s0
+    return _Pair((b0, s0))
 
 
 def beta0_float_table(t: Scalar, K: int) -> list[float]:
@@ -244,18 +256,23 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
     """Partial sum of q_{k,0}(t)/k^s through K.
 
     The tail bound uses |q_{k,0}| <= d(k)/2 <= sqrt(k) and needs Re(s) > 3/2;
-    otherwise it is reported as infinity.  `s0` is accepted for old callers
-    and not read."""
+    otherwise it is reported as infinity.  The q_{k,0} floats are built on
+    the first call at (t, K) and kept with its float tables (module
+    docstring).  `s0` is accepted for old callers and not read."""
     if K > tables.N:
         raise ValueError("K exceeds table size")
     s = _check_s(s)
-    b0 = _float_tables(t, K)[0]
-    q = [0.0] * (K + 1)
-    for d in range(1, K + 1):
-        m = tables.mu[d]
-        if m:
-            for k in range(d, K + 1, d):
-                q[k] -= m * b0[k // d]
+    pair = _float_tables(t, K)
+    q = pair.q
+    if q is None:
+        b0 = pair[0]
+        q = [0.0] * (K + 1)
+        for d in range(1, K + 1):
+            m = tables.mu[d]
+            if m:
+                for k in range(d, K + 1, d):
+                    q[k] -= m * b0[k // d]
+        pair.q = q  # kept only once complete
     value = _dot(q, s, K)
     sigma = s.real
     tail = K ** (1.5 - sigma) / (sigma - 1.5) if sigma > 1.5 else math.inf

@@ -96,22 +96,18 @@ def _sign(p: int, q: int, d: int) -> int:
     return 1 if p + _floor_sqrt_times(q, d) >= 0 else -1
 
 
-def _normal(p: int, q: int, r: int) -> tuple[int, int, int]:
-    """(p, q, r) scaled to r > 0 and gcd(p, q, r) = 1; the value is kept."""
+def _make(p: int, q: int, d: int, r: int) -> "QuadExt":
+    """(p + q*sqrt(d))/r for r != 0 and a d that is already reduced (taken
+    from an existing QuadExt, or reduced by the public constructor), in
+    canonical form: (p, q, r) scaled to r > 0 and gcd(p, q, r) = 1, the
+    value kept.  One call makes one value, with no call besides the gcd."""
     if r < 0:
         p, q, r = -p, -q, -r
     g = math.gcd(p, q, r)
     if g > 1:
         p, q, r = p // g, q // g, r // g
-    return p, q, r
-
-
-def _make(p: int, q: int, d: int, r: int) -> "QuadExt":
-    """(p + q*sqrt(d))/r with d taken from an existing QuadExt, so already
-    reduced: only the sign and gcd are normalised."""
     x = object.__new__(QuadExt)
-    x.p, x.q, x.r = _normal(p, q, r)
-    x.d = d
+    x.p, x.q, x.d, x.r = p, q, d, r
     return x
 
 
@@ -140,8 +136,8 @@ class QuadExt:
             rt = math.isqrt(d)
             if rt * rt == d:  # rational in disguise (d == 1 included)
                 p, q, d = p + q * rt, 0, 2
-        self.p, self.q, self.r = _normal(p, q, r)
-        self.d = d
+        x = _make(p, q, d, r)
+        self.p, self.q, self.d, self.r = x.p, x.q, x.d, x.r
 
     # -- helpers -----------------------------------------------------------
 

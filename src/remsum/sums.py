@@ -42,6 +42,16 @@ numerators of S.  ostrowski_S and bseq_S are `_values` of their cores, and
 `verify` compares the cores' ints with the `_floor_sums` prefix directly.
 All three agree exactly on every input.
 
+ostrowski_sweep needs F(n,t) at every n <= n_max, and `_sweep` makes it a
+block of n at a time.  Between b_j and b_{j+1}, on n = q b_j + n' with
+q = floor(n/b_j) fixed and 0 <= n' < b_j, the difference above is
+
+    F(n,t) - F(n',t) = q ((q b_j + 2n' + 1) a_j - b_j - (-1)^j) / 2,
+
+affine in n', so the block is F[:b_j] plus one arithmetic progression.  In
+a block q is fixed and m = q b_j + 2n' + 1 grows with n, so the checks
+q <= lambda_j and m < 2 b_{j+1} made at its last n hold at every n of it.
+
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
 built from it only when the trace is read.
@@ -52,7 +62,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
+from operator import add, gt
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -197,7 +208,10 @@ def brute_S0(n: int, t: Scalar) -> Scalar:
 
 
 def s0_prefix(t: Scalar, n_max: int) -> list:
-    """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep."""
+    """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep;
+    ValueError for n_max < 0."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     return [Fraction(0)] + _values(t, enumerate(_floor_sums(t, n_max), 1), midpoint=True)
 
 
@@ -361,14 +375,46 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
 
 def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
     """F(n,t), the recursion depth and j*(n) for every n <= n_max, as int
-    lists indexed by n.  Memoizes F(n') across the sweep, so the whole
-    table costs one recursion step per n."""
-    F, depth, js = [0] * (n_max + 1), [0] * (n_max + 1), [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        j, n2, dF = _ostrowski_step(tab, n, validate=validate)
-        F[n] = F[n2] + dF
-        depth[n] = depth[n2] + 1
-        js[n] = j
+    lists indexed by n: exactly what one `_ostrowski_step` per n gives,
+    F[n] = F[n'] + dF, depth[n] = depth[n'] + 1 and js[n] = j, made a block
+    at a time.
+
+    The n with j*(n) = j are b_j <= n < b_{j+1}, and a block is those with
+    one q = floor(n/b_j).  There n' = n - q b_j runs over 0, 1, ..., and
+    dF = q((q b_j + 2n' + 1) a_j - b_j - (-1)^j)/2 = C + q a_j n', with C an
+    int because q 2n' a_j is even: one pass over F[:b_j].  validate checks
+    a block once, at its last n: q <= lambda_j does not depend on n, and
+    m = q b_j + 2n' + 1 grows with n, so m < 2 b_{j+1} there holds at every
+    n of the block.  A block that fails is replayed one `_ostrowski_step`
+    per n, which raises the AssertionError of its first failing n.  Where
+    b decreases somewhere (tampered tables), the bisection of `j_star` need
+    not give one j over such a range, so those take one `_ostrowski_step`
+    per n."""
+    F, depth, js = [0], [0], [0]
+    n = 1
+    while n <= n_max:
+        j = tab.j_star(n)
+        if any(map(gt, tab.b, islice(tab.b, 1, None))):
+            j, n2, dF = _ostrowski_step(tab, n, validate)
+            F.append(F[n2] + dF)
+            depth.append(depth[n2] + 1)
+            js.append(j)
+            n += 1
+            continue
+        b, a, b_next = tab.b[j], tab.a[j], tab.b[j + 1]
+        c, end = b + (-1) ** j, min(b_next, n_max + 1)
+        while n < end:
+            q, lo = divmod(n, b)
+            hi = min(end - q * b, b)  # the block is n' in [lo, hi)
+            if validate and (q > tab.lam[j] or q * b + 2 * hi - 1 >= 2 * b_next):
+                for k in range(n, n + hi - lo):
+                    _ostrowski_step(tab, k)
+            C, D = q * ((q * b + 1) * a - c) // 2, q * a
+            F += map(add, F[lo:hi],
+                     range(C + D * lo, C + D * hi, D) if D else repeat(C))
+            depth += map(add, depth[lo:hi], repeat(1))
+            js += [j] * (hi - lo)
+            n += hi - lo
     return F, depth, js
 
 
@@ -378,7 +424,10 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
 
     Returns (S, depth, bound) lists indexed by n, where bound[n] is
     (1/2) * sum of lambda_1..lambda_{j*(n)}; cf as for `ostrowski_S`.
+    ValueError for n_max < 0.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     tab = OstrowskiTables(t, cf)
     F, depth, js = _sweep(tab, n_max, validate)
     half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k

@@ -157,6 +157,62 @@ class TestTermTables:
         assert dirichlet.beta0_float_table(t, K)[1] != 1.0
 
 
+def _q_reference(t, s, K, N):
+    """f_q_partial's value at (t, s, K) from an independent q table: the
+    Moebius sums of float(beta0(kt)) with the mu of `build_tables(N)`, and
+    the terms times k ** (-s) summed from k = 1."""
+    b0 = [0.0] + [float(beta0(k * t)) for k in range(1, K + 1)]
+    q = _q_floats(b0, _arith_tables(N).mu, K)
+    value = sum(q[k] * k ** (-s) for k in range(1, K + 1))
+    return value.real.hex(), value.imag.hex()
+
+
+def _q_value(t, s, K, N):
+    value = dirichlet.f_q_partial(t, s, K, _arith_tables(N)).value
+    return value.real.hex(), value.imag.hex()
+
+
+class TestKeptQTable:
+    """f_q_partial keeps its q_{k,0} floats with the float tables of the
+    last (t, K): built once, dropped with them, bit for bit the table of a
+    fresh Moebius loop."""
+
+    GRID = (complex(2), 1.7 - 4j, 3 + 0.5j)
+
+    def test_follows_t_and_K(self, corpus):
+        t1, t2, K = corpus["golden"], F(3, 7), 120
+        # each step changes t or K alone, so a memo keyed on the other is stale
+        for t, k in [(t1, K), (t2, K), (t1, K - 31), (t1, K)]:
+            for s in self.GRID:
+                assert _q_value(t, s, k, K) == _q_reference(t, s, k, K)
+            q = dirichlet._float_tables(t, k).q
+            assert len(q) == k + 1
+            dirichlet.f_q_partial(t, 2.5, k, _arith_tables(K))
+            assert dirichlet._float_tables(t, k).q is q  # built once
+
+    def test_does_not_depend_on_the_table_size(self, corpus):
+        t, K = corpus["sqrt3m1"], 150
+        for N in (K, 3 * K, K, 3 * K):
+            dirichlet._float_tables.cache_clear()
+            for M in (N, 4 * K - N):  # fresh under one size, kept under the other
+                for s in self.GRID:
+                    assert _q_value(t, s, K, M) == _q_reference(t, s, K, M)
+
+    def test_a_refused_call_leaves_the_memo(self, corpus):
+        t, K = corpus["sqrt2m1"], 100
+        dirichlet.f_q_partial(t, 2, K, _arith_tables(K))
+        pair = dirichlet._float_tables(t, K)
+        q = pair.q
+        for s in (-1, 0, math.nan, complex(2, math.inf)):
+            for u, k in [(t, K), (F(2, 9), K // 2)]:
+                with pytest.raises(ValueError, match=r"need finite s"):
+                    dirichlet.f_q_partial(u, s, k, _arith_tables(K))
+        with pytest.raises(ValueError, match="K exceeds table size"):
+            dirichlet.f_q_partial(F(2, 9), 2, 2 * K, _arith_tables(K))
+        assert dirichlet._float_tables(t, K) is pair and pair.q is q
+        assert _q_value(t, 2, K, K) == _q_reference(t, 2, K, K)
+
+
 class TestSeries:
     def test_partial_sum_matches_naive(self, corpus):
         t = corpus["sqrt2m1"]

@@ -52,6 +52,22 @@ class TestCanonicalForm:
         x = QuadExt(0, 1, 8, 2)  # sqrt(8)/2 = sqrt(2)
         assert (x.q, x.d, x.r) == (1, 2, 1)
 
+    # _make is the one step from integers to a canonical QuadExt: the public
+    # constructor reduces d and then goes through it too
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+           st.sampled_from([2, 3, 5, 6, 7, 13, 9973]),
+           st.integers(-10 ** 20, 10 ** 20).filter(bool), st.integers(1, 10 ** 6))
+    @example(0, 0, 5, -7, 1)
+    @example(6, -4, 5, -2, 12)
+    @settings(max_examples=300, deadline=None)
+    def test_make_is_canonical_and_keeps_the_value(self, p, q, d, r, g):
+        x = exactnum._make(p * g, q * g, d, r * g)
+        assert type(x) is QuadExt and x.d == d and x.r > 0
+        assert math.gcd(x.p, x.q, x.r) == 1
+        assert x.p * r == p * x.r and x.q * r == q * x.r
+        y = QuadExt(p, q, d, r)
+        assert (y.p, y.q, y.d, y.r) == (x.p, x.q, x.d, x.r)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             QuadExt(1, 1, 2, 0)

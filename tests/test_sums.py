@@ -32,13 +32,14 @@ def quadratic_irrationals(draw):
 
 
 @st.composite
-def expansions(draw, max_quotient=50):
+def expansions(draw, max_quotient=50, min_pre=0):
     """(t, cf) for an eventually periodic expansion: lambda_0 in 0..3, a
-    pre-period of length <= 2 and a period of length 1..4, quotients
+    pre-period of length min_pre..2 and a period of length 1..4, quotients
     1..max_quotient."""
     quotient = st.integers(1, max_quotient)
     cf = cfrac.CFExpansion(draw(st.integers(0, 3)),
-                           tuple(draw(st.lists(quotient, max_size=2))),
+                           tuple(draw(st.lists(quotient, min_size=min_pre,
+                                               max_size=2))),
                            tuple(draw(st.lists(quotient, min_size=1,
                                                max_size=4))))
     return cfrac.value(cf), cf
@@ -334,6 +335,98 @@ class TestOstrowski:
         for k in corpus:
             _, depth, _ = sums.ostrowski_sweep(corpus[k], None, 2000)
             assert all(depth[n] <= 4 * math.log(n) for n in range(3, 2001))
+
+
+def _reference_sweep(tab, n_max, validate):
+    """The sweep as one `_ostrowski_step` per n: the reference that the
+    block sweep `sums._sweep` must equal, list for list and error for
+    error."""
+    F, depth, js = [0] * (n_max + 1), [0] * (n_max + 1), [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        j, n2, dF = sums._ostrowski_step(tab, n, validate=validate)
+        F[n] = F[n2] + dF
+        depth[n] = depth[n2] + 1
+        js[n] = j
+    return F, depth, js
+
+
+def _outcome(sweep, tab, n_max, validate):
+    """The three lists of a sweep, or the text of the AssertionError it
+    raised."""
+    try:
+        return sweep(tab, n_max, validate)
+    except AssertionError as exc:
+        return str(exc)
+
+
+# <0; 3, (999, 2)>: b_1 = 1, b_2 = 3, b_3 = 2998, b_4 = 5999, so n <= 3000
+# crosses b_3 in the middle of a run of 999 blocks
+LONG_RUN = cfrac.CFExpansion(0, (3,), (999, 2))
+
+
+class TestBlockSweep:
+    """`sums._sweep`, made a block of n at a time, against the per-n loop."""
+
+    @given(expansions(max_quotient=1000, min_pre=1), st.integers(0, 3000))
+    @example((QuadExt(-1, 1, 5, 2), None), 986)  # golden: b_j = 987
+    @example((QuadExt(-1, 1, 5, 2), None), 987)
+    @example((QuadExt(-1, 1, 5, 2), None), 988)
+    @example((cfrac.value(LONG_RUN), LONG_RUN), 2997)
+    @example((cfrac.value(LONG_RUN), LONG_RUN), 2998)
+    @example((cfrac.value(LONG_RUN), LONG_RUN), 2999)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_step_loop(self, t_cf, n_max):
+        t, cf = t_cf
+        for validate in (True, False):
+            got = sums._sweep(sums.OstrowskiTables(t, cf), n_max, validate)
+            assert got == _reference_sweep(sums.OstrowskiTables(t, cf), n_max, validate)
+
+    # F against the independent route up to 10^5, where the sweep used to be
+    # compared with the floor sums only up to n = 150
+    @pytest.mark.parametrize("t", [QuadExt(-1, 1, 5, 2),
+                                   QuadExt(0, 1, 10 ** 9 + 7, 40000)])
+    def test_F_is_the_floor_sum_prefix_up_to_10_5(self, t):
+        n_max = 10 ** 5
+        F_sweep, depth, js = sums._sweep(sums.OstrowskiTables(t), n_max, True)
+        assert F_sweep == [0, *sums._floor_sums(t, n_max)]
+        assert (F_sweep, depth, js) == _reference_sweep(
+            sums.OstrowskiTables(t), n_max, True)
+
+    # a lowered lambda_j, or a shrunk b_{j+1}, kept increasing or not: the
+    # sweep raises at the n, and with the text, of the per-n loop
+    @pytest.mark.parametrize("t, table, j, value, message", [
+        (QuadExt(-1, 1, 5, 2), "lam", 6, 0, "floor(n/b_j*) > lambda_j* at n=8"),
+        (QuadExt(-1, 1, 2, 1), "lam", 4, 1, "floor(n/b_j*) > lambda_j* at n=24"),
+        (QuadExt(-1, 1, 5, 2), "b", 7, 10, "floor(n/b_j*) > lambda_j* at n=20"),
+        (QuadExt(-1, 1, 2, 1), "b", 6, 13, "floor(n/b_j*) > lambda_j* at n=39"),
+        # b_7 = 7 < b_6 = 8: the tables no longer increase
+        (QuadExt(-1, 1, 5, 2), "b", 7, 7, "floor(n/b_j*) > lambda_j* at n=14"),
+    ])
+    def test_tampered_tables_raise_as_the_per_step_loop(self, t, table, j,
+                                                        value, message):
+        n_max = 200
+        outcomes = []
+        for sweep in (sums._sweep, _reference_sweep):
+            for validate in (True, False):
+                tab = sums.OstrowskiTables(t)
+                tab.extend_past(n_max)
+                getattr(tab, table)[j] = value
+                outcomes.append(_outcome(sweep, tab, n_max, validate))
+        block, block_unchecked, ref, ref_unchecked = outcomes
+        assert block == ref == message
+        assert block_unchecked == ref_unchecked  # unchecked: the same lists
+
+    def test_refuses_negative_n_max(self, corpus):
+        # both used to return short lists: lengths 1, 0, 0 and [0]
+        t = corpus["golden"]
+        for call in (lambda: sums.ostrowski_sweep(t, None, -3),
+                     lambda: sums.ostrowski_sweep(t, None, -1, validate=True),
+                     lambda: sums.s0_prefix(t, -3),
+                     lambda: sums.s0_prefix(F(2, 5), -1)):
+            with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+                call()
+        assert sums.ostrowski_sweep(t, None, 0) == ([0], [0], [0])
+        assert sums.s0_prefix(t, 0) == [0]
 
 
 class TestBseq:
