@@ -2,11 +2,20 @@
 
 Everything here is read off one of two integer walks.
 
-- The orbit walk, `_orbit`, expands a quadratic irrational t along its
-  orbit under the Gauss map: each state t_j = (P_j + sqrt(D))/Q_j is the
-  integer pair (P_j, Q_j) over one D, and the first repeated pair gives
-  the eventually periodic form.  The Ostrowski and Gauss-map recursions
-  of `sums` walk the same orbit.
+- The orbit walk expands a quadratic irrational t along its orbit under
+  the Gauss map: each state t_j = (P_j + sqrt(D))/Q_j is the integer pair
+  (P_j, Q_j) over one D, and the first repeated pair gives the eventually
+  periodic form.  The walk is made once per t: one orbit record, kept for
+  the last t only (a memo of size 1, keyed on t's integer parts), holds
+  the states (lambda_j, P_j, Q_j) walked so far, the walk's next pair and,
+  once the first pair repeats, where the period starts.  `expand` fills
+  the record and reads the period off it; `_orbit`, which the Ostrowski
+  and Gauss-map recursions of `sums` and the checks of `measure` read,
+  yields the record's states, growing it one state at a time until the
+  period is known and cycling through the period after that.  The record
+  is dropped when another t is asked for, or when `expand` finds no period
+  within its max_terms; an iterator that holds it keeps it until it is
+  done.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
   convergents a_k/b_k.  `convergents` lists it, `evaluate` takes its last
   term, `value` solves a period's fixed point from its last two terms and
@@ -19,14 +28,16 @@ unless the expansion is a single term).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import threading
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, cycle, islice
 
-from .errors import PeriodNotFound, RationalTerminated
-from .exactnum import QuadExt, Scalar, _parts, floor
+from .errors import PeriodNotFound
+from .exactnum import QuadExt, Scalar, _parts
 
 
 class CFExpansion(namedtuple("CFExpansion", "lambda0 pre period")):
@@ -66,10 +77,12 @@ Convergent = namedtuple("Convergent", "a b k")
 
 
 def expand(t: Scalar, max_terms: int) -> CFExpansion:
-    """Continued-fraction expansion of t; periodic form for quadratic t."""
+    """Continued-fraction expansion of t; periodic form for quadratic t.
+    PeriodNotFound where no state of t's orbit repeats within its first
+    max_terms states."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    p, q, _, den = _parts(t)
+    p, q, d, den = _parts(t)
     if not q:
         lam0 = p // den
         coeffs = []
@@ -80,50 +93,103 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
             coeffs.append(c)
             num = r
         return CFExpansion(lam0, tuple(coeffs))
-    coeffs: list[int] = []  # lambda_0, lambda_1, ...
-    seen: dict[tuple[int, int], int] = {}  # state of t_j -> j + 1
-    for lam, P, Q in islice(_orbit(t), max_terms):
-        coeffs.append(lam)
-        start = seen.setdefault((P, Q), len(coeffs))
-        if start < len(coeffs):
-            return CFExpansion(coeffs[0], tuple(coeffs[1:start]), tuple(coeffs[start:]))
-    raise PeriodNotFound(f"no period within {max_terms} terms")
+    rec = _record(p, q, d, den)
+    rec.fill(max_terms)
+    start, states = rec.start, rec.states
+    if start is None or len(states) > max_terms:
+        _record.cache_clear()  # a refused expansion keeps no walk
+        raise PeriodNotFound(f"no period within {max_terms} terms")
+    lams = [lam for lam, _, _ in states]  # lambda_0, lambda_1, ...
+    return CFExpansion(lams[0], tuple(lams[1:start]), tuple(lams[start:]))
 
 
-def _floor_over(a: int, f: int, c: int) -> int:
-    """floor((a + y)/c) for an irrational y with floor(y) = f and c != 0."""
-    return (a + f) // c if c > 0 else (-a - f - 1) // -c
+class _Record:
+    """The orbit of one t = (p + q sqrt(d))/r, q != 0, as far as it has been
+    walked, in integers only.  `states` lists (lambda_j, P_j, Q_j) for
+    j = 0, 1, ..., where t = <lambda_0; lambda_1, ..., lambda_{j-1},
+    lambda_j + t_j> and t_j = (P_j + sqrt(D))/Q_j lies in (0, 1), with
+    D = q^2 d r^2.  Q_j divides D - P_j^2 throughout, so
+    1/t_j = (-P_j + sqrt(D))/Q' with Q' = (D - P_j^2)/Q_j, and
+    lambda_{j+1} = floor(1/t_j).
+
+    `start` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i);
+    the walk stops there, at j = len(states) - 1, and start = i + 1: from
+    then on the states are states[start:] over and over.  The first pair to
+    repeat is the first one on the cycle, and by Galois's theorem t_j is on
+    the cycle exactly when 1/t_j is reduced, that is when its conjugate
+    (-P_j - sqrt(D))/Q' lies in (-1, 0): 0 < P_j + sqrt(D) < Q', or
+    0 <= P_j + floor(sqrt(D)) < Q' in integers.  So the walk keeps that one
+    pair, not every pair it saw.
+
+    Readers may share a record across threads: the walk takes a lock, and
+    `states` only grows."""
+
+    __slots__ = ("states", "start", "_entry", "_next", "_D", "_root", "_lock")
+
+    def __init__(self, p: int, q: int, d: int, r: int):
+        self._lock = threading.Lock()
+        self.states: list[tuple[int, int, int]] = []
+        self.start = None
+        self._entry = None  # (P_i, Q_i, i + 1) of the first state on the cycle
+        self._D = D = (q * r) ** 2 * d
+        self._root = math.isqrt(D)
+        # the pair (P, Q) of lambda_j + t_j for the next j, before its floor
+        self._next = (p * r, r * r) if q > 0 else (-p * r, -r * r)
+
+    def fill(self, m: int) -> None:
+        """Walk on until m states are known or the period is."""
+        states, D, root = self.states, self._D, self._root
+        with self._lock:
+            k = len(states)
+            if self.start is not None or k >= m:
+                return
+            (P, Q), entry = self._next, self._entry
+            try:  # _next and _entry are written back on every exit
+                while k < m:
+                    x = P + root  # lambda = floor((P + sqrt(D))/Q)
+                    lam = x // Q if Q > 0 else (-x - 1) // -Q
+                    P -= lam * Q
+                    states.append((lam, P, Q))
+                    k += 1
+                    Q1 = (D - P * P) // Q
+                    if entry is None:
+                        if 0 <= P + root < Q1:
+                            entry = P, Q, k
+                    elif P == entry[0] and Q == entry[1]:
+                        self.start = entry[2]
+                        return
+                    P, Q = -P, Q1
+            finally:
+                self._next, self._entry = (P, Q), entry
+
+
+_record = functools.lru_cache(maxsize=1)(_Record)
 
 
 def _orbit(t: QuadExt):
-    """Yield (lambda_j, P_j, Q_j) for j = 0, 1, ..., in integers only, where
-    t = <lambda_0; lambda_1, ..., lambda_{j-1}, lambda_j + t_j> and
-    t_j = (P_j + sqrt(D))/Q_j lies in (0, 1), with D = q^2 d r^2 for
-    t = (p + q sqrt(d))/r.  Q_j divides D - P_j^2 throughout, so
-    1/t_j = (-P_j + sqrt(D))/Q' with Q' = (D - P_j^2)/Q_j, and
-    lambda_{j+1} = floor(1/t_j)."""
-    p, q, d, r = _parts(t)
-    D = (q * r) ** 2 * d
-    root = math.isqrt(D)
-    P, Q = (p * r, r * r) if q > 0 else (-p * r, -r * r)
-    while True:
-        lam = _floor_over(P, root, Q)
-        P -= lam * Q
-        yield lam, P, Q
-        P, Q = -P, (D - P * P) // Q
+    """Iterator of (lambda_j, P_j, Q_j) for j = 0, 1, ... (see `_Record`),
+    read from the record of t.  Once the period is known it is a chain of
+    the states and a cycle of the period; until then it grows the record
+    one state at a time."""
+    rec = _record(*_parts(t))
+    start = rec.start
+    if start is None:
+        return _grow(rec)
+    states = rec.states
+    return chain(islice(states, start), cycle(states[start:]))
 
 
-def theta_sequence(t: Scalar, m: int) -> list[Scalar]:
-    """Complete quotients theta_1 .. theta_m of t, exactly."""
-    out: list[Scalar] = []
-    x = t
-    for _ in range(m):
-        frac = x - floor(x)
-        if frac == 0:
-            raise RationalTerminated(f"expansion of {t} ends before step {m}")
-        x = 1 / frac
-        out.append(x)
-    return out
+def _grow(rec: _Record):
+    """`_orbit` of a record whose period is not known yet."""
+    states = rec.states
+    i = 0
+    while rec.start is None:
+        if i == len(states):
+            rec.fill(i + 1)
+        else:
+            yield states[i]
+            i += 1
+    yield from chain(islice(states, i, None), cycle(states[rec.start:]))
 
 
 def _continuants(lambda0: int, lams):

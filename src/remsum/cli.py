@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import cfrac, dirichlet, farey, limits, measure, sums, verify
 from .errors import BoundViolated, RemsumError
@@ -230,10 +231,16 @@ def cmd_bench(args) -> int:
     tab = sums.OstrowskiTables(t)
     points = sorted({max(1, int(round(args.n_max ** (i / (args.points - 1)))))
                      for i in range(args.points)}) if args.points > 1 else [args.n_max]
+    # brute force checks every point up to the cap from one walk of the floor
+    # sums, read at the sorted points
+    floors, walked = sums._floor_sums(t, min(args.n_max, _BRUTE_CHECK_CAP)), 0
     with _open_out(args.out) as out:
         print("n,brute_ops,ostrowski_steps,bseq_steps,S", file=out)
         for n in points:
-            results, agree = _evaluate(n, t, tables=tab)
+            results, agree = _evaluate(n, t, ["ostrowski", "bseq"], tab)
+            if n <= _BRUTE_CHECK_CAP:
+                F, walked = next(islice(floors, n - walked - 1, None)), n
+                agree = agree and sums._values(t, [(n, F)])[0] == results["ostrowski"][0]
             if not agree:
                 print(f"cross-check disagreement at n={n}", file=sys.stderr)
                 return EXIT_CROSSCHECK

@@ -13,10 +13,6 @@ class PeriodNotFound(RemsumError):
     """Continued-fraction period longer than the allowed number of terms."""
 
 
-class RationalTerminated(RemsumError):
-    """A complete-quotient iteration hit an integer before the requested step."""
-
-
 class NotIrrational(RemsumError):
     """An operation defined only for irrational arguments got a rational one."""
 

@@ -34,10 +34,14 @@ beyond the convergents, and `OstrowskiTables` takes those from t's own
 orbit.  bseq_S is the alternative recursion through the Gauss-map orbit of
 t, an independent cross-check that uses no convergents and carries F in
 integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
-`cfrac._orbit`, the walk `cfrac.expand` uses, so neither needs a period.
+`cfrac._orbit`, so neither needs a period.  That orbit is walked once per
+t: `cfrac.expand`, the tables and the Gauss-map recursion all read the one
+orbit record `cfrac` keeps for the last t, so a query that expands t and
+runs both recursions makes each state of the orbit once.
 Each has an integer core that returns the int F(n,t) and its trace rows:
-`_ostrowski_F` sums the dF of the steps, and `_bseq_F` takes F from the
-alternating sum G below, asserting the Bsequence estimate on the integer
+`_ostrowski_F` sums the dF of the steps in one loop over tables grown
+once, to b_k > n, and `_bseq_F` takes F from the alternating sum G below,
+with one isqrt per step, asserting the Bsequence estimate on the integer
 numerators of S.  ostrowski_S and bseq_S are `_values` of their cores, and
 `verify` compares the cores' ints with the `_floor_sums` prefix directly.
 All three agree exactly on every input.
@@ -62,8 +66,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
-from operator import add, gt
+from itertools import accumulate, chain, cycle, islice, repeat
+from math import isqrt
+from operator import add, gt, itemgetter
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -288,27 +293,33 @@ class OstrowskiTables:
             raise NotIrrational("Ostrowski recursion needs irrational t")
         self.t = t
         self.cf = cf
-        self._orbit = cfrac._orbit(t)
-        self.lam = [next(self._orbit)[0]]  # index k -> lambda_k
+        orbit = cfrac._orbit(t)
+        self.lam = [next(orbit)[0]]  # index k -> lambda_k
         if cf is not None and self.lam[0] != cf.lambda0:
             raise ValueError("expansion does not match t")
         self.a = [1, self.lam[0]]
         self.b = [0, 1]
-        # lambda_k, k = len(lam), taken from the orbit only once it is
-        # checked, so that a refused index stays refused
-        self._next = next(self._orbit)[0]
+        # (lambda_k, the lambda_k cf expects, or lambda_k again without cf)
+        # for k = 1, 2, ...
+        self._lams = (map(itemgetter(0, 0), orbit) if cf is None else
+                      zip(map(itemgetter(0), orbit), chain(cf.pre, cycle(cf.period))))
         self.extend_past(0)  # a mismatch in lambda_1..lambda_3 fails here
 
     def extend_past(self, n: int):
         """Grow the tables until b_k > n, and at least to k = 4."""
-        while self.b[-1] <= n or len(self.b) < 5:
-            lam = self._next
-            if self.cf is not None and lam != self.cf.coeff(len(self.lam)):
+        lams, a, b = self.lam, self.a, self.b
+        if b[-1] > n and len(b) > 4:
+            return
+        for lam, want in self._lams:
+            if lam != want:
+                # put the pair back, so that a refused index stays refused
+                self._lams = chain(((lam, want),), self._lams)
                 raise ValueError("expansion does not match t")
-            self.lam.append(lam)
-            self.a.append(self.a[-2] + lam * self.a[-1])
-            self.b.append(self.b[-2] + lam * self.b[-1])
-            self._next = next(self._orbit)[0]
+            lams.append(lam)
+            a.append(a[-2] + lam * a[-1])
+            b.append(b[-2] + lam * b[-1])
+            if b[-1] > n and len(b) > 4:
+                return
 
     def j_star(self, n: int) -> int:
         """The unique j with b_j <= n < b_{j+1} (rightmost on ties)."""
@@ -338,11 +349,23 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
 
 def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
     """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
-    its trace rows (j, n, n', dF), one per validated step; ints only."""
+    its trace rows (j, n, n', dF), one per validated step; ints only.  Each
+    step is `_ostrowski_step`'s, with its checks and their messages, on
+    tables grown once: n only decreases, so b_k > n holds at every step."""
+    tab.extend_past(n)
+    lam, a, b = tab.lam, tab.a, tab.b
     rows = []
     F = 0
     while n > 0:
-        j, n2, dF = _ostrowski_step(tab, n)
+        j = bisect_right(b, n) - 1
+        bj = b[j]
+        q, n2 = divmod(n, bj)
+        m = n + n2 + 1
+        if m >= 2 * b[j + 1]:
+            raise AssertionError(f"Ostrowski side condition failed at n={n}")
+        if q > lam[j]:
+            raise AssertionError(f"floor(n/b_j*) > lambda_j* at n={n}")
+        dF = q * (m * a[j] - bj - (-1 if j & 1 else 1)) // 2
         rows.append((j, n, n2, dF))
         F += dF
         n = n2
@@ -361,7 +384,7 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     if n < 0:
         raise ValueError("n must be >= 0")
     tab = OstrowskiTables(t, cf) if tables is None else tables
-    if tab.t != t or (cf is not None and tab.cf != cf):
+    if tables is not None and (tab.t != t or (cf is not None and tab.cf != cf)):
         raise ValueError("tables were built for another t or expansion")
 
     def step(j, n, n2, dF):
@@ -452,12 +475,14 @@ def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
     lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
     if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")
-    s = abs(q) * r  # sqrt(D) = s sqrt(d)
+    D = (q * r) ** 2 * d
     rows = []
     nj, sign, G, lam_sum = n, 1, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
-        m = cfrac._floor_over(nj * P, _floor_sqrt_times(nj * s, d), Q)
+        # m = floor(t_j n_j) = floor((n_j P + floor(n_j sqrt(D)))/Q)
+        x = nj * P + isqrt(nj * nj * D)
+        m = x // Q if Q > 0 else (-x - 1) // -Q
         lam, P, Q = next(orbit)
         G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
         lam_sum += lam

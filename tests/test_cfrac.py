@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +10,35 @@ from hypothesis import strategies as st
 
 from remsum import cfrac
 from remsum.cfrac import CFExpansion
-from remsum.errors import PeriodNotFound, RationalTerminated
-from remsum.exactnum import QuadExt, floor
+from remsum.errors import PeriodNotFound
+from remsum.exactnum import QuadExt, _parts, floor
+
+
+def theta_sequence(t, m):
+    """Complete quotients theta_1 .. theta_m of t, exactly, by subtraction
+    and reciprocal: x -> 1/(x - floor(x)).  ZeroDivisionError where the
+    expansion of a rational t ends before step m.  The reference for the
+    integer orbit walk, and for the members `measure` samples."""
+    out = []
+    x = t
+    for _ in range(m):
+        x = 1 / (x - floor(x))
+        out.append(x)
+    return out
+
+
+def _reference_orbit(t):
+    """A fresh integer walk of t's orbit, with no record: yields
+    (lambda_j, P_j, Q_j) for j = 0, 1, ... as `cfrac._orbit` must."""
+    p, q, d, r = _parts(t)
+    D = (q * r) ** 2 * d
+    root = math.isqrt(D)
+    P, Q = (p * r, r * r) if q > 0 else (-p * r, -r * r)
+    while True:
+        lam = (P + root) // Q if Q > 0 else (-P - root - 1) // -Q
+        P -= lam * Q
+        yield lam, P, Q
+        P, Q = -P, (D - P * P) // Q
 
 
 class TestExpandRational:
@@ -118,27 +147,131 @@ class TestOrbit:
         D = (t.q * t.r) ** 2 * t.d
         orbit = list(itertools.islice(cfrac._orbit(t), m + 1))
         assert orbit[0][0] == floor(t)
-        for (lam, P, Q), theta in zip(orbit[1:], cfrac.theta_sequence(t, m)):
+        for (lam, P, Q), theta in zip(orbit[1:], theta_sequence(t, m)):
             assert (D - P * P) % Q == 0
             assert QuadExt(P + lam * Q, 1, D, Q) == theta  # lambda_j + t_j
             assert lam == floor(theta)
 
 
+# sqrt(10^9 + 7)/40000: no state of its orbit repeats within 64 terms
+NO_PERIOD_WITHIN_64 = QuadExt(0, 1, 10 ** 9 + 7, 40000)
+# <0; 1, 1, (1, 2)>: lambda_0 = 0 and a pre-period
+PRE_PERIOD = cfrac.value(CFExpansion(0, (1, 1), (1, 2)))
+
+
+class TestOrbitRecord:
+    """`cfrac._orbit` reads one record per t; every reader must see what a
+    fresh walk of t's orbit gives, however the readers interleave."""
+
+    @given(quadratic_irrationals(), quadratic_irrationals(),
+           st.integers(1, 90), st.integers(0, 90))
+    @settings(max_examples=150, deadline=None)
+    @example(PRE_PERIOD, QuadExt(-1, 1, 5, 2), 40, 3)
+    @example(NO_PERIOD_WITHIN_64, PRE_PERIOD, 90, 70)
+    @example(PRE_PERIOD, NO_PERIOD_WITHIN_64, 90, 0)
+    @example(NO_PERIOD_WITHIN_64, NO_PERIOD_WITHIN_64, 80, 5)
+    def test_readers_see_a_fresh_walk(self, t1, t2, m, stop):
+        want1 = list(itertools.islice(_reference_orbit(t1), m))
+        want2 = list(itertools.islice(_reference_orbit(t2), m))
+        cfrac._record.cache_clear()
+        stopped = cfrac._orbit(t1)  # a reader stopped partway
+        head = list(itertools.islice(stopped, min(stop, m)))
+        # two readers of one record, interleaved state by state
+        x, y = cfrac._orbit(t1), cfrac._orbit(t1)
+        pairs = [(next(x), next(y)) for _ in range(m // 2)]
+        assert [u for u, _ in pairs] == [v for _, v in pairs] == want1[:m // 2]
+        # t1, t2, t1: t2 evicts t1's record, and t1's readers stay valid
+        assert list(itertools.islice(cfrac._orbit(t2), m)) == want2
+        assert list(itertools.islice(x, m - m // 2)) == want1[m // 2:]
+        assert list(itertools.islice(cfrac._orbit(t1), m)) == want1
+        assert head + list(itertools.islice(stopped, m - len(head))) == want1
+        assert list(itertools.islice(y, m - m // 2)) == want1[m // 2:]
+
+    @given(quadratic_irrationals(), st.integers(1, 70), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    @example(NO_PERIOD_WITHIN_64, 64, 10)
+    @example(QuadExt(0, 1, 2, 1), 1, 5)  # sqrt(2) = <1; (2)> needs 2 terms
+    @example(PRE_PERIOD, 4, 1)
+    @example(PRE_PERIOD, 5, 0)
+    def test_expand_refuses_a_record_grown_past_max_terms(self, t, max_terms,
+                                                          more):
+        cfrac._record.cache_clear()
+        list(itertools.islice(cfrac._orbit(t), max_terms + more))
+        try:
+            expected = _reference_expand(t, max_terms)
+        except PeriodNotFound:
+            with pytest.raises(PeriodNotFound):
+                cfrac.expand(t, max_terms)
+        else:
+            assert cfrac.expand(t, max_terms) == expected
+
+    def test_a_refused_expansion_keeps_no_walk(self):
+        # 2000 states of sqrt(10^9 + 7)/40000 and no period among them
+        with pytest.raises(PeriodNotFound):
+            cfrac.expand(NO_PERIOD_WITHIN_64, 2000)
+        assert cfrac._record.cache_info().currsize == 0
+        cfrac.expand(QuadExt(-1, 1, 5, 2), 64)
+        assert cfrac._record.cache_info().currsize == 1
+
+    def test_threads_share_a_record(self):
+        # more readers than cores on one record: half expand t, walking
+        # 1166 states in one go, half read it a state at a time; a thread
+        # switch is forced every few bytecodes
+        t = QuadExt(0, 1, 1000033, 1)  # sqrt(1000033) = <1000; (1165 terms)>
+        want = list(itertools.islice(_reference_orbit(t), 3000))
+        cfrac._record.cache_clear()
+        want_cf = cfrac.expand(t, 5000)
+        assert len(want_cf.period) == 1165
+        got = []
+        readers = [lambda: got.append(cfrac.expand(t, 5000) == want_cf),
+                   lambda: got.append(list(itertools.islice(cfrac._orbit(t), 3000)) == want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                cfrac._record.cache_clear()
+                cfrac._orbit(t)  # every thread reads this one record
+                threads = [threading.Thread(target=readers[i % 2]) for i in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * 32
+
+    def test_one_walk_serves_expand_and_both_recursions(self):
+        from remsum import sums
+
+        # t in (0, 1), as bseq_S needs; 2 - sqrt(3) starts its walk at Q = -1
+        for t in (PRE_PERIOD, QuadExt(-1, 1, 5, 2), QuadExt(2, -1, 3, 1)):
+            cfrac._record.cache_clear()
+            cf = cfrac.expand(t, 64)
+            rec = cfrac._record(*_parts(t))
+            walked = len(rec.states)
+            assert (sums.ostrowski_S(10 ** 18, t, cf)[0]
+                    == sums.bseq_S(10 ** 18, t)[0])
+            assert cfrac.expand(t, 64) == cf
+            assert cfrac._record.cache_info().misses == 1
+            assert len(rec.states) == walked
+
+
 class TestThetaSequence:
     def test_rational(self):
-        assert cfrac.theta_sequence(F(7, 10), 2) == [F(10, 7), F(7, 3)]
-        with pytest.raises(RationalTerminated):
-            cfrac.theta_sequence(F(7, 10), 5)
+        assert theta_sequence(F(7, 10), 2) == [F(10, 7), F(7, 3)]
+        with pytest.raises(ZeroDivisionError):
+            theta_sequence(F(7, 10), 5)
 
     def test_quadratic(self, corpus):
         g = corpus["golden"]
-        th = cfrac.theta_sequence(g, 5)
+        th = theta_sequence(g, 5)
         assert all(t == g + 1 for t in th)  # golden: every theta_j = 1/t
 
     def test_theta_floor_is_partial_quotient(self, corpus):
         for t in corpus.values():
             cf = cfrac.expand(t, 64)
-            for j, th in enumerate(cfrac.theta_sequence(t, 10), 1):
+            for j, th in enumerate(theta_sequence(t, 10), 1):
                 assert floor(th) == cf.coeff(j)
 
 

@@ -24,8 +24,9 @@ DATA = Path(__file__).parent / "data"
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
 
-# sha256 of the stdout of three plot grids, two Dirichlet records and two
-# Farey counting identities; CI checks the same argv with `sha256sum -c`
+# sha256 of the stdout of three plot grids, two Dirichlet records, two
+# Farey counting identities and one bench table; CI checks the same argv
+# with `sha256sum -c`
 PLOT_DIGESTS = {
     "plot_rescaled.csv.sha256": ("plot", "--which", "rescaled", "--range=-3:3",
                                  "--step", "1/7", "--a-over-b", "2/5",
@@ -51,6 +52,11 @@ FAREY_DIGESTS = {
     "farey_golden_conjugate.json.sha256": (
         "farey", "--n", "200", "--t", "quad:(-1+1*sqrt(5))/2"),
     "farey_rational.json.sha256": ("farey", "--n", "300", "--t", "rat:377/991"),
+}
+# a t with no period within 64 terms, every point brute-checked
+BENCH_DIGESTS = {
+    "bench_long_period.csv.sha256": ("bench", "--t", LONG_PERIOD,
+                                     "--n-max", "100000"),
 }
 
 
@@ -432,6 +438,35 @@ class TestBench:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+    def test_stdout_matches_its_digest(self, capsys, name):
+        code, out, _ = run(capsys, *BENCH_DIGESTS[name])
+        assert code == 0
+        want = (DATA / name).read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_brute_column_is_one_walk(self, capsys, monkeypatch):
+        # n_max terms in one walk, not the sum of the points; a floor one
+        # too large at k = 500 fails the cross-check at the next point
+        walks = []
+        floor_sums = sums._floor_sums
+
+        def counted(t, n):
+            walks.append(n)
+            for k, F in enumerate(floor_sums(t, n), 1):
+                yield F + (k >= 500)
+
+        monkeypatch.setattr(sums, "_floor_sums", counted)
+        args = ("bench", "--t", "cf:0;(2)", "--n-max", "499", "--points", "4")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and walks == [499]
+        assert out.count("\n") == 5  # the header and the points 1, 8, 63, 499
+        code, out, err = run(capsys, "bench", "--t", "cf:0;(2)", "--n-max",
+                             "1000", "--points", "4")
+        assert code == 3 and walks == [499, 1000]
+        assert err == "cross-check disagreement at n=1000\n"
+        assert out.splitlines()[-1].startswith("100,")
 
 
 # -- argv fuzz --------------------------------------------------------------

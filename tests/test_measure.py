@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remsum import cfrac, cli, measure, sums
+from test_cfrac import theta_sequence
 from remsum.errors import BoundViolated, NotMember, TooLarge
 from remsum.exactnum import QuadExt
 
@@ -83,7 +84,7 @@ class TestSampler:
         for seed in range(5):
             t = measure.sample_bounded_cf(10, 6, seed)
             assert 0 < t < 1
-            for th in cfrac.theta_sequence(t, 6):
+            for th in theta_sequence(t, 6):
                 assert th < 10
 
     def test_sample_deterministic(self):

@@ -262,6 +262,8 @@ class TestOstrowski:
         # these tables once gave S(10, sqrt(2) - 1) = -78 + 55 sqrt(2)
         with pytest.raises(ValueError):
             sums.ostrowski_S(10, golden, cf, tables=other)
+        with pytest.raises(ValueError):  # and with no expansion to compare
+            sums.ostrowski_S(10, golden, tables=other)
         # the same t, written with a one-term pre-period
         longer = cfrac.CFExpansion(0, (1,), (1,))
         with pytest.raises(ValueError):
@@ -498,6 +500,76 @@ class TestBseq:
         assert trace_b.steps[2:5] == ref_steps[2:5]
         assert trace_o.steps[0].n_before == n
         assert sum((s.increment for s in trace_o.steps), F(0)) == value_o
+
+
+def _reference_ostrowski_F(n, tab):
+    """The recursion as one `_ostrowski_step` per step, each growing the
+    tables and bisecting them itself: the loop that the flat
+    `sums._ostrowski_F` must equal, F, rows and error alike."""
+    rows = []
+    F = 0
+    while n > 0:
+        j, n2, dF = sums._ostrowski_step(tab, n)
+        rows.append((j, n, n2, dF))
+        F += dF
+        n = n2
+    return F, rows
+
+
+def _F_outcome(core, tab, n):
+    """(F, rows) of a core, or the text of the AssertionError it raised."""
+    try:
+        return core(n, tab)
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestFlatOstrowski:
+    """`sums._ostrowski_F`, one loop over tables grown once, against the
+    per-step loop."""
+
+    @given(st.one_of(expansions(), expansions(max_quotient=1000, min_pre=1)),
+           st.booleans(), st.integers(0, 3000), st.integers(0, 10 ** 18))
+    @example((QuadExt(-1, 1, 5, 2), cfrac.CFExpansion(0, (), (1,))), True, 987,
+             10 ** 18)
+    @example((cfrac.value(LONG_RUN), LONG_RUN), False, 2998, 5998)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_step_loop(self, t_cf, with_cf, n_small, n_huge):
+        t, cf = t_cf
+        cf = cf if with_cf else None
+        shared = sums.OstrowskiTables(t, cf)
+        for n in (n_small, n_huge):
+            want = _reference_ostrowski_F(n, sums.OstrowskiTables(t, cf))
+            assert sums._ostrowski_F(n, sums.OstrowskiTables(t, cf)) == want
+            assert sums._ostrowski_F(n, shared) == want
+
+    # a lowered lambda_j, a shrunk or grown b_j (increasing or not), or a
+    # changed a_j: the same F and rows, or the same error at the same n
+    @pytest.mark.parametrize("t, table, j, value, message", [
+        (QuadExt(-1, 1, 5, 2), "lam", 10, 0, "floor(n/b_j*) > lambda_j* at n=55"),
+        (QuadExt(-1, 1, 2, 1), "lam", 13, 0,
+         "floor(n/b_j*) > lambda_j* at n=58336"),
+        (QuadExt(-1, 1, 5, 2), "b", 26, 100,
+         "floor(n/b_j*) > lambda_j* at n=167960"),
+        # b_8 = 100 > b_9 = 34: the tables no longer increase
+        (QuadExt(-1, 1, 5, 2), "b", 8, 100, "floor(n/b_j*) > lambda_j* at n=55"),
+        (QuadExt(-1, 1, 2, 1), "a", 12, 7, None),
+    ])
+    def test_tampered_tables_give_the_per_step_outcome(self, t, table, j,
+                                                       value, message):
+        n = 10 ** 6
+        outcomes = []
+        for core in (sums._ostrowski_F, _reference_ostrowski_F):
+            tab = sums.OstrowskiTables(t)
+            tab.extend_past(n)
+            getattr(tab, table)[j] = value
+            outcomes.append(_F_outcome(core, tab, n))
+        flat, ref = outcomes
+        assert flat == ref
+        if message is not None:
+            assert flat == message
+        else:  # the tampered a_12 changes F, and is read in a step
+            assert flat[0] != _reference_ostrowski_F(n, sums.OstrowskiTables(t))[0]
 
 
 class TestIntegerCores:
