@@ -1,7 +1,13 @@
 """remsum: exact arithmetic for sawtooth remainder sums, Farey sequences,
-continued fractions and the associated Dirichlet series."""
+continued fractions and the associated Dirichlet series.
 
-from . import cfrac, dirichlet, farey, limits, measure, sums, verify
+`import remsum` loads the exact core only: `errors`, `exactnum`, `cfrac`
+and `sums`, all S(n,t) needs.  The other layers, `dirichlet`, `farey`,
+`limits`, `measure` and `verify`, load the first time a run uses them:
+`remsum.farey`, `from remsum import farey` and `from remsum import *` all
+import the module then (PEP 562), and later uses find it in place."""
+
+from . import cfrac, sums
 from .errors import (BoundViolated, DomainError, IncompatibleField,
                      NotIrrational, NotMember, NotNeighbors, PeriodNotFound,
                      PoleAtOne, RemsumError, TooLarge)
@@ -10,6 +16,8 @@ from .exactnum import (HALF, QuadExt, Scalar, as_fraction, beta, beta0, floor,
                        to_float)
 
 __version__ = "0.1.0"
+
+_LAZY = ("dirichlet", "farey", "limits", "measure", "verify")
 
 __all__ = [
     "cfrac", "dirichlet", "farey", "limits", "measure", "sums", "verify",
@@ -20,3 +28,16 @@ __all__ = [
     "PoleAtOne",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # called only for names not yet bound: importing a submodule binds it
+    # on the package, so each layer comes through here once
+    if name in _LAZY:
+        from importlib import import_module
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -7,6 +7,11 @@ bound), 2 usage, parse or domain error (every other library error),
 Output is deterministic: identical flags (and seed) produce byte-identical
 output.  Floats are printed with 12 significant digits; exact values are
 printed exactly.
+
+Importing this module loads the exact core (`cfrac`, `sums`) and `verify`,
+whose suite names are the choices of `verify --suite`.  The `farey`,
+`measure`, `dirichlet` and `limits` layers load inside the commands that
+use them, so `sum` and `bench` run without them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import cfrac, dirichlet, farey, limits, measure, sums, verify
+from . import cfrac, sums, verify
 from .errors import BoundViolated, RemsumError
 from .exactnum import Scalar, format_scalar, is_rational, parse_scalar
 
@@ -183,6 +188,7 @@ def _plot_value(args, lo: Fraction, hi: Fraction, D: int):
     if args.which == "etaprime":
         return "x,value", functools.partial(_eta_prime_float, D=D)
     if args.which == "h":
+        from . import farey
         tables = farey.build_tables(max(1, math.ceil(max(abs(lo), abs(hi)))))
         return "x,h", lambda i: farey._h(i, D, tables)
     if args.a_over_b is None or args.rescale_n is None:
@@ -191,6 +197,7 @@ def _plot_value(args, lo: Fraction, hi: Fraction, D: int):
         ab = Fraction(args.a_over_b)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse --a-over-b {_echo(args.a_over_b)}")
+    from . import limits
     return "x,value", lambda i: float(
         limits.rescaled_eta(ab, args.rescale_n, Fraction(i, D)))
 
@@ -251,6 +258,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_farey(args) -> int:
+    from . import farey
+
     if args.t is not None:
         t = parse_tspec(args.t)
         tables = farey.build_tables(args.n)
@@ -279,6 +288,8 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
 
 
 def cmd_measure(args) -> int:
+    from . import measure
+
     with _open_out(args.out) as out:
         print("alphas,exact,lower,upper", file=out)
         for spec in args.alphas:
@@ -319,6 +330,8 @@ def _int_at_least(lo: int):
 
 
 def cmd_dirichlet(args) -> int:
+    from . import dirichlet
+
     t = parse_tspec(args.t)
     s = args.s
     K = args.K
@@ -335,6 +348,7 @@ def cmd_dirichlet(args) -> int:
         elif args.mode == "mellin":
             ev = dirichlet.f_beta_mellin(t, s, K)
         else:  # q
+            from . import farey
             ev = dirichlet.f_q_partial(t, s, K, farey.build_tables(K))
         rec = {"t": format_scalar(t), "s": str(s), "K": ev.truncation_K,
                "mode": args.mode, "value_re": ev.value.real,

@@ -54,7 +54,8 @@ from .exactnum import Scalar, _parts, beta0, floor
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
 from .exactnum import to_float  # noqa: F401
-from .farey import ArithTables
+# `ArithTables` (farey) names a type in annotations only, which are never
+# evaluated, so loading this module does not load farey.
 
 
 SeriesEval = namedtuple("SeriesEval", "value truncation_K tail_bound mode",

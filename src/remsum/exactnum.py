@@ -52,16 +52,17 @@ def _primes_below(n: int) -> list[int]:
 # QuadExt arithmetic and equality treat them so.  P is their product.
 _SMALL_PRIMES = _primes_below(1000)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
-_PRIMORIAL_SQ = _PRIMORIAL * _PRIMORIAL
 
 
 def _reduce_radicand(d: int) -> tuple[int, int]:
     """Return (d', s) with d = d' * s**2 and d' free of small square factors.
 
-    w = gcd(d, P^2)/gcd(d, P) is the product of the small primes p with
-    p^2 | d, so a radicand with w = 1 costs two gcds, and otherwise only the
-    primes dividing w are tried."""
-    w = math.gcd(d, _PRIMORIAL_SQ) // math.gcd(d, _PRIMORIAL)
+    With g = gcd(d, P), the small primes dividing d, w = gcd(g, d/g) is
+    the product of the small primes p with p^2 | d: such a p divides g, and
+    it divides d/g exactly when p^2 | d.  So a radicand with w = 1 costs
+    two gcds, and otherwise only the primes dividing w are tried."""
+    g = math.gcd(d, _PRIMORIAL)
+    w = math.gcd(g, d // g)
     if w == 1:
         return d, 1
     s = 1
@@ -469,8 +470,7 @@ def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     m = _QUAD_RE.match(text)
     if m:
-        p, q, d, r = (int(m.group(i)) for i in range(1, 5))
-        return QuadExt(p, q, d, r)
+        return QuadExt(*map(int, m.groups()))
     if "/" in text:
         num, den = text.split("/")
         return Fraction(int(num), int(den))

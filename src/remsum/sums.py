@@ -4,7 +4,8 @@ Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
 over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
 `_numerators` is the only (n, F) -> S map: for a whole iterable of pairs
 (n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
-(u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`.
+(u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`, which
+its caller takes once and passes in.
 `_values` makes the exact values from them in one comprehension, and
 `_abs_at_most` decides every |S| <= bound on them, or on the parts of an
 exact S, with one isqrt.
@@ -26,13 +27,19 @@ N = n - n' = q b_j and m = n + n' + 1, and carries F in integers:
 
 so the paper's increment (-1)^j (q/2)(1 - rho_j m) is t N m/2 - N/2 minus
 that difference.  Its side condition 0 < |1 - rho_j m| < 1 holds at every
-step: n < b_{j+1} and n' < b_j <= b_{j+1}, so m < 2 b_{j+1}; and with
-t = <lambda_0; ..., lambda_{j-1}, lambda_j + t_j>, 0 < t_j < 1,
-rho_j = 1/(b_{j+1} + b_j t_j) < 1/b_{j+1}, so 0 < rho_j m < 2, and rho_j m
-is irrational, so it is not 1.  The recursion therefore needs no bound
-beyond the convergents, and `OstrowskiTables` takes those from t's own
-orbit.  bseq_S is the alternative recursion through the Gauss-map orbit of
-t, an independent cross-check that uses no convergents and carries F in
+step by the algebra, not by a check: j comes from bisecting b, so
+b_j <= n < b_{j+1}, and n' <= n - b_j, so m <= 2n - b_j + 1 < 2 b_{j+1}
+whenever b_j >= 1; and with t = <lambda_0; ..., lambda_{j-1}, lambda_j + t_j>,
+0 < t_j < 1, rho_j = 1/(b_{j+1} + b_j t_j) < 1/b_{j+1}, so 0 < rho_j m < 2,
+and rho_j m is irrational, so it is not 1.  The recursion therefore needs
+no bound beyond the convergents, and `OstrowskiTables` takes those from
+t's own orbit.  What validation tests is the tables: q = floor(n/b_j) <=
+lambda_j, which fails where lambda and b disagree.  It also keeps the test
+m < 2 b_{j+1}, which holds by construction on every table whose b_j >= 1,
+as a guard against tampered tables.
+
+bseq_S is the alternative recursion through the Gauss-map orbit of t, an
+independent cross-check that uses no convergents and carries F in
 integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
 `cfrac._orbit`, so neither needs a period.  That orbit is walked once per
 t: `cfrac.expand`, the tables and the Gauss-map recursion all read the one
@@ -54,7 +61,8 @@ q = floor(n/b_j) fixed and 0 <= n' < b_j, the difference above is
 
 affine in n', so the block is F[:b_j] plus one arithmetic progression.  In
 a block q is fixed and m = q b_j + 2n' + 1 grows with n, so the checks
-q <= lambda_j and m < 2 b_{j+1} made at its last n hold at every n of it.
+q <= lambda_j and m < 2 b_{j+1} (the guard above) made at its last n hold
+at every n of it.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
@@ -144,16 +152,17 @@ def _floor_sums(t: Scalar, n: int):
         yield total
 
 
-def _numerators(t: Scalar, midpoint: bool, pairs):
+def _numerators(parts: tuple[int, int, int, int], midpoint: bool, pairs):
     """The one map (n, F(n,t)) -> (u, v) with S(n,t) = (u + v sqrt(d))/(2r)
-    for t = (p + q sqrt(d))/r as `_parts` gives it, or S0(n,t) if midpoint:
-    u = p n (n+1) - r (n + 2F - h) and v = q n (n+1).  Yields (u, v) for
-    each (n, F) of `pairs`, in order, with no call per pair.
+    for t = (p + q sqrt(d))/r, parts = (p, q, d, r) = `_parts(t)` as the
+    caller holds it, or S0(n,t) if midpoint: u = p n (n+1) - r (n + 2F - h)
+    and v = q n (n+1).  Yields (u, v) for each (n, F) of `pairs`, in order,
+    with no call per pair.
 
     beta0 differs from beta by +1/2 exactly where k t is an integer: where
     r | k for rational t, and nowhere for irrational t; so h = floor(n/r)
     for S0 at rational t, and h = 0 otherwise."""
-    p, q, d, r = _parts(t)
+    p, q, _, r = parts
     mid = midpoint and not q
     return ((p * n * (n + 1) - r * (n + 2 * F - (n // r if mid else 0)),
              q * n * (n + 1)) for n, F in pairs)
@@ -164,10 +173,10 @@ def _values(t: Scalar, pairs, midpoint: bool = False) -> list:
     for each (n, F(n,t)) of `pairs`, as Fractions for rational t and
     QuadExts otherwise.  S is affine in F, so entry(n, F(n) - F(n')) less
     entry(n', 0) is S(n,t) - S(n',t)."""
-    _, q, d, r = _parts(t)
+    parts = _, q, d, r = _parts(t)
     r2 = 2 * r
     return [_make(u, v, d, r2) if q else Fraction(u, r2)
-            for u, v in _numerators(t, midpoint, pairs)]
+            for u, v in _numerators(parts, midpoint, pairs)]
 
 
 def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
@@ -331,9 +340,10 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
     """One recursion step n -> n' = n mod b_j, j = j*(n), in integers only.
 
     Returns (j, n', dF) with dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2,
-    where q = floor(n/b_j) and m = n + n' + 1.  validate checks the side
-    condition as m < 2 b_{j+1}, which proves it (see the module docstring),
-    and the quotient bound as q <= lambda_j.
+    where q = floor(n/b_j) and m = n + n' + 1.  validate checks the
+    quotient bound q <= lambda_j, and m < 2 b_{j+1}.  j comes from bisecting
+    b, so m < 2 b_{j+1} holds by construction wherever b_j >= 1 (module
+    docstring); that test stays as a guard against tampered tables.
     """
     j = tab.j_star(n)
     b = tab.b[j]
@@ -350,8 +360,10 @@ def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
 def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
     """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
     its trace rows (j, n, n', dF), one per validated step; ints only.  Each
-    step is `_ostrowski_step`'s, with its checks and their messages, on
-    tables grown once: n only decreases, so b_k > n holds at every step."""
+    step is `_ostrowski_step`'s, with its checks and their messages (q <=
+    lambda_j, and the m < 2 b_{j+1} guard that only a tampered table can
+    fail), on tables grown once: n only decreases, so b_k > n holds at
+    every step."""
     tab.extend_past(n)
     lam, a, b = tab.lam, tab.a, tab.b
     rows = []
@@ -408,11 +420,13 @@ def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
     int because q 2n' a_j is even: one pass over F[:b_j].  validate checks
     a block once, at its last n: q <= lambda_j does not depend on n, and
     m = q b_j + 2n' + 1 grows with n, so m < 2 b_{j+1} there holds at every
-    n of the block.  A block that fails is replayed one `_ostrowski_step`
-    per n, which raises the AssertionError of its first failing n.  Where
-    b decreases somewhere (tampered tables), the bisection of `j_star` need
-    not give one j over such a range, so those take one `_ostrowski_step`
-    per n."""
+    n of the block.  As in `_ostrowski_step`, the m test holds by
+    construction where b_j >= 1 and guards against tampered tables; the
+    test that can fail on a table is q <= lambda_j.  A block that fails is
+    replayed one `_ostrowski_step` per n, which raises the AssertionError
+    of its first failing n.  Where b decreases somewhere (tampered tables),
+    the bisection of `j_star` need not give one j over such a range, so
+    those take one `_ostrowski_step` per n."""
     F, depth, js = [0], [0], [0]
     n = 1
     while n <= n_max:
@@ -468,7 +482,7 @@ def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
     asserted on the numerators (u, v) of S(n,t), so no QuadExt is built."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _, q, d, r = _parts(t)
+    parts = _, q, d, r = _parts(t)
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
     orbit = cfrac._orbit(t)
@@ -489,7 +503,7 @@ def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
         nj, sign = m, -sign
     F = (-n - G) // 2
     if n:
-        (u, v), = _numerators(t, False, [(n, F)])
+        (u, v), = _numerators(parts, False, [(n, F)])
         if not _abs_at_most(u, v, d, 2 * r, lam_sum, 2):
             raise AssertionError("modified Bsequence estimate violated")
     return F, rows

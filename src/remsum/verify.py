@@ -3,6 +3,9 @@
 Each suite returns a list of check records {name, pass, detail}.  Sizes:
 "quick" keeps every suite in the seconds range, "full" runs the complete
 parameter grids.  All randomness is seeded and reproducible.
+
+Importing this module loads the exact core only (`cfrac`, `sums`): the
+measure, farey and dirichlet suites import their layers when they run.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, product
 
-from . import cfrac, dirichlet, farey, measure, sums
+from . import cfrac, sums
 from .exactnum import QuadExt, _beta_sum, _parts, beta0
 
 
@@ -73,11 +76,12 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     # S(n,t) = (u + v sqrt(d))/(2r), each n's (u, v) computed once, against
     # the Snfinal bound (1/2) L_j, L_j = lambda_1 + ... + lambda_j, j = j*(n),
     # and against 2 log n for n >= 3
-    _, _, d, r = _parts(t)
+    parts = _, _, d, r = _parts(t)
     r2 = 2 * r
     L = list(accumulate(tab.lam[1:], initial=0))
     snfinal = log_ok = True
-    for n, (u, v) in enumerate(sums._numerators(t, False, enumerate(F[1:], 1)), 1):
+    uv = sums._numerators(parts, False, enumerate(F[1:], 1))
+    for n, (u, v) in enumerate(uv, 1):
         L_j = L[js[n]]
         snfinal = snfinal and sums._abs_at_most(u, v, d, r2, L_j, 2)
         log_ok = log_ok and (n < 3 or _at_most_2logn(n, snfinal, L_j, u, v, d, r2))
@@ -115,10 +119,11 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
 
 
 def suite_measure(size: str = "quick", seed: int = 0) -> list[dict]:
+    from . import measure
+
     checks = []
     mmax = 4 if size == "full" else 3
     ok = True
-    from itertools import product
     for m in range(1, mmax + 1):
         for alphas in product(range(2, 6), repeat=m):
             ms = measure.measure_exact(alphas)
@@ -148,6 +153,8 @@ def suite_measure(size: str = "quick", seed: int = 0) -> list[dict]:
 
 
 def suite_farey(size: str = "quick", seed: int = 0) -> list[dict]:
+    from . import farey
+
     checks = []
     rng = random.Random(seed)
     nmax = 300 if size == "full" else 60
@@ -192,6 +199,8 @@ def suite_farey(size: str = "quick", seed: int = 0) -> list[dict]:
 
 
 def suite_dirichlet(size: str = "quick", seed: int = 0) -> list[dict]:
+    from . import dirichlet, farey
+
     checks = []
     ok = (abs(dirichlet.zeta(2) - math.pi ** 2 / 6) < 1e-12
           and abs(dirichlet.zeta(4) - math.pi ** 4 / 90) < 1e-12)

@@ -101,6 +101,40 @@ class TestCanonicalForm:
         d *= math.prod(p * p for p in squares)
         assert exactnum._reduce_radicand(d) == trial_division(d)
 
+    @given(st.integers(1, 2 ** 120), st.lists(st.sampled_from(
+        [2, 3, 5, 7, 11, 997]), max_size=8), st.integers(0, 3))
+    @example(1, [], 0)
+    @example(2 ** 9 * 3 ** 5 * 997 ** 3, [2, 2, 997], 2)
+    @settings(max_examples=500, deadline=None)
+    def test_reduce_radicand_matches_the_primorial_square_formula(
+            self, d, squares, cubes):
+        # the earlier form: w = gcd(d, P^2)/gcd(d, P), P the small primes'
+        # product, then the same trial over the primes dividing w
+        P = math.prod(exactnum._SMALL_PRIMES)
+
+        def primorial_square(d):
+            w = math.gcd(d, P * P) // math.gcd(d, P)
+            if w == 1:
+                return d, 1
+            s = 1
+            for p in exactnum._SMALL_PRIMES:
+                if w % p:
+                    continue
+                p2 = p * p
+                if p2 > d:
+                    break
+                while d % p2 == 0:
+                    d //= p2
+                    s *= p
+                w //= p
+                if w == 1:
+                    break
+            return d, s
+
+        # repeated square factors, and odd powers past them
+        d *= math.prod(p * p for p in squares) * 3 ** (3 * cubes)
+        assert exactnum._reduce_radicand(d) == primorial_square(d)
+
 
 # s >= 1000 includes primes that the radicand reduction does not pull out,
 # so the two spellings of one value keep different radicands
@@ -321,9 +355,10 @@ class TestFloatsAndText:
                   QuadExt(-top, top, 10 ** limit - 3, top - 1)):
             assert parse_scalar(format_scalar(x)) == x
         over = "1" + "0" * limit  # one digit more
-        for text in (over, f"-{over}/3", f"1/{over}",
-                     f"(1+{over}*sqrt(5))/2", f"(1+1*sqrt(5))/{over}"):
-            with pytest.raises(ValueError):
+        for text in (over, f"-{over}/3", f"1/{over}", f"({over}+1*sqrt(5))/2",
+                     f"(1+{over}*sqrt(5))/2", f"(1+1*sqrt({over}))/2",
+                     f"(1+1*sqrt(5))/{over}"):
+            with pytest.raises(ValueError, match="digits"):
                 parse_scalar(text)
 
     @given(st.fractions(max_denominator=10 ** 6))

@@ -99,9 +99,9 @@ class TestBruteOracle:
         assert sums.brute_S0(n, t) == ref0[n]
         assert sums.s0_prefix(t, n) == ref0
         # the bulk map: S = (u + v sqrt(d))/(2r) for t = (p + q sqrt(d))/r
-        _, q, d, r = sums._parts(t)
+        parts = _, q, d, r = sums._parts(t)
         for midpoint, want in ((False, ref), (True, ref0)):
-            uv = sums._numerators(t, midpoint, enumerate(sums._floor_sums(t, n), 1))
+            uv = sums._numerators(parts, midpoint, enumerate(sums._floor_sums(t, n), 1))
             assert [F(0)] + [QuadExt(u, v, d, 2 * r) if q else F(u, 2 * r)
                              for u, v in uv] == want
         zero = sums.brute_S(0, t)

@@ -72,8 +72,8 @@ def test_cheap_2logn_rule_never_accepts_what_the_isqrt_test_rejects(t, n_max):
     tab = sums.OstrowskiTables(t)
     F, _, js = sums._sweep(tab, n_max, validate=True)
     L = list(accumulate(tab.lam[1:], initial=0))
-    _, _, d, r = sums._parts(t)
-    uv = sums._numerators(t, False, enumerate(F[1:], 1))
+    parts = _, _, d, r = sums._parts(t)
+    uv = sums._numerators(parts, False, enumerate(F[1:], 1))
     for n, (u, v) in enumerate(uv, 1):
         if n < 3:
             continue
