@@ -8,10 +8,11 @@ Output is deterministic: identical flags (and seed) produce byte-identical
 output.  Floats are printed with 12 significant digits; exact values are
 printed exactly.
 
-Importing this module loads the exact core (`cfrac`, `sums`) and `verify`,
-whose suite names are the choices of `verify --suite`.  The `farey`,
-`measure`, `dirichlet` and `limits` layers load inside the commands that
-use them, so `sum` and `bench` run without them.
+Importing this module loads the exact core (`cfrac`, `sums`) only.  The
+`verify`, `farey`, `measure`, `dirichlet` and `limits` layers load inside
+the commands that use them, so `sum`, `bench` and `--help` run without
+them; the choices of `verify --suite` are kept here as `SUITE_NAMES`, the
+sorted names of `verify.SUITES`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import cfrac, sums, verify
+from . import cfrac, sums
 from .errors import BoundViolated, RemsumError
 from .exactnum import Scalar, format_scalar, is_rational, parse_scalar
 
@@ -36,6 +37,9 @@ EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
 _BRUTE_CHECK_CAP = 200_000
+
+# sorted(verify.SUITES), so that parsing the command line loads no `verify`
+SUITE_NAMES = ["bounds", "dirichlet", "farey", "measure", "oracle"]
 
 
 class UsageError(Exception):
@@ -218,6 +222,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, args.size, args.seed)
     if args.json:
         _write_json(report)
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=cmd_plot)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"],
+    pv.add_argument("--suite", choices=SUITE_NAMES + ["all"],
                     default="all")
     pv.add_argument("--size", choices=["quick", "full"], default="quick")
     pv.add_argument("--seed", type=int, default=0)

@@ -414,6 +414,25 @@ def _beta_sum(t: Scalar, pairs, midpoint: bool = False) -> Scalar:
     return _make(u, 2 * q * A, d, 2 * r) if q and nonzero else Fraction(u, 2 * r)
 
 
+def _ratio_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as an int pair (numerator, denominator), for b, d > 0,
+    added the way Fraction adds.  With g = gcd(b, d) the sum is
+    (a (d/g) + c (b/g))/((b/g) d), and where a/b and c/d are in lowest terms
+    its numerator shares a factor with that denominator only through g: the
+    one further gcd is taken with g, a factor of d, never of the full
+    numerator with the full denominator, and the pair is again in lowest
+    terms."""
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d + c * b, b * d
+    b //= g
+    a = a * (d // g) + c * b
+    g = math.gcd(a, g)
+    if g > 1:
+        a, d = a // g, d // g
+    return a, b * d
+
+
 def to_float(x: Scalar, precision_bits: int = 53):
     """Correctly rounded float of x at the requested precision (mpmath.mpf).
 

@@ -11,7 +11,7 @@ from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, NotMember, TooLarge
-from .exactnum import Scalar, _parts
+from .exactnum import Scalar, _parts, _ratio_add
 
 _ENUM_GUARD = 10 ** 7
 
@@ -39,18 +39,23 @@ def measure_exact(alphas) -> MeasureSet:
     (a l + a')/(b l + b') and (a (l+1) + a')/(b (l+1) + b'), which differ by
     |a b' - a' b|/((b l + b')(b (l+1) + b')) with |a b' - a' b| = 1, so the
     lengths for l < A telescope to (A-1)/((b + b')(b A + b')).  The walk
-    costs prod_{j<m} (alpha_j - 1) steps, one Fraction addition per prefix,
-    and checks the determinant at every prefix; the guard still counts the
-    leaves, prod_j (alpha_j - 1)."""
+    costs prod_{j<m} (alpha_j - 1) steps and checks the determinant at every
+    prefix; the guard still counts the leaves, prod_j (alpha_j - 1).
+
+    The sum is carried as an int pair N/D in lowest terms and made one
+    Fraction at the end.  A leaf's (A-1)/e, reduced, is added the way
+    Fraction adds (`_ratio_add`): every gcd has the leaf's short e, or a
+    factor of it, as one operand, never both of the long N and D.  The
+    product bounds are one Fraction each."""
     al = tuple(int(a) for a in alphas)
     if not al or any(a < 1 for a in al):
         raise ValueError("alphas must be positive integers")
-    lower = math.prod((Fraction(a - 1, a) ** 2 for a in al), start=Fraction(1))
-    upper = math.prod((Fraction(a - 1, a) for a in al), start=Fraction(1))
+    num, den = math.prod(a - 1 for a in al), math.prod(al)
+    lower, upper = Fraction(num * num, den * den), Fraction(num, den)
     size = math.prod(max(a - 1, 0) for a in al)
     if size > _ENUM_GUARD:
         raise TooLarge(f"{size} fundamental intervals exceed the guard")
-    total = Fraction(0)
+    N, D = 0, 1
     if size:
         *head, A = al
         stack = [(0, 0, 1, 1, 0)]  # (depth, a, b, a', b'): <0;> = 0/1, then 1/0
@@ -62,8 +67,10 @@ def measure_exact(alphas) -> MeasureSet:
                 continue
             if a * b1 - a1 * b not in (1, -1):
                 raise AssertionError(f"convergent determinant fails at depth {j}")
-            total += Fraction(A - 1, (b + b1) * (b * A + b1))
-    return MeasureSet(al, total, lower, upper)
+            e = (b + b1) * (b * A + b1)
+            g = math.gcd(A - 1, e)
+            N, D = _ratio_add(N, D, (A - 1) // g, e // g)
+    return MeasureSet(al, Fraction(N, D), lower, upper)
 
 
 def mn_threshold(n: int, theta_of_n) -> tuple[int, int]:

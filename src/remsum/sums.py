@@ -11,12 +11,17 @@ its caller takes once and passes in.
 exact S, with one isqrt.
 brute_S is the oracle: it sums the floors directly (over one period for
 rational t), as do brute_S0 and s0_prefix, all through the one loop
-`_floor_sums`, which reads floor(k t) off one fixed-point multiple of t and
+`_floor_sums`, which reads floor(k t) off one fixed-point multiple of t,
+carried by addition as a remainder mod 2^E and a count of wraps, and
 takes it exactly, with one isqrt, only where that bracket cannot decide it.
-`exact_S` is the front door to S that B, B_left, lemma31_bound,
-tab_sum and the Theorem 2.1 identities go through: for rational t = a/b,
-`floor_sum` gives F(n, a/b) in O(log b) steps, and irrational t goes to
-ostrowski_S.
+`exact_S` is the front door to S that B, B_left and the Theorem 2.1
+identities go through: for rational t = a/b, `floor_sum` gives F(n, a/b)
+in O(log b) steps, and irrational t goes to ostrowski_S.
+The rational checks behind `verify` are ints until their result:
+lemma31_bound and tab_sum read the numerator of S0 or S off floor_sum and
+`_numerators` and decide their bounds on it, and l2_norm_sq_sweep carries
+its sums scaled by a power of lcm(1..x_max); each makes one exact value per
+returned field.
 
 ostrowski_S implements the classical O(log n) recursion driven by the
 continued-fraction convergents a_j/b_j of t, with rho_j = |b_j t - a_j|.  A
@@ -75,7 +80,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, gt, itemgetter
 
 from . import cfrac
@@ -127,11 +132,17 @@ def _floor_sums(t: Scalar, n: int):
 
     Rational t = p/r takes floor(k p/r) directly.  Irrational t reads one
     fixed-point constant T = floor(t 2^E), E = 64 + n.bit_length(): t 2^E
-    lies in (T, T + 1), so with x = k T, carried by addition, k t 2^E lies
-    in (x, x + k), and floor(k t) = x >> E unless that bracket reaches the
-    next multiple of 2^E, (x mod 2^E) + k >= 2^E.  Only then is floor(k t)
-    taken exactly, as (k p + floor(k q sqrt(d)))//r with one isqrt; that
-    needs k t to lie less than k 2^-E < 2^-64 below an integer."""
+    lies in (T, T + 1), so k t 2^E lies in (k T, k T + k), and
+    floor(k t) = floor(k T / 2^E) unless that bracket reaches the next
+    multiple of 2^E.  T is split once as t0 2^E + Tf with 0 <= Tf < 2^E, and
+    y = k Tf mod 2^E is carried by addition: each step adds Tf to y and
+    subtracts 2^E where it wraps, so floor(k T / 2^E) = k t0 + (the wraps so
+    far) is carried too, with no shift of a product.  The bracket reaches
+    the next multiple exactly when y + k >= 2^E; as k <= n, that needs
+    y >= 2^E - n, so one compare with that constant screens it.  Only there
+    is floor(k t) taken exactly, as (k p + floor(k q sqrt(d)))//r with one
+    isqrt; that needs k t to lie less than k 2^-E < 2^-64 below an
+    integer."""
     p, q, d, r = _parts(t)
     total = 0
     if not q:
@@ -141,14 +152,21 @@ def _floor_sums(t: Scalar, n: int):
         return
     # q != 0 means d is not a square, so floor(q sqrt(d) 2^E) is exact
     E = 64 + n.bit_length()
-    T = ((p << E) + _floor_sqrt_times(q << E, d)) // r
-    x = 0
+    one = 1 << E
+    t0, Tf = divmod(((p << E) + _floor_sqrt_times(q << E, d)) // r, one)
+    t1, screen = t0 + 1, one - n
+    y = f = 0  # y = k Tf mod 2^E, f = floor(k T / 2^E)
     for k in range(1, n + 1):
-        x += T
-        f = x >> E
-        if (x + k) >> E != f:
-            f = (k * p + _floor_sqrt_times(k * q, d)) // r
-        total += f
+        y += Tf
+        if y >= one:
+            y -= one
+            f += t1
+        else:
+            f += t0
+        if y >= screen and y + k >= one:
+            total += (k * p + _floor_sqrt_times(k * q, d)) // r
+        else:
+            total += f
         yield total
 
 
@@ -596,25 +614,33 @@ def thm21a_identity(n: int, a_over_b: Fraction, bstar: int,
 
 
 def lemma31_bound(x: Scalar, a_over_b: Fraction):
-    """B_{x,0}(a/b) with the bound |value| <= b/x; returns (value, bound, holds)."""
+    """B_{x,0}(a/b) with the bound |value| <= b/x; returns (value, bound, holds).
+
+    S0(n, a/b) = u/(2b) at n = floor(x), with u the int of `_numerators` on
+    F = floor_sum(n, a, b); as x > 0, |S0/x| <= b/x exactly when
+    |u| <= 2b^2, so holds is one int compare."""
     x = _exact(x)
     ab = Fraction(a_over_b)
     if not x > 0:
         raise DomainError("x must be positive")
-    value = exact_S(floor(x), ab, midpoint=True) / x
-    bound = ab.denominator / x
-    return value, bound, abs(value) <= bound
+    a, b = ab.numerator, ab.denominator
+    n = floor(x)
+    (u, _), = _numerators((a, 0, 1, b), True, [(n, floor_sum(n, a, b))])
+    return Fraction(u, 2 * b) / x, b / x, abs(u) <= 2 * b * b
 
 
 def tab_sum(x: int, a_over_b: Fraction) -> Fraction:
     """Exact sum of t_{a/b}(m) = 1 + 2b*beta(am/b) over m <= x, with its
-    a-priori bound |sum| <= b(b+1) asserted."""
+    a-priori bound |sum| <= b(b+1) asserted.  2b S(x, a/b) is the int u of
+    `_numerators` on F = floor_sum(x, a, b), so the sum is the int x + u,
+    checked as such and made a Fraction once."""
     ab = Fraction(a_over_b)
-    b = ab.denominator
-    total = x + 2 * b * exact_S(x, ab)
+    a, b = ab.numerator, ab.denominator
+    (u, _), = _numerators((a, 0, 1, b), False, [(x, floor_sum(x, a, b))])
+    total = x + u
     if abs(total) > b * (b + 1):
         raise AssertionError("t_{a/b} partial sum bound violated")
-    return total
+    return Fraction(total)
 
 
 def l2_norm_sq(x: int) -> Fraction:
@@ -625,27 +651,34 @@ def l2_norm_sq(x: int) -> Fraction:
 
 
 def l2_norm_sq_sweep(x_max: int) -> list[Fraction]:
-    """[||B_1||^2, ..., ||B_{x_max}||^2] in O(x_max log x_max) Fraction steps.
+    """[||B_1||^2, ..., ||B_{x_max}||^2] in O(x_max log x_max) integer steps.
 
     Going from x - 1 to x adds the pairs with max(m, n) = x to the double
     sum: 2 G(x)/x - 1 with G(x) = sum_{m<=x} gcd(m,x)^2/m.  Since
     gcd^2 = sum over d | gcd of J_2(d) (J_2 the Jordan totient),
-    G(x) = sum_{d|x} J_2(d)/d H_{x/d}, H the harmonic numbers."""
-    H = list(accumulate((Fraction(1, k) for k in range(1, x_max + 1)),
-                        initial=Fraction(0)))
+    G(x) = sum_{d|x} J_2(d)/d H_{x/d}, H the harmonic numbers.
+
+    Every denominator divides a power of L = lcm(1..x_max), so the sums are
+    ints: h_k = L H_k, G'(m) = sum_{d|m} J_2(d) (L/d) h_{m/d} = L^2 G(m),
+    and T_x = L^3 sum_{y<=x} (2G(y)/y - 1) grows by 2 G'(x) (L/x) - L^3.
+    Entry x is T_x/(12 x^2 L^3), one Fraction, and its lower bound
+    ||B_x||^2 >= 1/(12x) is asserted as T_x >= x L^3."""
+    L = lcm(*range(1, x_max + 1))
+    h = list(accumulate((L // k for k in range(1, x_max + 1)), initial=0))
     J2 = [k * k for k in range(x_max + 1)]  # sum_{d|k} J_2(d) = k^2
-    G = [Fraction(0)] * (x_max + 1)
+    G = [0] * (x_max + 1)
     for d in range(1, x_max + 1):
         for k in range(2 * d, x_max + 1, d):
             J2[k] -= J2[d]
     for d in range(1, x_max + 1):
+        c = J2[d] * (L // d)
         for k in range(1, x_max // d + 1):
-            G[d * k] += J2[d] * H[k] / d
+            G[d * k] += c * h[k]
     out = []
-    total = Fraction(0)
+    L3 = L ** 3
+    total = 0
     for x in range(1, x_max + 1):
-        total += 2 * G[x] / x - 1
-        val = total / (12 * x * x)
-        assert val >= Fraction(x, 12 * x * x)
-        out.append(val)
+        total += 2 * G[x] * (L // x) - L3
+        assert total >= x * L3
+        out.append(Fraction(total, 12 * x * x * L3))
     return out

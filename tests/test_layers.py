@@ -38,7 +38,22 @@ def test_a_sum_command_loads_no_other_layer():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['sum', '--n', '100', '--t', 'cf:0;(1)']) == 0\n"
             f"{LOADED}")
-    assert _run_bare(code) == sorted(CORE + ["remsum.cli", "remsum.verify"])
+    assert _run_bare(code) == sorted(CORE + ["remsum.cli"])
+
+
+def test_help_loads_no_other_layer():
+    code = ("import contextlib, io, sys\n"
+            "from remsum import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['--help']) == 0\n"
+            f"{LOADED}")
+    assert _run_bare(code) == sorted(CORE + ["remsum.cli"])
+
+
+def test_cli_suite_names_are_the_verify_suites():
+    from remsum import cli, verify
+
+    assert cli.SUITE_NAMES == sorted(verify.SUITES)
 
 
 def test_dirichlet_alone_does_not_load_farey():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, cli, measure, sums
+from remsum import cfrac, cli, exactnum, measure, sums
 from test_cfrac import theta_sequence
 from remsum.errors import BoundViolated, NotMember, TooLarge
 from remsum.exactnum import QuadExt
@@ -54,6 +54,35 @@ class TestMeasureExact:
                       for lams in product(*(range(1, a) for a in alphas))), F(0))
         assert measure.measure_exact(alphas).exact_measure == direct
 
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_fold(self, alphas):
+        got = measure.measure_exact(alphas)
+        want = _measure_reference(alphas)
+        assert got == want
+        assert all(type(v) is F for v in got[1:])
+
+    def test_gcds_are_taken_with_a_short_operand(self, monkeypatch):
+        # a gcd of the running sum's numerator and denominator, hundreds of
+        # digits long at (40, 40), would make measure --alphas 3163,3163
+        # thirty times slower
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def gcd(self, *args):
+                calls.append(args)
+                return math.gcd(*args)
+
+        monkeypatch.setattr(measure, "math", CountingMath())
+        monkeypatch.setattr(exactnum, "math", CountingMath())
+        ms = measure.measure_exact((40, 40))
+        assert ms.exact_measure.denominator.bit_length() > 200
+        assert calls and all(min(abs(a).bit_length() for a in args) <= 64
+                             for args in calls)
+
     def test_guard(self):
         with pytest.raises(TooLarge):
             measure.measure_exact((1000,) * 4)
@@ -63,6 +92,25 @@ class TestMeasureExact:
             measure.measure_exact(())
         with pytest.raises(ValueError):
             measure.measure_exact((0,))
+
+
+def _measure_reference(alphas):
+    """The measure set by one Fraction addition per leaf of the prefix walk,
+    with the product bounds as products of Fractions."""
+    al = tuple(alphas)
+    lower = math.prod((F(a - 1, a) ** 2 for a in al), start=F(1))
+    upper = math.prod((F(a - 1, a) for a in al), start=F(1))
+    total = F(0)
+    *head, A = al
+    stack = [(0, 0, 1, 1, 0)]
+    while A > 1 and stack:
+        j, a, b, a1, b1 = stack.pop()
+        if j < len(head):
+            stack.extend((j + 1, a1 + lam * a, b1 + lam * b, a, b)
+                         for lam in range(1, head[j]))
+            continue
+        total += F(A - 1, (b + b1) * (b * A + b1))
+    return measure.MeasureSet(al, total, lower, upper)
 
 
 class TestThresholds:

@@ -164,6 +164,19 @@ class TestFixedPointFloors:
         assert list(sums._floor_sums(t, n)) == _isqrt_floor_sums(t, n)
         assert len(calls) == 1 + fallbacks  # one more for T = floor(t 2^E)
 
+    # E = 64 + n.bit_length() changes between 2^j - 1 and 2^j; t < 0, t > 1
+    # and 0 < t < 1, so t0 = floor(T / 2^E) is negative, positive and 0
+    @given(st.one_of(quadratic_irrationals(), st.builds(
+        QuadExt, st.integers(-40, 0), st.just(1), st.integers(2, 10 ** 4)
+        .filter(lambda d: math.isqrt(d) ** 2 != d), st.integers(1, 9))),
+        st.integers(1, 12), st.integers(-1, 0))
+    @example(QuadExt(-1, 1, 5, 2), 12, -1)
+    @example(QuadExt(7, -3, 2, 5), 9, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_carry_matches_the_isqrt_definition_where_E_changes(self, t, j, off):
+        n = 2 ** j + off
+        assert list(sums._floor_sums(t, n)) == _isqrt_floor_sums(t, n)
+
 
 class TestFloorSum:
     @given(st.integers(0, 3000), st.integers(-10 ** 6, 10 ** 6),
@@ -677,6 +690,43 @@ class TestBoundsAndL2:
                     total = sums.tab_sum(x, F(a, b))
                     assert abs(total) <= b * (b + 1)
 
+    @given(st.one_of(
+        st.integers(1, 300), st.builds(F, st.integers(1, 900), st.integers(1, 7)),
+        st.builds(QuadExt, st.integers(-5, 30), st.integers(-3, 3),
+                  st.sampled_from([2, 3, 5, 8, 9]), st.integers(1, 5))),
+        st.builds(F, st.integers(-60, 60), st.integers(1, 30)))
+    @example(F(7, 2), F(-4, 3))
+    @example(QuadExt(5, 0, 5, 1), F(9, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_lemma31_matches_the_fraction_formula(self, x, ab):
+        assume(x > 0)
+        got = sums.lemma31_bound(x, ab)
+        want = _lemma31_reference(x, ab)
+        assert [(type(v), repr(v)) for v in got] == \
+            [(type(v), repr(v)) for v in want]
+
+    @given(st.integers(0, 400), st.builds(F, st.integers(-60, 60), st.integers(1, 30)))
+    @settings(max_examples=300, deadline=None)
+    def test_tab_sum_matches_the_fraction_formula(self, x, ab):
+        got = sums.tab_sum(x, ab)
+        assert type(got) is F and got == _tab_sum_reference(x, ab)
+
+    def test_tab_sum_keeps_its_errors(self):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            sums.tab_sum(-3, F(1, 3))
+        with pytest.raises(TypeError):
+            sums.tab_sum(QuadExt(1, 1, 5, 1), F(1, 3))
+        with pytest.raises(DomainError):
+            sums.lemma31_bound(0, F(1, 3))
+
+    @given(st.integers(0, 200))
+    @example(200)
+    @settings(max_examples=15, deadline=None)
+    def test_l2_sweep_matches_the_fraction_formula(self, x_max):
+        got = sums.l2_norm_sq_sweep(x_max)
+        assert got == _l2_sweep_reference(x_max)
+        assert all(type(v) is F for v in got)
+
     def test_l2_examples(self):
         assert sums.l2_norm_sq(1) == F(1, 12)
         assert sums.l2_norm_sq(2) == F(1, 16)
@@ -694,3 +744,41 @@ class TestBoundsAndL2:
     def test_l2_lower_bound(self):
         for x, v in enumerate(sums.l2_norm_sq_sweep(60), 1):
             assert v >= F(x, 12 * x * x)
+
+
+# -- the Fraction formulas the integer versions replace --------------------
+
+
+def _lemma31_reference(x, ab):
+    """(value, bound, holds) of Lemma 3.1 folded in Fraction or QuadExt
+    arithmetic, value = S0(floor(x), a/b)/x."""
+    x = F(x) if isinstance(x, int) else x
+    value = sums.exact_S(floor(x), ab, midpoint=True) / x
+    bound = ab.denominator / x
+    return value, bound, abs(value) <= bound
+
+
+def _tab_sum_reference(x, ab):
+    """x + 2b S(x, a/b) in Fraction arithmetic."""
+    return x + 2 * ab.denominator * sums.exact_S(x, ab)
+
+
+def _l2_sweep_reference(x_max):
+    """||B_x||^2 for x <= x_max by one Fraction step per term: harmonic
+    numbers, G(x) = sum_{d|x} J_2(d)/d H_{x/d}, and the running double sum."""
+    H = [F(0)]
+    for k in range(1, x_max + 1):
+        H.append(H[-1] + F(1, k))
+    J2 = [k * k for k in range(x_max + 1)]
+    for d in range(1, x_max + 1):
+        for k in range(2 * d, x_max + 1, d):
+            J2[k] -= J2[d]
+    G = [F(0)] * (x_max + 1)
+    for d in range(1, x_max + 1):
+        for k in range(1, x_max // d + 1):
+            G[d * k] += J2[d] * H[k] / d
+    out, total = [], F(0)
+    for x in range(1, x_max + 1):
+        total += 2 * G[x] / x - 1
+        out.append(total / (12 * x * x))
+    return out
