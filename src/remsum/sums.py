@@ -38,10 +38,12 @@ whenever b_j >= 1; and with t = <lambda_0; ..., lambda_{j-1}, lambda_j + t_j>,
 0 < t_j < 1, rho_j = 1/(b_{j+1} + b_j t_j) < 1/b_{j+1}, so 0 < rho_j m < 2,
 and rho_j m is irrational, so it is not 1.  The recursion therefore needs
 no bound beyond the convergents, and `OstrowskiTables` takes those from
-t's own orbit.  What validation tests is the tables: q = floor(n/b_j) <=
-lambda_j, which fails where lambda and b disagree.  It also keeps the test
+t's own orbit.  What the checks test is the tables: q = floor(n/b_j) <=
+lambda_j, which fails where lambda and b disagree.  They also keep the test
 m < 2 b_{j+1}, which holds by construction on every table whose b_j >= 1,
-as a guard against tampered tables.
+as a guard against tampered tables.  `_ostrowski_F` is the one copy of the
+step, and every step it takes is checked: on tables built from t's orbit
+neither test can fail, so there is no unchecked mode to skip them.
 
 bseq_S is the alternative recursion through the Gauss-map orbit of t, an
 independent cross-check that uses no convergents and carries F in
@@ -66,8 +68,10 @@ q = floor(n/b_j) fixed and 0 <= n' < b_j, the difference above is
 
 affine in n', so the block is F[:b_j] plus one arithmetic progression.  In
 a block q is fixed and m = q b_j + 2n' + 1 grows with n, so the checks
-q <= lambda_j and m < 2 b_{j+1} (the guard above) made at its last n hold
-at every n of it.
+q <= lambda_j and m < 2 b_{j+1} (the guard above), made once at its last
+n, hold at every n of it; every sweep makes them.  The n a block cannot
+take (a failing block, or tables whose b does not increase) go one
+`_ostrowski_F` per n, so the sweep has no step of its own.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
@@ -81,7 +85,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isqrt, lcm
-from operator import add, gt, itemgetter
+from operator import add, gt, index, itemgetter
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -255,7 +259,9 @@ def floor_sum(n: int, a: int, b: int, c: int = 0) -> int:
     of floor((a k + c)/b) over 0 <= k < N, once a and c are reduced mod b,
     counts the lattice points under a line, and counting them by rows
     instead swaps the roles of a and b, as one step of Euclid's algorithm
-    does."""
+    does.  Every argument must be an integer (`operator.index`), else
+    TypeError."""
+    n, a, b, c = map(index, (n, a, b, c))
     if n < 0 or b < 1:
         raise ValueError("need n >= 0 and b >= 1")
     total, N = -(c // b), n + 1  # that sum with N = n + 1, less its k = 0 term
@@ -348,40 +354,18 @@ class OstrowskiTables:
             if b[-1] > n and len(b) > 4:
                 return
 
-    def j_star(self, n: int) -> int:
-        """The unique j with b_j <= n < b_{j+1} (rightmost on ties)."""
-        self.extend_past(n)
-        return bisect_right(self.b, n) - 1
-
-
-def _ostrowski_step(tab: OstrowskiTables, n: int, validate: bool = True):
-    """One recursion step n -> n' = n mod b_j, j = j*(n), in integers only.
-
-    Returns (j, n', dF) with dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2,
-    where q = floor(n/b_j) and m = n + n' + 1.  validate checks the
-    quotient bound q <= lambda_j, and m < 2 b_{j+1}.  j comes from bisecting
-    b, so m < 2 b_{j+1} holds by construction wherever b_j >= 1 (module
-    docstring); that test stays as a guard against tampered tables.
-    """
-    j = tab.j_star(n)
-    b = tab.b[j]
-    q, n2 = divmod(n, b)
-    m = n + n2 + 1
-    if validate:
-        if m >= 2 * tab.b[j + 1]:
-            raise AssertionError(f"Ostrowski side condition failed at n={n}")
-        if q > tab.lam[j]:
-            raise AssertionError(f"floor(n/b_j*) > lambda_j* at n={n}")
-    return j, n2, q * (m * tab.a[j] - b - (-1) ** j) // 2
-
 
 def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
     """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
-    its trace rows (j, n, n', dF), one per validated step; ints only.  Each
-    step is `_ostrowski_step`'s, with its checks and their messages (q <=
-    lambda_j, and the m < 2 b_{j+1} guard that only a tampered table can
-    fail), on tables grown once: n only decreases, so b_k > n holds at
-    every step."""
+    its trace rows (j, n, n', dF), one per checked step; ints only.  The one
+    Ostrowski step of the library: j = j*(n), the rightmost j with
+    b_j <= n, by bisecting b, then n -> n' = n mod b_j and
+    dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2 with q = floor(n/b_j)
+    and m = n + n' + 1.  Every step checks q <= lambda_j, and m < 2 b_{j+1},
+    which holds by construction wherever b_j >= 1 (module docstring) and
+    guards against tampered tables; each raises AssertionError naming the n
+    of the failing step.  The tables are grown once: n only decreases, so
+    b_k > n holds at every step."""
     tab.extend_past(n)
     lam, a, b = tab.lam, tab.a, tab.b
     rows = []
@@ -426,49 +410,52 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
             SumTrace(_Steps(step, rows)))
 
 
-def _sweep(tab: OstrowskiTables, n_max: int, validate: bool):
+def _sweep(tab: OstrowskiTables, n_max: int):
     """F(n,t), the recursion depth and j*(n) for every n <= n_max, as int
-    lists indexed by n: exactly what one `_ostrowski_step` per n gives,
-    F[n] = F[n'] + dF, depth[n] = depth[n'] + 1 and js[n] = j, made a block
-    at a time.
+    lists indexed by n: exactly what `_ostrowski_F(n, tab)` gives at each n,
+    its F, its number of steps and the j of its first step, made a block at
+    a time.
 
     The n with j*(n) = j are b_j <= n < b_{j+1}, and a block is those with
     one q = floor(n/b_j).  There n' = n - q b_j runs over 0, 1, ..., and
     dF = q((q b_j + 2n' + 1) a_j - b_j - (-1)^j)/2 = C + q a_j n', with C an
-    int because q 2n' a_j is even: one pass over F[:b_j].  validate checks
-    a block once, at its last n: q <= lambda_j does not depend on n, and
+    int because q 2n' a_j is even: one pass over F[:b_j].  Each block is
+    checked once, at its last n: q <= lambda_j does not depend on n, and
     m = q b_j + 2n' + 1 grows with n, so m < 2 b_{j+1} there holds at every
-    n of the block.  As in `_ostrowski_step`, the m test holds by
-    construction where b_j >= 1 and guards against tampered tables; the
-    test that can fail on a table is q <= lambda_j.  A block that fails is
-    replayed one `_ostrowski_step` per n, which raises the AssertionError
-    of its first failing n.  Where b decreases somewhere (tampered tables),
-    the bisection of `j_star` need not give one j over such a range, so
-    those take one `_ostrowski_step` per n."""
+    n of the block.  A block that fails goes one `_ostrowski_F` per n, which
+    raises the AssertionError of its first failing n.  Where b decreases
+    somewhere (tampered tables), the bisection need not give one j over such
+    a range, so every n goes one `_ostrowski_F` per n."""
     F, depth, js = [0], [0], [0]
+    tab.extend_past(n_max)
+    lam, a, b = tab.lam, tab.a, tab.b
+
+    def by_steps(ns):
+        for n in ns:
+            Fn, rows = _ostrowski_F(n, tab)
+            F.append(Fn)
+            depth.append(len(rows))
+            js.append(rows[0][0])
+
+    if any(map(gt, b, islice(b, 1, None))):
+        by_steps(range(1, n_max + 1))
+        return F, depth, js
     n = 1
     while n <= n_max:
-        j = tab.j_star(n)
-        if any(map(gt, tab.b, islice(tab.b, 1, None))):
-            j, n2, dF = _ostrowski_step(tab, n, validate)
-            F.append(F[n2] + dF)
-            depth.append(depth[n2] + 1)
-            js.append(j)
-            n += 1
-            continue
-        b, a, b_next = tab.b[j], tab.a[j], tab.b[j + 1]
-        c, end = b + (-1) ** j, min(b_next, n_max + 1)
+        j = bisect_right(b, n) - 1
+        bj, aj, b_next = b[j], a[j], b[j + 1]
+        c, end = bj + (-1) ** j, min(b_next, n_max + 1)
         while n < end:
-            q, lo = divmod(n, b)
-            hi = min(end - q * b, b)  # the block is n' in [lo, hi)
-            if validate and (q > tab.lam[j] or q * b + 2 * hi - 1 >= 2 * b_next):
-                for k in range(n, n + hi - lo):
-                    _ostrowski_step(tab, k)
-            C, D = q * ((q * b + 1) * a - c) // 2, q * a
-            F += map(add, F[lo:hi],
-                     range(C + D * lo, C + D * hi, D) if D else repeat(C))
-            depth += map(add, depth[lo:hi], repeat(1))
-            js += [j] * (hi - lo)
+            q, lo = divmod(n, bj)
+            hi = min(end - q * bj, bj)  # the block is n' in [lo, hi)
+            if q > lam[j] or q * bj + 2 * hi - 1 >= 2 * b_next:
+                by_steps(range(n, n + hi - lo))
+            else:
+                C, D = q * ((q * bj + 1) * aj - c) // 2, q * aj
+                F += map(add, F[lo:hi],
+                         range(C + D * lo, C + D * hi, D) if D else repeat(C))
+                depth += map(add, depth[lo:hi], repeat(1))
+                js += [j] * (hi - lo)
             n += hi - lo
     return F, depth, js
 
@@ -479,12 +466,13 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
 
     Returns (S, depth, bound) lists indexed by n, where bound[n] is
     (1/2) * sum of lambda_1..lambda_{j*(n)}; cf as for `ostrowski_S`.
-    ValueError for n_max < 0.
+    ValueError for n_max < 0.  Every block of the sweep is checked (see
+    `_sweep`); `validate` is accepted for old callers and not read.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     tab = OstrowskiTables(t, cf)
-    F, depth, js = _sweep(tab, n_max, validate)
+    F, depth, js = _sweep(tab, n_max)
     half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
         (Fraction(lam, 2) for lam in tab.lam[1:]), initial=Fraction(0)))
     S = [Fraction(0)] + _values(t, enumerate(F[1:], 1))

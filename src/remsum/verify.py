@@ -72,7 +72,7 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     n_sweep = 100000 if size == "full" else 2000
     t = corpus()["golden"]
     tab = sums.OstrowskiTables(t)
-    F, depth, js = sums._sweep(tab, n_sweep, validate=True)
+    F, depth, js = sums._sweep(tab, n_sweep)
     # S(n,t) = (u + v sqrt(d))/(2r), each n's (u, v) computed once, against
     # the Snfinal bound (1/2) L_j, L_j = lambda_1 + ... + lambda_j, j = j*(n),
     # and against 2 log n for n >= 3

@@ -220,6 +220,16 @@ class TestFloorSum:
         for n, b in ((-1, 3), (3, 0), (3, -2)):
             with pytest.raises(ValueError):
                 sums.floor_sum(n, 1, b)
+        # floor_sum(7/2, 1, 3) once returned 1, floor_sum(3.0, 1, 3) the
+        # float 1.0 and this tab_sum 11/4
+        for call in (lambda: sums.floor_sum(F(7, 2), 1, 3),
+                     lambda: sums.floor_sum(3.0, 1, 3),
+                     lambda: sums.floor_sum(3, F(1, 2), 3),
+                     lambda: sums.floor_sum(3, 1, 3.0),
+                     lambda: sums.floor_sum(3, 1, 3, F(1, 2)),
+                     lambda: sums.tab_sum(F(7, 2), F(1, 3))):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestMeansAndLeftLimits:
@@ -339,6 +349,8 @@ class TestOstrowski:
     def test_sweep_matches_single_calls(self, corpus, corpus_cf):
         t, cf = corpus["sqrt3m1"], corpus_cf["sqrt3m1"]
         S, depth, bound = sums.ostrowski_sweep(t, cf, 150, validate=True)
+        # validate is accepted and not read: every sweep is checked
+        assert sums.ostrowski_sweep(t, cf, 150) == (S, depth, bound)
         tab = sums.OstrowskiTables(t, cf)
         for n in range(1, 151):
             val, trace = sums.ostrowski_S(n, t, cf, tables=tab)
@@ -352,24 +364,24 @@ class TestOstrowski:
             assert all(depth[n] <= 4 * math.log(n) for n in range(3, 2001))
 
 
-def _reference_sweep(tab, n_max, validate):
-    """The sweep as one `_ostrowski_step` per n: the reference that the
-    block sweep `sums._sweep` must equal, list for list and error for
-    error."""
-    F, depth, js = [0] * (n_max + 1), [0] * (n_max + 1), [0] * (n_max + 1)
+def _reference_sweep(tab, n_max):
+    """The sweep as one `_ostrowski_F` per n, its F, its number of steps and
+    the j of its first step: the reference that the block sweep `sums._sweep`
+    must equal, list for list and error for error."""
+    F, depth, js = [0], [0], [0]
     for n in range(1, n_max + 1):
-        j, n2, dF = sums._ostrowski_step(tab, n, validate=validate)
-        F[n] = F[n2] + dF
-        depth[n] = depth[n2] + 1
-        js[n] = j
+        Fn, rows = sums._ostrowski_F(n, tab)
+        F.append(Fn)
+        depth.append(len(rows))
+        js.append(rows[0][0])
     return F, depth, js
 
 
-def _outcome(sweep, tab, n_max, validate):
+def _outcome(sweep, tab, n_max):
     """The three lists of a sweep, or the text of the AssertionError it
     raised."""
     try:
-        return sweep(tab, n_max, validate)
+        return sweep(tab, n_max)
     except AssertionError as exc:
         return str(exc)
 
@@ -380,7 +392,8 @@ LONG_RUN = cfrac.CFExpansion(0, (3,), (999, 2))
 
 
 class TestBlockSweep:
-    """`sums._sweep`, made a block of n at a time, against the per-n loop."""
+    """`sums._sweep`, made a block of n at a time, against `_ostrowski_F` at
+    each n."""
 
     @given(expansions(max_quotient=1000, min_pre=1), st.integers(0, 3000))
     @example((QuadExt(-1, 1, 5, 2), None), 986)  # golden: b_j = 987
@@ -392,9 +405,8 @@ class TestBlockSweep:
     @settings(max_examples=100, deadline=None)
     def test_equals_the_per_step_loop(self, t_cf, n_max):
         t, cf = t_cf
-        for validate in (True, False):
-            got = sums._sweep(sums.OstrowskiTables(t, cf), n_max, validate)
-            assert got == _reference_sweep(sums.OstrowskiTables(t, cf), n_max, validate)
+        got = sums._sweep(sums.OstrowskiTables(t, cf), n_max)
+        assert got == _reference_sweep(sums.OstrowskiTables(t, cf), n_max)
 
     # F against the independent route up to 10^5, where the sweep used to be
     # compared with the floor sums only up to n = 150
@@ -402,10 +414,10 @@ class TestBlockSweep:
                                    QuadExt(0, 1, 10 ** 9 + 7, 40000)])
     def test_F_is_the_floor_sum_prefix_up_to_10_5(self, t):
         n_max = 10 ** 5
-        F_sweep, depth, js = sums._sweep(sums.OstrowskiTables(t), n_max, True)
+        F_sweep, depth, js = sums._sweep(sums.OstrowskiTables(t), n_max)
         assert F_sweep == [0, *sums._floor_sums(t, n_max)]
         assert (F_sweep, depth, js) == _reference_sweep(
-            sums.OstrowskiTables(t), n_max, True)
+            sums.OstrowskiTables(t), n_max)
 
     # a lowered lambda_j, or a shrunk b_{j+1}, kept increasing or not: the
     # sweep raises at the n, and with the text, of the per-n loop
@@ -416,20 +428,37 @@ class TestBlockSweep:
         (QuadExt(-1, 1, 2, 1), "b", 6, 13, "floor(n/b_j*) > lambda_j* at n=39"),
         # b_7 = 7 < b_6 = 8: the tables no longer increase
         (QuadExt(-1, 1, 5, 2), "b", 7, 7, "floor(n/b_j*) > lambda_j* at n=14"),
+        # the failing block in the middle of the run of 999 blocks q = 1..999
+        # on b_2 = 3 <= n < b_3 = 2998: q = 501 > 500 first at n = 1503, and
+        # q = 999 > 998 at n = 2997, the run's last block, cut short by b_3
+        (cfrac.value(LONG_RUN), "lam", 2, 500, "floor(n/b_j*) > lambda_j* at n=1503"),
+        (cfrac.value(LONG_RUN), "lam", 2, 998, "floor(n/b_j*) > lambda_j* at n=2997"),
     ])
     def test_tampered_tables_raise_as_the_per_step_loop(self, t, table, j,
                                                         value, message):
-        n_max = 200
+        n_max = 3000
         outcomes = []
         for sweep in (sums._sweep, _reference_sweep):
-            for validate in (True, False):
-                tab = sums.OstrowskiTables(t)
-                tab.extend_past(n_max)
-                getattr(tab, table)[j] = value
-                outcomes.append(_outcome(sweep, tab, n_max, validate))
-        block, block_unchecked, ref, ref_unchecked = outcomes
+            tab = sums.OstrowskiTables(t)
+            tab.extend_past(n_max)
+            getattr(tab, table)[j] = value
+            outcomes.append(_outcome(sweep, tab, n_max))
+        block, ref = outcomes
         assert block == ref == message
-        assert block_unchecked == ref_unchecked  # unchecked: the same lists
+
+    def test_tables_that_stop_increasing_go_one_recursion_per_n(self):
+        # sqrt(2) - 1 with b_7 = 68 < b_6 = 70: every check holds up to
+        # n = 200, and a block at a time would give other lists
+        t, n_max = QuadExt(-1, 1, 2, 1), 200
+        tables = []
+        for _ in range(2):
+            tab = sums.OstrowskiTables(t)
+            tab.extend_past(n_max)
+            tab.b[7] = 68
+            tables.append(tab)
+        got = sums._sweep(tables[0], n_max)
+        assert got == _reference_sweep(tables[1], n_max)
+        assert got != sums._sweep(sums.OstrowskiTables(t), n_max)
 
     def test_refuses_negative_n_max(self, corpus):
         # both used to return short lists: lengths 1, 0, 0 and [0]
@@ -515,49 +544,14 @@ class TestBseq:
         assert sum((s.increment for s in trace_o.steps), F(0)) == value_o
 
 
-def _reference_ostrowski_F(n, tab):
-    """The recursion as one `_ostrowski_step` per step, each growing the
-    tables and bisecting them itself: the loop that the flat
-    `sums._ostrowski_F` must equal, F, rows and error alike."""
-    rows = []
-    F = 0
-    while n > 0:
-        j, n2, dF = sums._ostrowski_step(tab, n)
-        rows.append((j, n, n2, dF))
-        F += dF
-        n = n2
-    return F, rows
-
-
-def _F_outcome(core, tab, n):
-    """(F, rows) of a core, or the text of the AssertionError it raised."""
-    try:
-        return core(n, tab)
-    except AssertionError as exc:
-        return str(exc)
-
-
 class TestFlatOstrowski:
-    """`sums._ostrowski_F`, one loop over tables grown once, against the
-    per-step loop."""
-
-    @given(st.one_of(expansions(), expansions(max_quotient=1000, min_pre=1)),
-           st.booleans(), st.integers(0, 3000), st.integers(0, 10 ** 18))
-    @example((QuadExt(-1, 1, 5, 2), cfrac.CFExpansion(0, (), (1,))), True, 987,
-             10 ** 18)
-    @example((cfrac.value(LONG_RUN), LONG_RUN), False, 2998, 5998)
-    @settings(max_examples=150, deadline=None)
-    def test_equals_the_per_step_loop(self, t_cf, with_cf, n_small, n_huge):
-        t, cf = t_cf
-        cf = cf if with_cf else None
-        shared = sums.OstrowskiTables(t, cf)
-        for n in (n_small, n_huge):
-            want = _reference_ostrowski_F(n, sums.OstrowskiTables(t, cf))
-            assert sums._ostrowski_F(n, sums.OstrowskiTables(t, cf)) == want
-            assert sums._ostrowski_F(n, shared) == want
+    """`sums._ostrowski_F`, one loop over tables grown once, on tampered
+    tables: every step is checked.  Its values on built tables are
+    `TestOstrowski`'s and `TestIntegerCores`'."""
 
     # a lowered lambda_j, a shrunk or grown b_j (increasing or not), or a
-    # changed a_j: the same F and rows, or the same error at the same n
+    # changed a_j: the error at the n where the checks first fail, or, for
+    # a_j, which no check reads, the same steps with other dF
     @pytest.mark.parametrize("t, table, j, value, message", [
         (QuadExt(-1, 1, 5, 2), "lam", 10, 0, "floor(n/b_j*) > lambda_j* at n=55"),
         (QuadExt(-1, 1, 2, 1), "lam", 13, 0,
@@ -571,18 +565,21 @@ class TestFlatOstrowski:
     def test_tampered_tables_give_the_per_step_outcome(self, t, table, j,
                                                        value, message):
         n = 10 ** 6
-        outcomes = []
-        for core in (sums._ostrowski_F, _reference_ostrowski_F):
-            tab = sums.OstrowskiTables(t)
-            tab.extend_past(n)
-            getattr(tab, table)[j] = value
-            outcomes.append(_F_outcome(core, tab, n))
-        flat, ref = outcomes
-        assert flat == ref
+        tab = sums.OstrowskiTables(t)
+        tab.extend_past(n)
+        getattr(tab, table)[j] = value
         if message is not None:
-            assert flat == message
-        else:  # the tampered a_12 changes F, and is read in a step
-            assert flat[0] != _reference_ostrowski_F(n, sums.OstrowskiTables(t))[0]
+            with pytest.raises(AssertionError) as exc:
+                sums._ostrowski_F(n, tab)
+            assert str(exc.value) == message
+            return
+        # the tampered a_12 changes dF exactly at the steps with j = 12
+        F_bad, rows_bad = sums._ostrowski_F(n, tab)
+        F_ok, rows_ok = sums._ostrowski_F(n, sums.OstrowskiTables(t))
+        assert [row[:3] for row in rows_bad] == [row[:3] for row in rows_ok]
+        assert ([bad[3] != ok[3] for bad, ok in zip(rows_bad, rows_ok)]
+                == [ok[0] == j for ok in rows_ok])
+        assert F_bad != F_ok
 
 
 class TestIntegerCores:

@@ -70,7 +70,7 @@ def test_cheap_2logn_rule_never_accepts_what_the_isqrt_test_rejects(t, n_max):
     # the golden-|S|<=2logn test of suite_bounds: where Snfinal held and
     # L_j <= 2B, |S| <= B without an isqrt; elsewhere _abs_at_most decides
     tab = sums.OstrowskiTables(t)
-    F, _, js = sums._sweep(tab, n_max, validate=True)
+    F, _, js = sums._sweep(tab, n_max)
     L = list(accumulate(tab.lam[1:], initial=0))
     parts = _, _, d, r = sums._parts(t)
     uv = sums._numerators(parts, False, enumerate(F[1:], 1))
