@@ -9,13 +9,13 @@ Everything here is read off one of two integer walks.
   the last t only (a memo of size 1, keyed on t's integer parts), holds
   the states (lambda_j, P_j, Q_j) walked so far, the walk's next pair and,
   once the first pair repeats, where the period starts.  `expand` fills
-  the record and reads the period off it; `_orbit`, which the Ostrowski
-  and Gauss-map recursions of `sums` and the checks of `measure` read,
-  yields the record's states, growing it one state at a time until the
-  period is known and cycling through the period after that.  The record
-  is dropped when another t is asked for, or when `expand` finds no period
-  within its max_terms; an iterator that holds it keeps it until it is
-  done.
+  the record and reads the period off it; `_orbit(t, m)`, which the
+  Ostrowski and Gauss-map recursions of `sums` and the checks of `measure`
+  read, grows it once, to m states or to its period, and reads at least
+  those m states, cycling through the period where it is known.  Each
+  reader names its m and the bound behind it.  The record is dropped when
+  another t is asked for, or when `expand` finds no period within its
+  max_terms; an iterator that holds it keeps it until it is done.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
   convergents a_k/b_k.  `convergents` lists it, `evaluate` takes its last
   term, `value` solves a period's fixed point from its last two terms and
@@ -121,8 +121,9 @@ class _Record:
     0 <= P_j + floor(sqrt(D)) < Q' in integers.  So the walk keeps that one
     pair, not every pair it saw.
 
-    Readers may share a record across threads: the walk takes a lock, and
-    `states` only grows."""
+    Each reader grows the record with one `fill` call, to the number of
+    states it needs.  Readers may share a record across threads: the walk
+    takes a lock, and `states` only grows."""
 
     __slots__ = ("states", "start", "_entry", "_next", "_D", "_root", "_lock")
 
@@ -166,30 +167,19 @@ class _Record:
 _record = functools.lru_cache(maxsize=1)(_Record)
 
 
-def _orbit(t: QuadExt):
+def _orbit(t: QuadExt, m: int):
     """Iterator of (lambda_j, P_j, Q_j) for j = 0, 1, ... (see `_Record`),
-    read from the record of t.  Once the period is known it is a chain of
-    the states and a cycle of the period; until then it grows the record
-    one state at a time."""
+    read from the record of t, grown once to m states or to its period.  It
+    yields at least the first m states: all the record holds while the
+    period is unknown, and once it is known the states and then the period
+    over and over, with no end."""
     rec = _record(*_parts(t))
-    start = rec.start
+    if rec.start is None:
+        rec.fill(m)
+    states, start = rec.states, rec.start
     if start is None:
-        return _grow(rec)
-    states = rec.states
+        return iter(states)
     return chain(islice(states, start), cycle(states[start:]))
-
-
-def _grow(rec: _Record):
-    """`_orbit` of a record whose period is not known yet."""
-    states = rec.states
-    i = 0
-    while rec.start is None:
-        if i == len(states):
-            rec.fill(i + 1)
-        else:
-            yield states[i]
-            i += 1
-    yield from chain(islice(states, i, None), cycle(states[rec.start:]))
 
 
 def _continuants(lambda0: int, lams):

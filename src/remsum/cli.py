@@ -276,10 +276,10 @@ def cmd_farey(args) -> int:
                "match": bool(identity == count)}
         _write_json(rec, args.out)
         return EXIT_OK if rec["match"] else EXIT_VERIFY_FAILED
+    # the pairs are printed as they are walked: no list of the ~0.3 n^2 terms
     with _open_out(args.out) as out:
         print("numerator,denominator", file=out)
-        for fr in farey.farey(args.n).fractions:
-            print(f"{fr.numerator},{fr.denominator}", file=out)
+        out.writelines(f"{a},{b}\n" for a, b in farey._farey_pairs(args.n))
     return EXIT_OK
 
 

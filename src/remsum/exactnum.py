@@ -282,7 +282,6 @@ class QuadExt:
         return format_scalar(self)
 
 
-Rational = int | Fraction
 Scalar = int | Fraction | QuadExt
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import countOf
 
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .exactnum import (HALF, Scalar, _beta_sum, _floor_sqrt_times, _parts,
                        as_fraction, floor)
 
@@ -62,9 +63,12 @@ class ArithTables(namedtuple("ArithTables", "N phi mu mertens phi_prefix")):
 
 
 def build_tables(N: int) -> ArithTables:
-    """Linear sieve for phi and mu, plus Mertens and totient prefix sums."""
+    """Linear sieve for phi and mu, plus Mertens and totient prefix sums.
+    TooLarge where a list of N + 1 entries exceeds sys.maxsize."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N + 1 > sys.maxsize:
+        raise TooLarge(f"tables of N + 1 entries exceed sys.maxsize = {sys.maxsize}")
     phi = [0] * (N + 1)
     mu = [0] * (N + 1)
     phi[1] = mu[1] = 1

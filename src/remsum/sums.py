@@ -51,7 +51,11 @@ integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
 `cfrac._orbit`, so neither needs a period.  That orbit is walked once per
 t: `cfrac.expand`, the tables and the Gauss-map recursion all read the one
 orbit record `cfrac` keeps for the last t, so a query that expands t and
-runs both recursions makes each state of the orbit once.
+runs both recursions makes each state of the orbit once.  Each read names
+how many states it needs, and the record is grown to that many in one
+walk: the Gauss-map recursion takes at most 2 n.bit_length() steps, as
+t_j t_{j+1} < 1/2 halves n_j every two steps, and the tables reach
+b_k > n within 2 n.bit_length() + 4 quotients, as b_k >= phi^(k-2).
 Each has an integer core that returns the int F(n,t) and its trace rows:
 `_ostrowski_F` sums the dF of the steps in one loop over tables grown
 once, to b_k > n, and `_bseq_F` takes F from the alternating sum G below,
@@ -85,7 +89,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isqrt, lcm
-from operator import add, gt, index, itemgetter
+from operator import add, gt, index
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
@@ -319,39 +323,38 @@ class OstrowskiTables:
     expansion across an n-sweep.
 
     An expansion cf, if given, is a cross-check: the tables raise ValueError
-    where its lambda_k differs from t's, and keep it as `cf`."""
+    where its lambda_k differs from t's, and keep it as `cf`.  Nothing is
+    appended at a refused k, so it stays refused."""
 
     def __init__(self, t: Scalar, cf: cfrac.CFExpansion | None = None):
         if is_rational(t) or (cf is not None and cf.is_finite):
             raise NotIrrational("Ostrowski recursion needs irrational t")
         self.t = t
         self.cf = cf
-        orbit = cfrac._orbit(t)
-        self.lam = [next(orbit)[0]]  # index k -> lambda_k
-        if cf is not None and self.lam[0] != cf.lambda0:
-            raise ValueError("expansion does not match t")
-        self.a = [1, self.lam[0]]
-        self.b = [0, 1]
-        # (lambda_k, the lambda_k cf expects, or lambda_k again without cf)
-        # for k = 1, 2, ...
-        self._lams = (map(itemgetter(0, 0), orbit) if cf is None else
-                      zip(map(itemgetter(0), orbit), chain(cf.pre, cycle(cf.period))))
-        self.extend_past(0)  # a mismatch in lambda_1..lambda_3 fails here
+        self.lam = []  # index k -> lambda_k
+        # a_{-1}, a_0 and b_{-1}, b_0 seed the recurrence at k = 0
+        self.a, self.b = [0, 1], [1, 0]
+        self.extend_past(0)  # a mismatch in lambda_0..lambda_3 fails here
+        del self.a[0], self.b[0]
 
     def extend_past(self, n: int):
-        """Grow the tables until b_k > n, and at least to k = 4."""
-        lams, a, b = self.lam, self.a, self.b
-        if b[-1] > n and len(b) > 4:
+        """Grow the tables until b_k > n, and at least to k = 4.  One read
+        of t's orbit from lambda_{len(lam)} on: b_k >= phi^(k-2), so b_k > n
+        within the first 2 n.bit_length() + 4 states."""
+        lams, a, b, cf = self.lam, self.a, self.b, self.cf
+        if b[-1] > n and len(lams) > 3:
             return
-        for lam, want in self._lams:
-            if lam != want:
-                # put the pair back, so that a refused index stays refused
-                self._lams = chain(((lam, want),), self._lams)
+        k = len(lams)
+        orbit = islice(cfrac._orbit(self.t, 2 * n.bit_length() + 4), k, None)
+        wants = (repeat(None) if cf is None else
+                 islice(chain((cf.lambda0,), cf.pre, cycle(cf.period)), k, None))
+        for (lam, _, _), want in zip(orbit, wants):
+            if want is not None and lam != want:
                 raise ValueError("expansion does not match t")
             lams.append(lam)
             a.append(a[-2] + lam * a[-1])
             b.append(b[-2] + lam * b[-1])
-            if b[-1] > n and len(b) > 4:
+            if b[-1] > n and len(lams) > 3:
                 return
 
 
@@ -491,7 +494,9 @@ def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
     parts = _, q, d, r = _parts(t)
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
-    orbit = cfrac._orbit(t)
+    # t_j t_{j+1} = t_{j+1}/(lambda_{j+1} + t_{j+1}) < 1/2, so n_j halves
+    # every two steps: at most 2 n.bit_length() steps, one state each
+    orbit = cfrac._orbit(t, 2 * n.bit_length() + 1)
     lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
     if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")

@@ -138,17 +138,12 @@ def suite_measure(size: str = "quick", seed: int = 0) -> list[dict]:
 
     ns = (100, 1000) if size == "full" else (100,)
     samples = 20 if size == "full" else 5
-    ok = True
-    detail = ""
-    margin = 0.0
-    for n in ns:
-        theta = 1 + math.log(1 + math.log(n))
-        rep = measure.verify_b0_mass(n, theta, samples, seed)
-        if not rep["pass"]:
-            ok, detail = False, f"n={n}"
-        margin = max(margin, rep["max_ratio"])
-    # largest |S(n,t)|/bound over the samples; only `verify --json` shows it
-    checks.append(dict(_check("b0-mass-bound", ok, detail), margin=margin))
+    # verify_b0_mass passes or raises BoundViolated; the margin is the
+    # largest |S(n,t)|/bound over the samples, and only `verify --json`
+    # shows it
+    margin = max(measure.verify_b0_mass(n, 1 + math.log(1 + math.log(n)),
+                                        samples, seed)["max_ratio"] for n in ns)
+    checks.append(dict(_check("b0-mass-bound", True), margin=margin))
     return checks
 
 

@@ -145,7 +145,7 @@ class TestOrbit:
     @settings(max_examples=200, deadline=None)
     def test_states_are_the_complete_quotients(self, t, m):
         D = (t.q * t.r) ** 2 * t.d
-        orbit = list(itertools.islice(cfrac._orbit(t), m + 1))
+        orbit = list(itertools.islice(cfrac._orbit(t, m + 1), m + 1))
         assert orbit[0][0] == floor(t)
         for (lam, P, Q), theta in zip(orbit[1:], theta_sequence(t, m)):
             assert (D - P * P) % Q == 0
@@ -174,16 +174,16 @@ class TestOrbitRecord:
         want1 = list(itertools.islice(_reference_orbit(t1), m))
         want2 = list(itertools.islice(_reference_orbit(t2), m))
         cfrac._record.cache_clear()
-        stopped = cfrac._orbit(t1)  # a reader stopped partway
+        stopped = cfrac._orbit(t1, m)  # a reader stopped partway
         head = list(itertools.islice(stopped, min(stop, m)))
         # two readers of one record, interleaved state by state
-        x, y = cfrac._orbit(t1), cfrac._orbit(t1)
+        x, y = cfrac._orbit(t1, m), cfrac._orbit(t1, m)
         pairs = [(next(x), next(y)) for _ in range(m // 2)]
         assert [u for u, _ in pairs] == [v for _, v in pairs] == want1[:m // 2]
         # t1, t2, t1: t2 evicts t1's record, and t1's readers stay valid
-        assert list(itertools.islice(cfrac._orbit(t2), m)) == want2
+        assert list(itertools.islice(cfrac._orbit(t2, m), m)) == want2
         assert list(itertools.islice(x, m - m // 2)) == want1[m // 2:]
-        assert list(itertools.islice(cfrac._orbit(t1), m)) == want1
+        assert list(itertools.islice(cfrac._orbit(t1, m), m)) == want1
         assert head + list(itertools.islice(stopped, m - len(head))) == want1
         assert list(itertools.islice(y, m - m // 2)) == want1[m // 2:]
 
@@ -196,7 +196,7 @@ class TestOrbitRecord:
     def test_expand_refuses_a_record_grown_past_max_terms(self, t, max_terms,
                                                           more):
         cfrac._record.cache_clear()
-        list(itertools.islice(cfrac._orbit(t), max_terms + more))
+        list(itertools.islice(cfrac._orbit(t, max_terms + more), max_terms + more))
         try:
             expected = _reference_expand(t, max_terms)
         except PeriodNotFound:
@@ -204,6 +204,23 @@ class TestOrbitRecord:
                 cfrac.expand(t, max_terms)
         else:
             assert cfrac.expand(t, max_terms) == expected
+
+    def test_one_fill_per_read(self, monkeypatch):
+        # a fresh record is grown by one walk to the m states asked for, and
+        # a record whose period is known is read with no walk at all
+        calls = []
+        fill = cfrac._Record.fill
+        monkeypatch.setattr(cfrac._Record, "fill",
+                            lambda rec, m: calls.append(m) or fill(rec, m))
+        cfrac._record.cache_clear()
+        got = list(itertools.islice(cfrac._orbit(NO_PERIOD_WITHIN_64, 90), 90))
+        assert got == list(itertools.islice(_reference_orbit(NO_PERIOD_WITHIN_64), 90))
+        assert calls == [90]
+        cfrac.expand(PRE_PERIOD, 64)
+        del calls[:]
+        got = list(itertools.islice(cfrac._orbit(PRE_PERIOD, 5), 40))
+        assert got == list(itertools.islice(_reference_orbit(PRE_PERIOD), 40))
+        assert calls == []
 
     def test_a_refused_expansion_keeps_no_walk(self):
         # 2000 states of sqrt(10^9 + 7)/40000 and no period among them
@@ -215,8 +232,8 @@ class TestOrbitRecord:
 
     def test_threads_share_a_record(self):
         # more readers than cores on one record: half expand t, walking
-        # 1166 states in one go, half read it a state at a time; a thread
-        # switch is forced every few bytecodes
+        # 1166 states in one go, half read 3000 states of it through
+        # `_orbit`; a thread switch is forced every few bytecodes
         t = QuadExt(0, 1, 1000033, 1)  # sqrt(1000033) = <1000; (1165 terms)>
         want = list(itertools.islice(_reference_orbit(t), 3000))
         cfrac._record.cache_clear()
@@ -224,13 +241,13 @@ class TestOrbitRecord:
         assert len(want_cf.period) == 1165
         got = []
         readers = [lambda: got.append(cfrac.expand(t, 5000) == want_cf),
-                   lambda: got.append(list(itertools.islice(cfrac._orbit(t), 3000)) == want)]
+                   lambda: got.append(list(itertools.islice(cfrac._orbit(t, 3000), 3000)) == want)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(4):
                 cfrac._record.cache_clear()
-                cfrac._orbit(t)  # every thread reads this one record
+                cfrac._orbit(t, 0)  # every thread reads this one record
                 threads = [threading.Thread(target=readers[i % 2]) for i in range(8)]
                 for th in threads:
                     th.start()

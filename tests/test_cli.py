@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -217,6 +218,11 @@ def test_s_accepts_a_trailing_i(capsys):
     ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "1", "--mode", "evidence"),
     ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "2", "--mode", "evidence"),
     ("dirichlet", "--t", "cf:0;(1)", "--s", "0.7+3i", "--K", "3", "--mode", "evidence"),
+    # sieve tables of more than sys.maxsize entries
+    ("plot", "--which", "h", "--range", "0:1e19", "--step", "1e19"),
+    ("farey", "--n", "10000000000000000000", "--t", "rat:1/3"),
+    ("dirichlet", "--t", "rat:1/3", "--s", "2", "--K", "10000000000000000000",
+     "--mode", "q"),
 ])
 def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -350,6 +356,24 @@ class TestFareyCommand:
         assert lines[0] == "numerator,denominator"
         assert lines[1] == "0,1" and lines[-1] == "1,1"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 1000])
+    def test_sequence_dump_streams_the_fractions(self, tmp_path, n):
+        # the bytes of every term of farey(n), printed without building the
+        # list: at n = 1000 that list of ~304 000 Fractions peaks at ~30 MiB
+        from remsum import farey
+
+        target = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["farey", "--n", str(n), "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
+        want = "".join(f"{fr.numerator},{fr.denominator}\n"
+                       for fr in farey.farey(n).fractions)
+        assert target.read_bytes() == ("numerator,denominator\n" + want).encode()
 
     def test_count_identity(self, capsys):
         code, out, _ = run(capsys, "farey", "--n", "3", "--t", "rat:2/5")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction as F
@@ -580,6 +581,68 @@ class TestFlatOstrowski:
         assert ([bad[3] != ok[3] for bad, ok in zip(rows_bad, rows_ok)]
                 == [ok[0] == j for ok in rows_ok])
         assert F_bad != F_ok
+
+
+def _reference_tables(cf, limit):
+    """n -> (lambda, a, b) of `OstrowskiTables` grown past n, for
+    n <= limit, from cf alone: up to the first K >= 4 with b_K > n, by
+    `cfrac.convergents`."""
+    conv = cfrac.convergents(cf, 4)
+    while conv[-1].b <= limit:
+        conv = cfrac.convergents(cf, 2 * len(conv))
+    lam = [cf.lambda0] + [cf.coeff(j) for j in range(1, len(conv))]
+    a, b = [c.a for c in conv], [c.b for c in conv]
+
+    def tables(n):
+        K = max(4, bisect.bisect_right(b, n))
+        return lam[:K], a[:K + 1], b[:K + 1]
+
+    return tables
+
+
+# <0; 1 (250 times), (2)>: a pre-period of quotients 1, so b_k grows as
+# slowly as it can and t's period is not known within the states a table
+# of n < b_250 reads
+ONES_THEN_TWO = cfrac.CFExpansion(0, (1,) * 250, (2,))
+
+
+@st.composite
+def slow_orbits(draw):
+    """t in (0, 1) with quotients 1..3 and a pre-period of up to 300 of them,
+    so that a fresh read of its orbit ends before the period is known."""
+    quotient = st.integers(1, 3)
+    cf = cfrac.CFExpansion(0, tuple(draw(st.lists(quotient, max_size=300))),
+                           tuple(draw(st.lists(quotient, min_size=1, max_size=3))))
+    return cfrac.value(cf)
+
+
+class TestOrbitReadBounds:
+    """Each reader of `cfrac._orbit` names how many states it needs; a bound
+    that is too small would show as tables cut short or a recursion that
+    runs out of states."""
+
+    @pytest.mark.parametrize("cf, limit", [
+        (cfrac.CFExpansion(0, (), (1,)), 10 ** 300),  # golden
+        (cfrac.CFExpansion(0, (), (2,)), 10 ** 300),  # sqrt(2) - 1
+        (ONES_THEN_TWO, 10 ** 50),
+    ], ids=["golden", "sqrt2m1", "ones-then-two"])
+    def test_tables_at_every_convergent_denominator(self, cf, limit):
+        t, want = cfrac.value(cf), _reference_tables(cf, limit)
+        bs = [c.b for c in cfrac.convergents(cf, 1500) if 1 <= c.b <= limit]
+        for n in sorted({m for b in bs for m in (b - 1, b)}):
+            cfrac._record.cache_clear()  # a fresh record: one read per growth
+            tab = sums.OstrowskiTables(t)
+            tab.extend_past(n)
+            assert (tab.lam, tab.a, tab.b) == want(n)
+
+    @given(slow_orbits(), st.integers(0, 10 ** 60))
+    @settings(max_examples=60, deadline=None)
+    @example(cfrac.value(ONES_THEN_TWO), 10 ** 50)
+    def test_bseq_steps_at_most_twice_the_bit_length(self, t, n):
+        cfrac._record.cache_clear()
+        F, rows = sums._bseq_F(n, t)
+        assert len(rows) <= 2 * n.bit_length()
+        assert F == sums._ostrowski_F(n, sums.OstrowskiTables(t))[0]
 
 
 class TestIntegerCores:
