@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, RemsumError
-from .exactnum import Scalar, format_scalar, is_rational, parse_scalar
+from .exactnum import Scalar, _parts, format_scalar, is_rational, parse_scalar
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -253,7 +253,7 @@ def cmd_bench(args) -> int:
             results, agree = _evaluate(n, t, ["ostrowski", "bseq"], tab)
             if n <= _BRUTE_CHECK_CAP:
                 F, walked = next(islice(floors, n - walked - 1, None)), n
-                agree = agree and sums._values(t, [(n, F)])[0] == results["ostrowski"][0]
+                agree = agree and sums._values(_parts(t), [(n, F)])[0] == results["ostrowski"][0]
             if not agree:
                 print(f"cross-check disagreement at n={n}", file=sys.stderr)
                 return EXIT_CROSSCHECK

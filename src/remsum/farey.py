@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -64,16 +63,16 @@ class ArithTables(namedtuple("ArithTables", "N phi mu mertens phi_prefix")):
 
 def build_tables(N: int) -> ArithTables:
     """Linear sieve for phi and mu, plus Mertens and totient prefix sums.
-    TooLarge where a list of N + 1 entries exceeds sys.maxsize."""
+    TooLarge where its lists of N + 1 entries cannot be allocated: past
+    sys.maxsize entries (OverflowError) or past the memory (MemoryError)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N + 1 > sys.maxsize:
-        raise TooLarge(f"tables of N + 1 entries exceed sys.maxsize = {sys.maxsize}")
-    phi = [0] * (N + 1)
-    mu = [0] * (N + 1)
+    try:
+        phi, mu, is_comp = [0] * (N + 1), [0] * (N + 1), [False] * (N + 1)
+    except (OverflowError, MemoryError):
+        raise TooLarge("the sieve tables do not fit in memory") from None
     phi[1] = mu[1] = 1
     primes: list[int] = []
-    is_comp = [False] * (N + 1)
     for i in range(2, N + 1):
         if not is_comp[i]:
             primes.append(i)

@@ -6,9 +6,13 @@ over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
 (n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
 (u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`, which
 its caller takes once and passes in.
-`_values` makes the exact values from them in one comprehension, and
-`_abs_at_most` decides every |S| <= bound on them, or on the parts of an
-exact S, with one isqrt.
+`_values` makes the exact values from them in one comprehension, on the
+parts its caller holds, and `_abs_at_most` decides every |S| <= bound on
+them, or on the parts of an exact S, with one isqrt.
+s0_prefix and the S of ostrowski_sweep are read-only sequences built on
+read (`_Lazy`): each keeps the int list F(0..n_max, t), and an entry is
+made from (n, F(n,t)) by `_values` each time it is read, a slice or an
+iteration in bulk; two of one t and kind compare by their F lists.
 brute_S is the oracle: it sums the floors directly (over one period for
 rational t), as do brute_S0 and s0_prefix, all through the one loop
 `_floor_sums`, which reads floor(k t) off one fixed-point multiple of t,
@@ -75,11 +79,12 @@ a block q is fixed and m = q b_j + 2n' + 1 grows with n, so the checks
 q <= lambda_j and m < 2 b_{j+1} (the guard above), made once at its last
 n, hold at every n of it; every sweep makes them.  The n a block cannot
 take (a failing block, or tables whose b does not increase) go one
-`_ostrowski_F` per n, so the sweep has no step of its own.
+`_ostrowski_F` per n, so the sweep has no step of its own.  Every block is
+checked as it is made; only the values of S wait until they are read.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
-built from it only when the trace is read.
+built from it only when the trace is read, by the same `_Lazy` sequence.
 """
 
 from __future__ import annotations
@@ -101,28 +106,38 @@ OstrowskiStep = namedtuple("OstrowskiStep", "j_star n_before n_after rho increme
 BseqStep = namedtuple("BseqStep", "j n_j t_j term")
 
 
-class _Steps:
-    """The steps of one recursion run, in order.  The run appends one tuple
-    of integers per step to `rows`; `build` makes the step object from a
-    tuple each time the step is read, so len() builds nothing and a run that
-    nobody inspects builds no step at all."""
+class _Lazy:
+    """A read-only sequence built on read: it keeps int rows, and `make`
+    builds the items of a list of (index, row) pairs in bulk, so item i is
+    made from (i, rows[i]) each time it is read, len() builds nothing and a
+    sequence that nobody reads builds no item at all.  Slices are lists;
+    iteration builds 1024 items at a time, so it never holds them all.
+    Two sequences of one `key`, such as the S0 prefixes of one t, are equal
+    when their rows are, with no item built; against any other sequence or
+    a list the items are compared.  Unhashable, as a list is."""
 
-    __slots__ = ("rows", "_build")
+    __slots__ = ("rows", "_make", "_key")
 
-    def __init__(self, build, rows: list[tuple]):
-        self.rows = rows
-        self._build = build
+    def __init__(self, make, rows: list, key=None):
+        self.rows, self._make, self._key = rows, make, key
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
+        rows = self.rows
         if isinstance(i, slice):
-            return [self._build(*row) for row in self.rows[i]]
-        return self._build(*self.rows[i])
+            return self._make(zip(range(len(rows))[i], rows[i]))
+        return self._make([(i if i >= 0 else i + len(rows), rows[i])])[0]
 
     def __iter__(self):
-        return (self._build(*row) for row in self.rows)
+        for i in range(0, len(self.rows), 1024):
+            yield from self[i:i + 1024]
+
+    def __eq__(self, other):
+        if isinstance(other, _Lazy) and self._key is not None and self._key == other._key:
+            return self.rows == other.rows
+        return self[:] == other[:] if isinstance(other, (list, _Lazy)) else NotImplemented
 
 
 class SumTrace(namedtuple("SumTrace", "steps")):
@@ -130,6 +145,12 @@ class SumTrace(namedtuple("SumTrace", "steps")):
     `OstrowskiStep` or `BseqStep` objects."""
 
     __slots__ = ()
+
+
+def _trace(step, rows: list[tuple]) -> SumTrace:
+    """The trace of one recursion run, which appends one tuple of ints per
+    step to `rows`: its steps are made by `step(*row)` when read."""
+    return SumTrace(_Lazy(lambda pairs: [step(*row) for _, row in pairs], rows))
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -194,15 +215,24 @@ def _numerators(parts: tuple[int, int, int, int], midpoint: bool, pairs):
              q * n * (n + 1)) for n, F in pairs)
 
 
-def _values(t: Scalar, pairs, midpoint: bool = False) -> list:
-    """The exact values of `_numerators`: S(n,t), or S0(n,t) if midpoint,
-    for each (n, F(n,t)) of `pairs`, as Fractions for rational t and
-    QuadExts otherwise.  S is affine in F, so entry(n, F(n) - F(n')) less
-    entry(n', 0) is S(n,t) - S(n',t)."""
-    parts = _, q, d, r = _parts(t)
+def _values(parts: tuple[int, int, int, int], pairs, midpoint: bool = False) -> list:
+    """The exact values of `_numerators` on the parts of t its caller holds:
+    S(n,t), or S0(n,t) if midpoint, for each (n, F(n,t)) of `pairs`, in one
+    list, as Fractions where they are rational (rational t, and n = 0) and
+    QuadExts otherwise.  The read-only sequences of `_prefix` call it on
+    read, for one entry or a slice.  S is affine in F, so entry(n,
+    F(n) - F(n')) less entry(n', 0) is S(n,t) - S(n',t)."""
+    _, _, d, r = parts
     r2 = 2 * r
-    return [_make(u, v, d, r2) if q else Fraction(u, r2)
+    return [_make(u, v, d, r2) if v else Fraction(u, r2)
             for u, v in _numerators(parts, midpoint, pairs)]
+
+
+def _prefix(t: Scalar, F: list[int], midpoint: bool = False) -> _Lazy:
+    """S(n,t), or S0(n,t) if midpoint, for n = 0..len(F) - 1, as a read-only
+    sequence built on read from F[n] = F(n,t), keyed by t's parts."""
+    parts = _parts(t)
+    return _Lazy(lambda pairs: _values(parts, pairs, midpoint), F, (parts, midpoint))
 
 
 def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
@@ -218,9 +248,7 @@ def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(0)
-    p, q, _, b = _parts(t)
+    parts = p, q, _, b = _parts(t)
     # t = p/b: floor((k + b) t) = floor(k t) + p, so with n = Q b + R,
     # F(n) = Q F(b) + F(R) + p b Q(Q-1)/2 + p Q R needs at most 2b floors;
     # irrational t has no period: Q = 0, R = n
@@ -231,7 +259,7 @@ def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
     for Fb in _floor_sums(t, b if Q else 0):
         pass
     F = Q * Fb + FR + p * b * Q * (Q - 1) // 2 + p * Q * R
-    return _values(t, [(n, F)], midpoint)[0]
+    return _values(parts, [(n, F)], midpoint)[0]
 
 
 def brute_S(n: int, t: Scalar) -> Scalar:
@@ -247,12 +275,13 @@ def brute_S0(n: int, t: Scalar) -> Scalar:
     return _brute(n, t, midpoint=True)
 
 
-def s0_prefix(t: Scalar, n_max: int) -> list:
-    """[S0(0,t), S0(1,t), ..., S0(n_max,t)] exactly, in one O(n_max) sweep;
-    ValueError for n_max < 0."""
+def s0_prefix(t: Scalar, n_max: int) -> _Lazy:
+    """S0(0,t), S0(1,t), ..., S0(n_max,t) exactly, as a read-only sequence
+    built on read: one O(n_max) sweep keeps the ints F(n,t), and entry n is
+    made from (n, F(n,t)) each time it is read.  ValueError for n_max < 0."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [Fraction(0)] + _values(t, enumerate(_floor_sums(t, n_max), 1), midpoint=True)
+    return _prefix(t, [0, *_floor_sums(t, n_max)], midpoint=True)
 
 
 def floor_sum(n: int, a: int, b: int, c: int = 0) -> int:
@@ -287,10 +316,10 @@ def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
     included, costs O(log b) through floor_sum; irrational t costs O(log n)
     Ostrowski steps along its own orbit, where S0 = S as k t is never an
     integer."""
-    p, q, _, r = _parts(t)
+    parts = p, q, _, r = _parts(t)
     if q:
         return ostrowski_S(n, t)[0]
-    return _values(t, [(n, floor_sum(n, p, r))], midpoint)[0]
+    return _values(parts, [(n, floor_sum(n, p, r))], midpoint)[0]
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -404,13 +433,14 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     if tables is not None and (tab.t != t or (cf is not None and tab.cf != cf)):
         raise ValueError("tables were built for another t or expansion")
 
+    parts = _parts(t)
+
     def step(j, n, n2, dF):
-        S, S2 = _values(tab.t, [(n, dF), (n2, 0)])
+        S, S2 = _values(parts, [(n, dF), (n2, 0)])
         return OstrowskiStep(j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), S - S2)
 
     F, rows = _ostrowski_F(n, tab)
-    return ((_values(tab.t, [(n, F)])[0] if n else Fraction(0)),
-            SumTrace(_Steps(step, rows)))
+    return _values(parts, [(n, F)])[0], _trace(step, rows)
 
 
 def _sweep(tab: OstrowskiTables, n_max: int):
@@ -467,9 +497,11 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
                     validate: bool = False):
     """S(n,t), recursion depth and the Snfinal bound for every n <= n_max.
 
-    Returns (S, depth, bound) lists indexed by n, where bound[n] is
-    (1/2) * sum of lambda_1..lambda_{j*(n)}; cf as for `ostrowski_S`.
-    ValueError for n_max < 0.  Every block of the sweep is checked (see
+    Returns (S, depth, bound) indexed by n: S is a read-only sequence built
+    on read from the sweep's ints F(n,t), as `s0_prefix` is; depth and
+    bound are lists, where bound[n] is (1/2) * sum of
+    lambda_1..lambda_{j*(n)}; cf as for `ostrowski_S`.  ValueError for
+    n_max < 0.  Every block of the sweep is checked when it is made (see
     `_sweep`); `validate` is accepted for old callers and not read.
     """
     if n_max < 0:
@@ -478,20 +510,20 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
     F, depth, js = _sweep(tab, n_max)
     half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
         (Fraction(lam, 2) for lam in tab.lam[1:]), initial=Fraction(0)))
-    S = [Fraction(0)] + _values(t, enumerate(F[1:], 1))
-    return S, depth, [half_sums[j] for j in js]
+    return _prefix(t, F), depth, [half_sums[j] for j in js]
 
 
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
-def _bseq_F(n: int, t: Scalar) -> tuple[int, list[tuple]]:
+def _bseq_F(n: int, t: Scalar, parts=None) -> tuple[int, list[tuple]]:
     """F(n,t) by the Gauss-map recursion of `bseq_S`, with its trace rows
     (j, n_j, P_j, Q_j); ints only.  The modified Bsequence estimate is
-    asserted on the numerators (u, v) of S(n,t), so no QuadExt is built."""
+    asserted on the numerators (u, v) of S(n,t), so no QuadExt is built.
+    `parts`, if given, is `_parts(t)` as the caller holds it."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    parts = _, q, d, r = _parts(t)
+    parts = _, q, d, r = parts or _parts(t)
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
     # t_j t_{j+1} = t_{j+1}/(lambda_{j+1} + t_{j+1}) < 1/2, so n_j halves
@@ -537,8 +569,8 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     The modified Bsequence estimate |S| <= (1/2) sum of lambda_{j+1} over the
     steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
     """
-    F, rows = _bseq_F(n, t)
-    _, q, d, r = _parts(t)
+    parts = _, q, d, r = _parts(t)
+    F, rows = _bseq_F(n, t, parts)
     s = abs(q) * r
 
     def step(j, nj, P, Q):
@@ -547,8 +579,7 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
         f = x - floor(x)  # n_j eta_tilde(x) = f(f - 1)/(2 t_j)
         return BseqStep(j, nj, tj, (f * (f - 1) / tj + f) / 2)
 
-    return ((_values(t, [(n, F)])[0] if n else Fraction(0)),
-            SumTrace(_Steps(step, rows)))
+    return _values(parts, [(n, F)])[0], _trace(step, rows)
 
 
 # -- Theorem identities and bounds -----------------------------------------

@@ -223,6 +223,11 @@ def test_s_accepts_a_trailing_i(capsys):
     ("farey", "--n", "10000000000000000000", "--t", "rat:1/3"),
     ("dirichlet", "--t", "rat:1/3", "--s", "2", "--K", "10000000000000000000",
      "--mode", "q"),
+    # below sys.maxsize, but far past any memory: the allocation fails at once
+    ("farey", "--n", "1000000000000000000", "--t", "rat:1/3"),
+    ("plot", "--which", "h", "--range", "0:1e18", "--step", "1e18"),
+    ("dirichlet", "--t", "rat:1/3", "--s", "2", "--K", "1000000000000000000",
+     "--mode", "q"),
 ])
 def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -306,3 +306,13 @@ class TestLimitFunctionH:
         m2 = max(abs(v) for v in farey.h_values(grid2, big))
         m3 = max(abs(v) for v in farey.h_values(grid3, big))
         assert m2 < m1 and m3 < m2
+
+
+@pytest.mark.parametrize("N", [10 ** 18, 10 ** 19])
+def test_sieve_past_memory_is_too_large(N):
+    # 10^18 entries lie below sys.maxsize, but 8 * 10^18 bytes fail at once
+    from remsum.errors import TooLarge
+
+    with pytest.raises(TooLarge) as info:
+        farey.build_tables(N)
+    assert str(N) not in str(info.value)

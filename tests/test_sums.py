@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -472,6 +473,106 @@ class TestBlockSweep:
                 call()
         assert sums.ostrowski_sweep(t, None, 0) == ([0], [0], [0])
         assert sums.s0_prefix(t, 0) == [0]
+
+
+def _eager(t, F_list, midpoint):
+    """The entries that a prefix sequence builds on read, built at once by
+    `_values` from the same F(n,t): the reference for every read."""
+    return sums._values(sums._parts(t), enumerate(F_list), midpoint)
+
+
+def _prefixes(t, n_max):
+    """(sequence, eager reference) for s0_prefix and, at irrational t, the
+    sweep's S, both from the floor sums, not from the sequence's own F."""
+    F_list = [0, *sums._floor_sums(t, n_max)]
+    out = [(sums.s0_prefix(t, n_max), _eager(t, F_list, True))]
+    if not is_rational(t):
+        out.append((sums.ostrowski_sweep(t, None, n_max)[0], _eager(t, F_list, False)))
+    return out
+
+
+def _same(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+class TestPrefixSequences:
+    """s0_prefix and the S of ostrowski_sweep: read-only sequences that keep
+    F(n,t) as ints and build each entry when it is read."""
+
+    @given(st.one_of(st.fractions(-3, 3, max_denominator=40), quadratic_irrationals(),
+                     expansions().map(lambda t_cf: t_cf[0])),
+           st.integers(0, 400), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_read_equals_the_eager_values(self, t, n_max, data):
+        bound = st.none() | st.integers(-n_max - 5, n_max + 5)
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.none() | st.integers(-7, 7).filter(bool)))
+        for seq, want in _prefixes(t, n_max):
+            assert len(seq) == len(want) == n_max + 1
+            _same([seq[n] for n in range(n_max + 1)], want)
+            _same([seq[n] for n in range(-n_max - 1, 0)], want)
+            _same(seq[cut], want[cut])
+            _same(list(seq), want)
+            assert type(seq[0]) is F and seq[0] == 0
+            kinds = {type(x) for x in want[1:]}
+            assert kinds <= ({F} if is_rational(t) else {QuadExt})
+
+    def test_iteration_past_one_bulk_build(self, corpus):
+        for seq, want in _prefixes(corpus["sqrt2m1"], 3000):
+            _same(list(seq), want)
+            assert sum(1 for _ in seq) == 3001
+
+    def test_reads_past_the_end_and_hashing_raise(self, corpus):
+        for seq, _ in _prefixes(corpus["golden"], 30) + _prefixes(F(2, 7), 30):
+            assert len(seq) == 31
+            for n in (31, 10 ** 20, -32):
+                with pytest.raises(IndexError):
+                    seq[n]
+            with pytest.raises(TypeError):
+                hash(seq)
+            with pytest.raises(TypeError):
+                seq["1"]
+
+    def test_equality_against_lists_and_sequences(self, corpus, monkeypatch):
+        t = corpus["golden"]
+        pre, swept = sums.s0_prefix(t, 60), sums.ostrowski_sweep(t, None, 60)[0]
+        want = list(pre)
+        assert pre == want and want == pre and not pre != want
+        assert pre == swept  # S0 = S at irrational t, compared entry by entry
+        assert pre != want[:-1] and pre != sums.s0_prefix(t, 59)
+        assert pre != want[:-1] + [want[-1] + 1]
+        assert pre != tuple(want) and pre != 5
+        rational = sums.s0_prefix(F(1, 3), 60)
+        assert rational != pre and rational == list(rational)
+        # the same F(n,t) for n <= 5 at 3/5 and at the golden t: other values
+        near = sums.s0_prefix(F(3, 5), 5)
+        assert near.rows == sums.s0_prefix(t, 5).rows and near != sums.s0_prefix(t, 5)
+        # one t and one kind: the F lists are compared, and no entry is built
+        again = sums.s0_prefix(t, 60), sums.ostrowski_sweep(t, None, 60)[0]
+
+        def refuse(*args):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(sums, "_values", refuse)
+        assert pre == again[0] and swept == again[1]
+        assert sums.ostrowski_sweep(t, None, 61)[0] != swept
+        assert not sums.s0_prefix(F(1, 3), 60) != rational
+
+    @pytest.mark.parametrize("call, limit", [
+        (lambda t: sums.ostrowski_sweep(t, None, 10 ** 5), 8),
+        (lambda t: sums.s0_prefix(t, 10 ** 5), 6),
+    ], ids=["ostrowski_sweep", "s0_prefix"])
+    def test_memory_held_after_the_call(self, corpus, call, limit):
+        # the ints F(n,t), not an exact value per n: about 4 MiB of them
+        call(corpus["golden"])  # t's orbit record, made once per t
+        tracemalloc.start()
+        try:
+            held = call(corpus["golden"])
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held and size < limit << 20
 
 
 class TestBseq:
