@@ -17,8 +17,10 @@ bracket straddles a rounding boundary is float() of its exact value.
 Every series also reads the powers 1^(-s), ..., K^(-s) (`_powers`), each
 k ** (-s) as Python computes it, and sums the products with a float table
 in one C-level `map`, term for term and in the order of a loop over
-k = 1..K.  Every series refuses an s that is not finite with Re(s) > 0
-(ValueError) before it builds or reads a table.
+k = 1..K.  The Abel sums read the differences n^(-s) - (n+1)^(-s) of those
+powers, each the one float subtraction of the two, the same way.  Every
+series refuses an s that is not finite with Re(s) > 0 (ValueError) before
+it builds or reads a table.
 
 Two memos hold tables between calls; callers only read them.
 - `_float_tables` keeps the pair of float tables of the last (t, K) it was
@@ -28,13 +30,18 @@ Two memos hold tables between calls; callers only read them.
   at that (t, K) adds its q_{k,0} float table to the pair (`_Pair.q`),
   K + 1 more floats (3.2 MB at K = 10^5), and later calls at that (t, K)
   read it; it is dropped with the pair.  q depends on t and K alone: the
-  Moebius values of every `ArithTables` with N >= K agree on d <= K.
+  Moebius values of every `ArithTables` with N >= K agree on d <= K.  The
+  strip's tail bounds read max |S0(n,t)| over n <= K, which the pair
+  computes on its first read and keeps (`_Pair.s0_max`).
 - `_powers` keeps the power tables of the current K, keyed by s, so a grid
-  of t that shares an s grid computes each power once.  A call at another
-  K drops them all; until then they stay allocated, never more than
-  _POWERS_BUDGET = 2^18 entries in all (41 bytes an entry, 10.2 MiB by
-  tracemalloc), the oldest s going first.  A K past the budget stores
-  nothing: its powers are computed as the sum reads them.
+  of t that shares an s grid computes each power once; the first Abel sum
+  at an s adds the K - 1 differences of its table (`_Powers.diffs`), which
+  go with it.  A call at another K drops them all; until then they stay
+  allocated, never more than _POWERS_BUDGET = 2^18 entries in all, powers
+  and differences counted alike (41 bytes an entry, 10.2 MiB by
+  tracemalloc), the oldest s going first.  A K past the budget stores no
+  powers, and a K with 2K - 1 past it no differences: those are computed
+  as the sum reads them.
 """
 
 from __future__ import annotations
@@ -100,10 +107,15 @@ def zeta(s) -> complex:
 
 
 class _Pair(tuple):
-    """The pair of float tables of one (t, K), and in `q` the float table
-    of q_{k,0}(t) once `f_q_partial` has built it (None until then)."""
+    """The pair of float tables of one (t, K), in `q` the float table of
+    q_{k,0}(t) once `f_q_partial` has built it (None until then), and in
+    `s0_max` max |S0(n,t)| over n <= K, built on its first read."""
 
     q = None
+
+    @functools.cached_property
+    def s0_max(self) -> float:
+        return max(map(abs, self[1]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -182,22 +194,50 @@ _POWERS_BUDGET = 1 << 18
 _powers_memo: dict = {}
 
 
-def _powers(s: complex, K: int):
-    """An iterator over 1 ** (-s), 2 ** (-s), ..., K ** (-s).  The table of
-    the current K is retained within _POWERS_BUDGET entries (module
-    docstring); a longer one is computed as it is read and never stored."""
+class _Powers(list):
+    """A stored power table, and in `diffs` the list of its differences
+    table[n-1] - table[n] once an Abel sum has stored it (None until then)."""
+
+    diffs = None
+
+
+def _fit(key, K: int) -> None:
+    """Drop the oldest tables other than those of `key` until the powers
+    and differences stored are within _POWERS_BUDGET entries."""
+    memo = _powers_memo
+    size = len(memo) * K
+    if size + len(memo) * (K - 1) > _POWERS_BUDGET:
+        size += (K - 1) * sum(v.diffs is not None for v in memo.values())
+        olds = iter([k for k in memo if k != key])
+        while size > _POWERS_BUDGET:
+            size -= K + (K - 1) * (memo.pop(next(olds)).diffs is not None)
+
+
+def _powers(s: complex, K: int, diffs: bool = False):
+    """An iterator over 1 ** (-s), 2 ** (-s), ..., K ** (-s), or with
+    `diffs` over n ** (-s) - (n+1) ** (-s) for n = 1..K-1.  The tables of
+    the current K are retained within _POWERS_BUDGET entries (module
+    docstring); one past it is computed as it is read and never stored."""
     memo = _powers_memo
     if memo and len(next(iter(memo.values()))) != K:
         memo.clear()
-    if K > _POWERS_BUDGET:
-        return map(pow, range(1, K + 1), repeat(-s))
     key = (s.real.hex(), s.imag.hex())
     table = memo.get(key)
     if table is None:
-        table = memo[key] = list(map(pow, range(1, K + 1), repeat(-s)))
-        while len(memo) * K > _POWERS_BUDGET:
-            del memo[next(iter(memo))]
-    return iter(table)
+        table = map(pow, range(1, K + 1), repeat(-s))
+        if K <= _POWERS_BUDGET:
+            table = memo[key] = _Powers(table)
+            _fit(key, K)
+    if not diffs:
+        return iter(table)
+    if getattr(table, "diffs", None) is None:  # a table past the budget is a map
+        lower, upper = tee(table)
+        next(upper, None)
+        if 2 * K - 1 > _POWERS_BUDGET:
+            return map(sub, lower, upper)
+        table.diffs = list(map(sub, lower, upper))
+        _fit(key, K)
+    return iter(table.diffs)
 
 
 def _dot(terms: list[float], s: complex, K: int):
@@ -207,10 +247,8 @@ def _dot(terms: list[float], s: complex, K: int):
 
 def _abel_terms(sf, s: complex, X: int):
     """sf[n] * (n^(-s) - (n+1)^(-s)) for n = 1..X-1, in that order, each
-    power read once from `_powers(s, X)`."""
-    lower, upper = tee(_powers(s, X))
-    next(upper, None)
-    return map(mul, islice(sf, 1, None), map(sub, lower, upper))
+    difference read from `_powers(s, X, diffs=True)`."""
+    return map(mul, islice(sf, 1, None), _powers(s, X, diffs=True))
 
 
 def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
@@ -219,15 +257,14 @@ def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
     `s0` is accepted for old callers and not read: the terms come from the
     retained float tables."""
     s = _check_s(s)
-    terms, s0_floats = _float_tables(t, K)
-    value = _dot(terms, s, K)
+    pair = _float_tables(t, K)
+    value = _dot(pair[0], s, K)
     sigma = s.real
     if sigma > 1:
         tail = 0.5 * K ** (1 - sigma) / (sigma - 1)
         mode = "strict"
     else:
-        a = max(map(abs, s0_floats))
-        tail = a * (sigma + abs(s)) / (sigma * K ** sigma)
+        tail = pair.s0_max * (sigma + abs(s)) / (sigma * K ** sigma)
         mode = "evidence"
     return SeriesEval(value, K, tail, mode)
 
@@ -238,16 +275,15 @@ def f_beta_mellin(t: Scalar, s, X: int, s0=None) -> SeriesEval:
 
     `s0` is accepted for old callers and not read."""
     s = _check_s(s)
-    sf = _float_tables(t, X)[1]
-    value = sum(_abel_terms(sf, s, X))
+    pair = _float_tables(t, X)
+    value = sum(_abel_terms(pair[1], s, X), 0j)
     sigma = s.real
     if sigma > 1:
         # |S0(x,t)| <= x/2 gives |s * int_X^inf S0 x^{-s-1} dx| <= ...
         tail = abs(s) * X ** (1 - sigma) / (2 * (sigma - 1))
         mode = "strict"
     else:
-        a = max(map(abs, sf))
-        tail = abs(s) * a * X ** (-sigma) / sigma
+        tail = abs(s) * pair.s0_max * X ** (-sigma) / sigma
         mode = "evidence"
     return SeriesEval(value, X, tail, mode)
 
@@ -282,7 +318,9 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
 
 def continuation_evidence(t: Scalar, s_grid, K: int, s0=None) -> list[dict]:
     """Abel-summed series at increasing truncation levels; decreasing Cauchy
-    differences are the (purely numerical) continuation evidence.
+    differences are the (purely numerical) continuation evidence.  Each s
+    takes one pass over its Abel terms, the three level values read off it
+    as the running sum reaches them; no list of terms is built.
 
     The three levels must increase strictly within [2, K], which needs
     K >= 4; DomainError otherwise.  `s0` is accepted for old callers and not
@@ -295,8 +333,9 @@ def continuation_evidence(t: Scalar, s_grid, K: int, s0=None) -> list[dict]:
     sf = _float_tables(t, K)[1]
     out = []
     for s in grid:
-        diffs = list(_abel_terms(sf, s, K))
-        values = [sum(diffs[:L - 1]) for L in levels]
+        terms, v = _abel_terms(sf, s, K), 0j
+        values = [v := sum(islice(terms, n), v)
+                  for n in map(sub, levels, [1] + levels[:-1])]
         cauchy = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
         out.append({"s": s, "levels": levels, "values": values,
                     "cauchy_diffs": cauchy,

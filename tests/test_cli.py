@@ -445,6 +445,21 @@ class TestDirichletCommand:
         want = (DATA / name).read_text().split()[0]
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
+    def test_streamed_evidence_matches_its_digest(self, capsys):
+        # K past the power budget: the Abel terms are computed as they are
+        # summed, and no other digest reaches that path
+        code, out, _ = run(capsys, "dirichlet", "--t", "cf:0;(1)", "--s", "0.5+3j",
+                           "--K", "300000", "--mode", "evidence")
+        assert code == 0
+        want = (DATA / "dirichlet_evidence_K300000.json.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_mellin_of_one_term_prints_float_zeros(self, capsys):
+        code, out, _ = run(capsys, "dirichlet", "--t", "cf:0;(1)", "--s", "2",
+                           "--K", "1", "--mode", "mellin")
+        assert code == 0
+        assert '"value_re": 0.0,' in out and '"value_im": 0.0,' in out
+
 
 class TestBench:
     def test_columns_and_crosscheck(self, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -236,16 +237,39 @@ class TestSeries:
 
     @given(st.one_of(quadratic_ts, rational_ts),
            st.builds(complex, st.floats(0.05, 4), st.floats(-40, 40)),
-           st.integers(4, 300))
+           st.integers(4, 300), st.one_of(quadratic_ts, rational_ts))
     @settings(max_examples=60, deadline=None)
-    def test_abel_sums_equal_the_two_power_formula(self, t, s, K):
-        # each power is computed once and carried into the next term; the
-        # floats must be those of computing n^(-s) and (n+1)^(-s) per term
+    def test_abel_sums_equal_the_two_power_formula(self, t, s, K, u):
+        # each power difference is computed once and kept with its powers;
+        # the floats must be those of computing n^(-s) and (n+1)^(-s) per
+        # term, whatever the memo holds: nothing, the tables of s warmed by
+        # another t, those of another K, or nothing stored past the budget
         sf = dirichlet._float_tables(t, K)[1]
         diffs = [sf[n] * (n ** (-s) - (n + 1) ** (-s)) for n in range(1, K)]
-        assert dirichlet.f_beta_mellin(t, s, K).value == sum(diffs)
-        rec, = dirichlet.continuation_evidence(t, [s], K)
-        assert rec["values"] == [sum(diffs[:L - 1]) for L in rec["levels"]]
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        def check():
+            value = dirichlet.f_beta_mellin(t, s, K).value
+            rec, = dirichlet.continuation_evidence(t, [s], K)
+            assert bits(value) == bits(sum(diffs))
+            assert list(map(bits, rec["values"])) == [
+                bits(sum(diffs[:L - 1])) for L in rec["levels"]]
+
+        dirichlet._powers_memo.clear()
+        check()  # cold
+        dirichlet._powers_memo.clear()
+        dirichlet.continuation_evidence(u, [s], K)
+        check()  # warmed by u at the same s
+        dirichlet.f_beta_mellin(t, s, K + 1)
+        check()  # after a K change
+        with pytest.MonkeyPatch.context() as patch:
+            for budget in (K - 1, K):  # nothing stored; powers without differences
+                patch.setattr(dirichlet, "_POWERS_BUDGET", budget)
+                dirichlet._powers_memo.clear()
+                check()
+                assert all(v.diffs is None for v in dirichlet._powers_memo.values())
 
     @given(st.one_of(quadratic_ts, rational_ts), st.one_of(quadratic_ts, rational_ts),
            st.builds(complex, st.floats(0.05, 4), st.floats(-40, 40)),
@@ -343,8 +367,10 @@ class TestSeries:
         t, K = corpus["golden"], 100
         tables = farey.build_tables(K)
         dirichlet.f_beta_partial(F(3, 7), 2, 50)
+        dirichlet.f_beta_mellin(F(3, 7), 3, 50)
         info = dirichlet._float_tables.cache_info()
         memo = list(dirichlet._powers_memo.items())
+        diffs = [v.diffs for v in dirichlet._powers_memo.values()]
         for call in (lambda: dirichlet.f_beta_partial(t, s, K),
                      lambda: dirichlet.f_beta_mellin(t, s, K),
                      lambda: dirichlet.f_q_partial(t, s, K, tables),
@@ -354,6 +380,9 @@ class TestSeries:
         assert dirichlet._float_tables.cache_info() == info
         assert all(a == b and a[1] is b[1] for a, b in
                    zip(dirichlet._powers_memo.items(), memo, strict=True))
+        assert all(v.diffs is d for v, d in
+                   zip(dirichlet._powers_memo.values(), diffs, strict=True))
+        assert diffs[-1] is not None
 
     @pytest.mark.parametrize("K", [0, -5])
     def test_refuses_K_below_1(self, corpus, K):
@@ -366,6 +395,81 @@ class TestSeries:
             with pytest.raises(ValueError, match="K must be >= 1"):
                 call()
         assert dirichlet.beta0_float_table(t, 1) == [0.0, float(beta0(t))]
+
+
+class TestAbelTables:
+    """The differences of the power tables, stored with them under one
+    budget, and the strip maximum kept with its pair of float tables."""
+
+    @staticmethod
+    def stored():
+        return sum(len(v) + len(v.diffs or ()) for v in dirichlet._powers_memo.values())
+
+    def test_one_budget_for_powers_and_differences(self, corpus, monkeypatch):
+        t, K = corpus["golden"], 100
+        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", 3 * K)
+        memo = dirichlet._powers_memo
+        memo.clear()
+        key = {z: (z.real.hex(), z.imag.hex()) for z in map(complex, (2, 3, 4, 5))}
+        dirichlet.f_beta_mellin(t, 2, K)
+        old = memo[key[2]].diffs
+        assert len(old) == K - 1 and self.stored() == 2 * K - 1
+        dirichlet.f_beta_mellin(t, 3, K)  # 4K - 2 entries: s = 2 goes, differences and all
+        assert list(memo) == [key[3]] and self.stored() == 2 * K - 1
+        dirichlet.f_beta_partial(t, 4, K)
+        dirichlet.f_beta_partial(t, 5, K)
+        assert list(memo) == [key[4], key[5]] and self.stored() == 2 * K
+        dirichlet.f_beta_mellin(t, 2, K)
+        assert memo[key[2]].diffs is not old and memo[key[2]].diffs == old
+        # a mix of sums and s never stores more than the budget
+        for i, z in enumerate([2, 0.5 + 1j, 3, 2, 0.7 - 2j, 3, 4, 0.5 + 1j] * 2):
+            [dirichlet.f_beta_partial, dirichlet.f_beta_mellin][i % 2](t, z, K)
+            dirichlet.continuation_evidence(t, [z, 2.5], K)
+            assert self.stored() <= 3 * K
+            assert {len(v) for v in memo.values()} == {K}
+            assert all(v.diffs is None or len(v.diffs) == K - 1 for v in memo.values())
+
+    def test_strip_maximum_is_built_once_per_pair(self, corpus, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return max(*args)
+
+        monkeypatch.setattr(dirichlet, "max", counted, raising=False)
+        for t, K in [(corpus["golden"], 300), (F(3, 7), 300), (corpus["golden"], 299)]:
+            pair = dirichlet._float_tables(t, K)
+            dirichlet.f_beta_partial(t, 2, K)
+            dirichlet.f_beta_mellin(t, 3 + 1j, K)
+            assert "s0_max" not in vars(pair)  # Re(s) > 1 reads no maximum
+            n = len(calls)
+            for s in (0.5 + 3j, 1, 0.7 - 2j):
+                for f in (dirichlet.f_beta_partial, dirichlet.f_beta_mellin):
+                    f(t, s, K)
+            assert len(calls) == n + 1
+            assert pair.s0_max == max(abs(x) for x in pair[1])
+
+    def test_evidence_streams_past_the_budget(self, corpus, monkeypatch):
+        # with the float tables built first and no power table stored, one
+        # grid point holds no K-long list: a list of the K - 1 Abel terms
+        # alone is about 0.8 MB at K = 20000
+        t, K = corpus["golden"], 20000
+        dirichlet._float_tables(t, K)
+        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", K // 2)
+        tracemalloc.start()
+        try:
+            dirichlet.continuation_evidence(t, [0.5 + 3j], K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_mellin_of_no_terms_is_complex_zero(self, corpus):
+        for t in (corpus["golden"], F(3, 7)):
+            for s in (2, 0.5 + 3j):
+                value = dirichlet.f_beta_mellin(t, s, 1).value
+                assert type(value) is complex and value == 0
+                assert (value.real.hex(), value.imag.hex()) == ("0x0.0p+0",) * 2
 
 
 class TestContinuationEvidence:
