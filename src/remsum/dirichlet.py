@@ -18,9 +18,23 @@ Every series also reads the powers 1^(-s), ..., K^(-s) (`_powers`), each
 k ** (-s) as Python computes it, and sums the products with a float table
 in one C-level `map`, term for term and in the order of a loop over
 k = 1..K.  The Abel sums read the differences n^(-s) - (n+1)^(-s) of those
-powers, each the one float subtraction of the two, the same way.  Every
-series refuses an s that is not finite with Re(s) > 0 (ValueError) before
-it builds or reads a table.
+powers, each the one float subtraction of the two, the same way.  Each
+product is taken complex operand first: a float times a complex first
+tries float's multiply, which declines, and then complex's, which reads the
+float as (x, 0.0); the complex first goes straight there.  The four real
+products are the same and each part adds the same two of them, so every
+term keeps its bits (IEEE products and sums commute), and the sums add the
+terms in the same order.  Every series refuses an s that is not finite
+with Re(s) > 0 (ValueError) before it builds or reads a table, and a K
+whose tables cannot be allocated raises TooLarge before any entry is
+computed.
+
+The q_{k,0} float table is q[k] = -sum of mu(d) beta0(kt/d) over d | k,
+each q[k] taking its terms in increasing d, as one subtraction per multiple
+of each d in turn would.  It is built from strided slices: one per d <= K/6
+with mu(d) != 0 (q[k] - (-y) is q[k] + y bit for bit), then for the d past
+K/6 one per multiple index i <= c of the d that share c = K // d, these
+groups taken in increasing d (`f_q_partial`).
 
 Two memos hold tables between calls; callers only read them.
 - `_float_tables` keeps the pair of float tables of the last (t, K) it was
@@ -51,11 +65,11 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, tee
-from operator import mul, sub
+from itertools import islice, repeat, tee
+from operator import add, mul, sub
 
 from . import sums
-from .errors import DomainError, PoleAtOne
+from .errors import DomainError, PoleAtOne, TooLarge
 from .exactnum import Scalar, _parts, beta0, floor
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
@@ -125,6 +139,9 @@ def _float_tables(t: Scalar, K: int):
     as a `_Pair`.  The lists are shared through the memo; callers only read
     them.
     Every table, and so every series, needs K >= 1; ValueError otherwise.
+    Both lists are allocated before the pass and filled by index; TooLarge
+    where they cannot be: past sys.maxsize entries (OverflowError) or past
+    the memory (MemoryError).
 
     For irrational t the pass reads x_k = k T, T = floor(t 2^E): k t 2^E lies
     in (x_k, x_k + k), so beta0(kt) 2^E lies in (m_k, m_k + k) with
@@ -140,18 +157,25 @@ def _float_tables(t: Scalar, K: int):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    try:
+        b0, s0 = [0.0] * (K + 1), [0.0] * (K + 1)
+    except (OverflowError, MemoryError):
+        raise TooLarge("the float tables do not fit in memory") from None
     p, q, d, r = _parts(t)
     if not q:  # t = p/r: beta0(kt) = (2(kp mod r) - r)/(2r), and 0 where r | k
-        u = [0] + [2 * (k * p % r) - r if k % r else 0 for k in range(1, K + 1)]
-        r2 = 2 * r
-        return _Pair(([v / r2 for v in u], [v / r2 for v in accumulate(u)]))
+        r2, v = 2 * r, 0
+        for k in range(1, K + 1):
+            u = 2 * (k * p % r) - r if k % r else 0
+            v += u
+            b0[k] = u / r2
+            s0[k] = v / r2
+        return _Pair((b0, s0))
     # the S0 brackets are n(n+1)/2 wide against values of O(log n)
     E = 64 + 3 * K.bit_length()
     one, half, ulp = 1 << E, 1 << (E - 1), 2.0 ** -E
     T = floor(t * one)
     y, step = 0, T & (one - 1)  # y = x_k mod 2^E
     M = M_hi = 0
-    b0, s0 = [0.0], [0.0]
     for k in range(1, K + 1):
         y += step
         if y >= one:
@@ -163,10 +187,10 @@ def _float_tables(t: Scalar, K: int):
             m_hi -= one
         M += m
         M_hi += m_hi
-        v = m * ulp  # int times a power of 2: m/2^E correctly rounded
-        b0.append(v if v == m_hi * ulp else float(beta0(k * t)))
-        v = M * ulp
-        s0.append(v if v == M_hi * ulp else float(sums.exact_S(k, t)))
+        v = ulp * m  # a power of 2 times an int: m/2^E correctly rounded
+        b0[k] = v if v == ulp * m_hi else float(beta0(k * t))
+        v = ulp * M
+        s0[k] = v if v == ulp * M_hi else float(sums.exact_S(k, t))
     return _Pair((b0, s0))
 
 
@@ -241,14 +265,16 @@ def _powers(s: complex, K: int, diffs: bool = False):
 
 
 def _dot(terms: list[float], s: complex, K: int):
-    """The sum of terms[k] * k^(-s) over k = 1..K, in that order."""
-    return sum(map(mul, islice(terms, 1, None), _powers(s, K)))
+    """The sum of terms[k] * k^(-s) over k = 1..K, in that order, each
+    product taken complex operand first (module docstring)."""
+    return sum(map(mul, _powers(s, K), islice(terms, 1, None)))
 
 
 def _abel_terms(sf, s: complex, X: int):
     """sf[n] * (n^(-s) - (n+1)^(-s)) for n = 1..X-1, in that order, each
-    difference read from `_powers(s, X, diffs=True)`."""
-    return map(mul, islice(sf, 1, None), _powers(s, X, diffs=True))
+    difference read from `_powers(s, X, diffs=True)` and taken as the
+    first operand."""
+    return map(mul, _powers(s, X, diffs=True), islice(sf, 1, None))
 
 
 def f_beta_partial(t: Scalar, s, K: int, s0=None) -> SeriesEval:
@@ -294,21 +320,35 @@ def f_q_partial(t: Scalar, s, K: int, tables: ArithTables,
 
     The tail bound uses |q_{k,0}| <= d(k)/2 <= sqrt(k) and needs Re(s) > 3/2;
     otherwise it is reported as infinity.  The q_{k,0} floats are built on
-    the first call at (t, K) and kept with its float tables (module
-    docstring).  `s0` is accepted for old callers and not read."""
+    the first call at (t, K) by strided slices, each q[k] taking its terms
+    in increasing d, and kept with its float tables (module docstring).
+    `s0` is accepted for old callers and not read."""
     if K > tables.N:
         raise ValueError("K exceeds table size")
     s = _check_s(s)
     pair = _float_tables(t, K)
     q = pair.q
     if q is None:
-        b0 = pair[0]
+        b0, mu, D = pair[0], tables.mu, K // 6
         q = [0.0] * (K + 1)
-        for d in range(1, K + 1):
-            m = tables.mu[d]
-            if m:
-                for k in range(d, K + 1, d):
-                    q[k] -= m * b0[k // d]
+        for d in range(1, D + 1):
+            if mu[d]:
+                q[d::d] = map(sub if mu[d] > 0 else add, q[d::d], b0[1:K // d + 1])
+        # the d > D with one c = K // d, in increasing d: their multiples i d,
+        # i <= c, are one slice per i.  No k is hit twice within a group: its
+        # d differ by a factor below (c + 1)/c, and no ratio of two i <= c is
+        # that small, so the order of i does not matter.
+        # A mu(d) = 0 term subtracts +-0.0, which leaves q[k] as it was: q[k]
+        # starts at +0.0 and only ever adds or subtracts entries of b0, none
+        # of them -0.0, so q[k] is never -0.0 either.
+        lo = D + 1
+        while lo <= K:
+            c = K // lo
+            hi = K // c
+            for i in range(1, c + 1):
+                q[i * lo:i * hi + 1:i] = map(sub, q[i * lo:i * hi + 1:i],
+                                             map(mul, repeat(b0[i]), mu[lo:hi + 1]))
+            lo = hi + 1
         pair.q = q  # kept only once complete
     value = _dot(q, s, K)
     sigma = s.real

@@ -508,8 +508,8 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
         raise ValueError("n_max must be >= 0")
     tab = OstrowskiTables(t, cf)
     F, depth, js = _sweep(tab, n_max)
-    half_sums = list(accumulate(  # index j -> (1/2) sum_{k<=j} lambda_k
-        (Fraction(lam, 2) for lam in tab.lam[1:]), initial=Fraction(0)))
+    # index j -> (1/2) sum_{k<=j} lambda_k, summed in ints
+    half_sums = [Fraction(L, 2) for L in accumulate(tab.lam[1:], initial=0)]
     return _prefix(t, F), depth, [half_sums[j] for j in js]
 
 

@@ -228,6 +228,10 @@ def test_s_accepts_a_trailing_i(capsys):
     ("plot", "--which", "h", "--range", "0:1e18", "--step", "1e18"),
     ("dirichlet", "--t", "rat:1/3", "--s", "2", "--K", "1000000000000000000",
      "--mode", "q"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "2", "--K", "1000000000000000000",
+     "--mode", "beta"),
+    ("dirichlet", "--t", "rat:1/3", "--s", "2", "--K", "1000000000000000000",
+     "--mode", "mellin"),
 ])
 def test_library_errors_outside_verification_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -3,6 +3,8 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction as F
+from itertools import islice
+from operator import mul
 
 import mpmath
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remsum import dirichlet, farey, sums
-from remsum.errors import DomainError, PoleAtOne
+from remsum.errors import DomainError, PoleAtOne, TooLarge
 from remsum.exactnum import QuadExt, beta0, to_float
 from test_sums import ALWAYS_FALLS_BACK, ONE_THIRD_AND_A_BIT
 
@@ -49,6 +51,22 @@ def _q_floats(b0, mu, K):
             if k % d == 0 and mu[d]:
                 q[k] -= mu[d] * b0[k // d]
     return q
+
+
+def _q_table_reference(b0, mu, K):
+    """The q_{k,0} float table by one subtraction per multiple of each d,
+    d = 1..K in turn, so that every q[k] takes its terms in increasing d."""
+    q = [0.0] * (K + 1)
+    for d in range(1, K + 1):
+        m = mu[d]
+        if m:
+            for k in range(d, K + 1, d):
+                q[k] -= m * b0[k // d]
+    return q
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
 
 
 class TestZeta:
@@ -144,6 +162,15 @@ class TestTermTables:
             s = 2 + 0j
             assert dirichlet.f_beta_mellin(t, s, K).value == sum(
                 float(exact[n]) * (n ** -s - (n + 1) ** -s) for n in range(1, K))
+
+    @pytest.mark.parametrize("t", [QuadExt(-1, 1, 5, 2), F(1, 3)])
+    @pytest.mark.parametrize("K", [10 ** 18, 10 ** 19])
+    def test_tables_past_memory_are_too_large(self, t, K):
+        # past sys.maxsize entries (OverflowError), or 8 * 10^18 bytes that
+        # fail at once (MemoryError): both before any entry is computed
+        with pytest.raises(TooLarge) as info:
+            dirichlet._float_tables(t, K)
+        assert str(K) not in str(info.value)
 
     def test_returned_table_is_a_copy(self, corpus):
         t, K = corpus["sqrt3m1"], 120
@@ -395,6 +422,45 @@ class TestSeries:
             with pytest.raises(ValueError, match="K must be >= 1"):
                 call()
         assert dirichlet.beta0_float_table(t, 1) == [0.0, float(beta0(t))]
+
+
+class TestKernelBits:
+    """Every series takes its products complex operand first and builds q
+    by strided slices; each float must be that of the float-first products
+    and of the q loop over d in turn."""
+
+    @given(st.one_of(quadratic_ts, rational_ts), st.integers(1, 3000),
+           st.builds(complex, st.floats(0.05, 300), st.floats(-40, 40)))
+    # Re(s) = 300: the powers from k = 12 on underflow to signed zeros
+    @example(QuadExt(-1, 1, 5, 2), 3000, complex(300, -0.0))
+    @example(QuadExt(-1, 1, 3, 1), 2999, complex(300, 7.5))
+    # rational t: beta0 is an exact 0.0 at the multiples of 7, of 1 and of
+    # 6, so mu(d) * 0.0 terms of both signs meet q
+    @example(F(3, 7), 3000, complex(2, 1))
+    @example(F(-5, 1), 1000, complex(0.5, -3))
+    @example(F(5, 6), 2000, complex(250, -0.0))
+    @settings(max_examples=40, deadline=None)
+    def test_series_equal_the_float_first_sums(self, t, K, s):
+        tables = _arith_tables(3000)
+        b0, sf = dirichlet._float_tables(t, K)
+        q = _q_table_reference(b0, tables.mu, K)
+        powers = list(map(pow, range(1, K + 1), [-s] * K))
+        diffs = [powers[n - 1] - powers[n] for n in range(1, K)]
+
+        def dot(terms):
+            return _bits(sum(map(mul, islice(terms, 1, None), powers)))
+
+        def abel(n):
+            return _bits(sum(map(mul, islice(sf, 1, n), diffs), 0j))
+
+        assert _bits(dirichlet.f_q_partial(t, s, K, tables).value) == dot(q)
+        assert list(map(float.hex, dirichlet._float_tables(t, K).q)) == \
+            list(map(float.hex, q))
+        assert _bits(dirichlet.f_beta_partial(t, s, K).value) == dot(b0)
+        assert _bits(dirichlet.f_beta_mellin(t, s, K).value) == abel(K)
+        if K >= 4:
+            rec, = dirichlet.continuation_evidence(t, [s], K)
+            assert list(map(_bits, rec["values"])) == list(map(abel, rec["levels"]))
 
 
 class TestAbelTables:
