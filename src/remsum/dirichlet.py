@@ -50,12 +50,14 @@ Two memos hold tables between calls; callers only read them.
 - `_powers` keeps the power tables of the current K, keyed by s, so a grid
   of t that shares an s grid computes each power once; the first Abel sum
   at an s adds the K - 1 differences of its table (`_Powers.diffs`), which
-  go with it.  A call at another K drops them all; until then they stay
-  allocated, never more than _POWERS_BUDGET = 2^18 entries in all, powers
-  and differences counted alike (41 bytes an entry, 10.2 MiB by
-  tracemalloc), the oldest s going first.  A K past the budget stores no
-  powers, and a K with 2K - 1 past it no differences: those are computed
-  as the sum reads them.
+  go with it.  One rule decides what is kept: an s is kept whole or not at
+  all.  If its 2K - 1 entries, powers and differences, fit in
+  _POWERS_BUDGET = 2^18, each kept s reserves them, so at most
+  _POWERS_BUDGET // (2K - 1) values of s are kept, the oldest dropped
+  before a new one is stored: never more than 2^18 entries in all (41 bytes
+  an entry, 10.2 MiB by tracemalloc).  Otherwise nothing is stored, and
+  the powers and their differences are computed as the sum reads them.  A
+  call at another K drops every kept s; until then they stay allocated.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, repeat, tee
+from itertools import islice, pairwise, repeat, starmap
 from operator import add, mul, sub
 
 from . import sums
@@ -225,42 +227,29 @@ class _Powers(list):
     diffs = None
 
 
-def _fit(key, K: int) -> None:
-    """Drop the oldest tables other than those of `key` until the powers
-    and differences stored are within _POWERS_BUDGET entries."""
-    memo = _powers_memo
-    size = len(memo) * K
-    if size + len(memo) * (K - 1) > _POWERS_BUDGET:
-        size += (K - 1) * sum(v.diffs is not None for v in memo.values())
-        olds = iter([k for k in memo if k != key])
-        while size > _POWERS_BUDGET:
-            size -= K + (K - 1) * (memo.pop(next(olds)).diffs is not None)
-
-
 def _powers(s: complex, K: int, diffs: bool = False):
     """An iterator over 1 ** (-s), 2 ** (-s), ..., K ** (-s), or with
-    `diffs` over n ** (-s) - (n+1) ** (-s) for n = 1..K-1.  The tables of
-    the current K are retained within _POWERS_BUDGET entries (module
-    docstring); one past it is computed as it is read and never stored."""
+    `diffs` over n ** (-s) - (n+1) ** (-s) for n = 1..K-1.  One rule keeps
+    them (module docstring): an s whose 2K - 1 entries fit in _POWERS_BUDGET
+    is kept whole, with at most _POWERS_BUDGET // (2K - 1) values of s kept,
+    the oldest dropped first; past it nothing is stored, and both are
+    computed as they are read."""
     memo = _powers_memo
     if memo and len(next(iter(memo.values()))) != K:
         memo.clear()
+    if 2 * K - 1 > _POWERS_BUDGET:
+        powers = map(pow, range(1, K + 1), repeat(-s))
+        return starmap(sub, pairwise(powers)) if diffs else powers
     key = (s.real.hex(), s.imag.hex())
     table = memo.get(key)
     if table is None:
-        table = map(pow, range(1, K + 1), repeat(-s))
-        if K <= _POWERS_BUDGET:
-            table = memo[key] = _Powers(table)
-            _fit(key, K)
+        while len(memo) >= _POWERS_BUDGET // (2 * K - 1):
+            del memo[next(iter(memo))]
+        table = memo[key] = _Powers(map(pow, range(1, K + 1), repeat(-s)))
     if not diffs:
         return iter(table)
-    if getattr(table, "diffs", None) is None:  # a table past the budget is a map
-        lower, upper = tee(table)
-        next(upper, None)
-        if 2 * K - 1 > _POWERS_BUDGET:
-            return map(sub, lower, upper)
-        table.diffs = list(map(sub, lower, upper))
-        _fit(key, K)
+    if table.diffs is None:
+        table.diffs = list(map(sub, table, islice(table, 1, None)))
     return iter(table.diffs)
 
 

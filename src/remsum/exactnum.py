@@ -371,17 +371,14 @@ def as_fraction(x: Scalar) -> Fraction:
 
 def beta(t: Scalar) -> Scalar:
     """Centered remainder t - floor(t) - 1/2, in [-1/2, 1/2): with t's parts
-    and m = floor(t), (2(p - m r) - r + 2 q sqrt(d))/(2r)."""
-    p, q, d, r = _parts(t)
-    u = 2 * (p - floor(t) * r) - r
-    return _make(u, 2 * q, d, 2 * r) if q else Fraction(u, 2 * r)
+    and m = floor(t), (2(p - m r) - r + 2 q sqrt(d))/(2r), the one-pair
+    `_beta_sum`."""
+    return _beta_sum(t, ((1, 1),))
 
 
 def beta0(t: Scalar) -> Scalar:
     """beta with the midpoint convention: 0 at integers."""
-    if is_integer(t):
-        return Fraction(0)
-    return beta(t)
+    return _beta_sum(t, ((1, 1),), midpoint=True)
 
 
 def _beta_sum(t: Scalar, pairs, midpoint: bool = False) -> Scalar:

@@ -100,19 +100,25 @@ def sample_bounded_cf(cutoff: int, m: int, seed: int) -> Scalar:
     return t
 
 
+def _bound_ratio(s_val: Scalar, t: Scalar, bound_s: float) -> float:
+    """|s_val| / bound_s for s_val = S(n,t), once |s_val| <= bound_s is
+    decided exactly (bound_s read as the Fraction it is); BoundViolated with
+    the witness t otherwise."""
+    if not sums._abs_at_most(*_parts(s_val), *bound_s.as_integer_ratio()):
+        raise BoundViolated(f"witness t = {t}")
+    return abs(float(s_val)) / bound_s
+
+
 def verify_b0_mass(n: int, theta_of_n, samples: int, seed: int) -> dict:
     """Draw members of the bounded-quotient set for this n and check
     |B_n(t)| <= 2 log^2(n) theta(n) / n exactly on every sample."""
     m, cutoff = mn_threshold(n, theta_of_n)
     bound_s = 2 * math.log(n) ** 2 * float(theta_of_n)  # bound for |S(n,t)|
-    bound = bound_s.as_integer_ratio()  # exactly Fraction(bound_s)
     max_ratio = 0.0
     for i in range(samples):
         t = sample_bounded_cf(cutoff, m, seed + i)
         s_val = sums.ostrowski_S(n, t)[0]
-        if not sums._abs_at_most(*_parts(s_val), *bound):
-            raise BoundViolated(f"witness t = {t}")
-        max_ratio = max(max_ratio, abs(float(s_val)) / bound_s)
+        max_ratio = max(max_ratio, _bound_ratio(s_val, t, bound_s))
     return {"n": n, "theta": float(theta_of_n), "samples": samples,
             "max_ratio": max_ratio, "pass": True}
 
@@ -136,7 +142,5 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
         if lam > theta * j ** (1 + eps):
             raise NotMember(f"lambda_{j} = {lam} too large")
     bound_s = (4 * math.log(n)) ** (2 + eps) * theta / 2  # bound for |S(n,t)|
-    if not sums._abs_at_most(*_parts(s_val), *bound_s.as_integer_ratio()):
-        raise BoundViolated(f"witness t = {t}")
-    ratio = abs(float(s_val)) / bound_s
+    ratio = _bound_ratio(s_val, t, bound_s)
     return {"n": n, "epsilon": eps, "theta": theta, "ratio": ratio, "pass": True}

@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
 
-# sha256 of the stdout of three plot grids, two Dirichlet records, two
+# sha256 of the stdout of three plot grids, four Dirichlet records, two
 # Farey counting identities and one bench table; CI checks the same argv
 # with `sha256sum -c`
 PLOT_DIGESTS = {
@@ -47,6 +47,14 @@ DIRICHLET_DIGESTS = {
     "dirichlet_cf_preperiod_beta.json.sha256": (
         "dirichlet", "--t", "cf:-3;2,5,9,(1,1,4)", "--s", "2+1j", "--K", "5000",
         "--mode", "beta"),
+    # both sides of the power budget: at K = 2^17 the 2K - 1 powers and
+    # differences of s are kept, at K = 2^17 + 1 they are computed as read
+    "dirichlet_mellin_K131072.json.sha256": (
+        "dirichlet", "--t", "cf:0;(1)", "--s", "0.7+2j", "--K", "131072",
+        "--mode", "mellin"),
+    "dirichlet_evidence_K131073.json.sha256": (
+        "dirichlet", "--t", "cf:0;(1)", "--s", "0.7+2j", "--K", "131073",
+        "--mode", "evidence"),
 }
 # the counting identity at a quadratic t with negative q, and at a rational t
 FAREY_DIGESTS = {

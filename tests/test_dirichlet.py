@@ -292,11 +292,13 @@ class TestSeries:
         dirichlet.f_beta_mellin(t, s, K + 1)
         check()  # after a K change
         with pytest.MonkeyPatch.context() as patch:
-            for budget in (K - 1, K):  # nothing stored; powers without differences
+            for budget in (2 * K - 2, 2 * K - 1):  # nothing stored; s kept whole
                 patch.setattr(dirichlet, "_POWERS_BUDGET", budget)
                 dirichlet._powers_memo.clear()
                 check()
-                assert all(v.diffs is None for v in dirichlet._powers_memo.values())
+                kept = list(dirichlet._powers_memo.values())
+                assert len(kept) == (budget == 2 * K - 1)
+                assert all(len(v.diffs) == K - 1 for v in kept)
 
     @given(st.one_of(quadratic_ts, rational_ts), st.one_of(quadratic_ts, rational_ts),
            st.builds(complex, st.floats(0.05, 4), st.floats(-40, 40)),
@@ -320,7 +322,7 @@ class TestSeries:
                         q[k] * k ** (-z) for k in range(1, K + 1))
                     memo = dirichlet._powers_memo
                     assert {len(v) for v in memo.values()} == {K}
-                    assert len(memo) * K <= dirichlet._POWERS_BUDGET
+                    assert len(memo) * (2 * K - 1) <= dirichlet._POWERS_BUDGET
 
     def test_power_memo_keeps_the_newest_tables_within_its_budget(
             self, corpus, monkeypatch):
@@ -331,7 +333,8 @@ class TestSeries:
         def direct(s, K):
             return sum(b0[k] * k ** (-complex(s)) for k in range(1, K + 1))
 
-        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", 3 * K)
+        # room for three values of s, 2K - 1 entries each
+        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", 3 * (2 * K - 1))
         memo = dirichlet._powers_memo
         memo.clear()
         for s in grid:
@@ -472,26 +475,31 @@ class TestAbelTables:
         return sum(len(v) + len(v.diffs or ()) for v in dirichlet._powers_memo.values())
 
     def test_one_budget_for_powers_and_differences(self, corpus, monkeypatch):
+        # each kept s reserves its 2K - 1 entries, differences or not: a
+        # budget one entry short of three such s keeps two
         t, K = corpus["golden"], 100
-        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", 3 * K)
+        budget = 3 * (2 * K - 1) - 1
+        monkeypatch.setattr(dirichlet, "_POWERS_BUDGET", budget)
         memo = dirichlet._powers_memo
         memo.clear()
         key = {z: (z.real.hex(), z.imag.hex()) for z in map(complex, (2, 3, 4, 5))}
         dirichlet.f_beta_mellin(t, 2, K)
         old = memo[key[2]].diffs
         assert len(old) == K - 1 and self.stored() == 2 * K - 1
-        dirichlet.f_beta_mellin(t, 3, K)  # 4K - 2 entries: s = 2 goes, differences and all
-        assert list(memo) == [key[3]] and self.stored() == 2 * K - 1
-        dirichlet.f_beta_partial(t, 4, K)
+        dirichlet.f_beta_partial(t, 3, K)
+        assert list(memo) == [key[2], key[3]] and self.stored() == 3 * K - 1
+        dirichlet.f_beta_mellin(t, 4, K)  # s = 2 goes, differences and all
+        assert list(memo) == [key[3], key[4]] and self.stored() == 3 * K - 1
         dirichlet.f_beta_partial(t, 5, K)
-        assert list(memo) == [key[4], key[5]] and self.stored() == 2 * K
+        assert list(memo) == [key[4], key[5]] and self.stored() == 3 * K - 1
         dirichlet.f_beta_mellin(t, 2, K)
+        assert list(memo) == [key[5], key[2]]
         assert memo[key[2]].diffs is not old and memo[key[2]].diffs == old
-        # a mix of sums and s never stores more than the budget
+        # a mix of sums and s never keeps more s than the budget has room for
         for i, z in enumerate([2, 0.5 + 1j, 3, 2, 0.7 - 2j, 3, 4, 0.5 + 1j] * 2):
             [dirichlet.f_beta_partial, dirichlet.f_beta_mellin][i % 2](t, z, K)
             dirichlet.continuation_evidence(t, [z, 2.5], K)
-            assert self.stored() <= 3 * K
+            assert len(memo) * (2 * K - 1) <= budget and self.stored() <= budget
             assert {len(v) for v in memo.values()} == {K}
             assert all(v.diffs is None or len(v.diffs) == K - 1 for v in memo.values())
 
