@@ -5,19 +5,24 @@ Everything here is read off one of two integer walks.
 - The orbit walk expands a quadratic irrational t along its orbit under
   the Gauss map: each state t_j = (P_j + sqrt(D))/Q_j is the integer pair
   (P_j, Q_j) over one D, and the first repeated pair gives the eventually
-  periodic form.  The walk is made once per t: one orbit record, kept for
-  the last t only (a memo of size 1, keyed on t's integer parts), holds
-  the states (lambda_j, P_j, Q_j) walked so far, the walk's next pair and,
-  once the first pair repeats, where the period starts.  `expand` fills
-  the record and reads the period off it; `_orbit(t, m)`, which the
-  Ostrowski and Gauss-map recursions of `sums` and the checks of `measure`
-  read, grows it once, to m states or to its period, and reads at least
-  those m states, cycling through the period where it is known.  Each
-  reader names its m and the bound behind it.  The record is dropped when
-  another t is asked for, or when `expand` finds no period within its
-  max_terms; an iterator that holds it keeps it until it is done.
+  periodic form.  The walk is made once per t: one orbit record
+  (`_Record`), kept for the last t only (a memo of size 1, keyed on t's
+  integer parts), holds the states (lambda_j, P_j, Q_j) walked so far, the
+  walk's next pair, t's expansion once the first pair repeats, and the
+  continuants of t, lambda_k, a_k and b_k, as far as they have been asked
+  for.  `expand` fills the record to its period and returns the expansion
+  it keeps.  Iterating the record reads its states and walks on one state
+  at a time as they are read, so the Gauss-map recursion of `sums` and the
+  checks of `measure` walk no state they do not read; past the period they
+  cycle through it.  `extend_past(n)` grows the continuants to the first
+  k >= 4 with b_k > n, by that same read: the Ostrowski recursion of
+  `sums` reads them from the record, and `sums.OstrowskiTables` copies
+  them.  The record is dropped when another t is asked for, or when
+  `expand` finds no period within its max_terms; a reader that holds it
+  keeps it until it is done.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
-  convergents a_k/b_k.  `convergents` lists it, `evaluate` takes its last
+  convergents a_k/b_k of a given expansion (the record runs it on t's own
+  quotients).  `convergents` lists it, `evaluate` takes its last
   term, `value` solves a period's fixed point from its last two terms and
   maps the pre-period onto it, and `fundamental_interval` reads its
   endpoints a_m/b_m and (a_m + a_{m-1})/(b_m + b_{m-1}) off the same two.
@@ -95,91 +100,112 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
         return CFExpansion(lam0, tuple(coeffs))
     rec = _record(p, q, d, den)
     rec.fill(max_terms)
-    start, states = rec.start, rec.states
-    if start is None or len(states) > max_terms:
+    if rec.cf is None or len(rec.states) > max_terms:
         _record.cache_clear()  # a refused expansion keeps no walk
         raise PeriodNotFound(f"no period within {max_terms} terms")
-    lams = [lam for lam, _, _ in states]  # lambda_0, lambda_1, ...
-    return CFExpansion(lams[0], tuple(lams[1:start]), tuple(lams[start:]))
+    return rec.cf
 
 
 class _Record:
     """The orbit of one t = (p + q sqrt(d))/r, q != 0, as far as it has been
-    walked, in integers only.  `states` lists (lambda_j, P_j, Q_j) for
-    j = 0, 1, ..., where t = <lambda_0; lambda_1, ..., lambda_{j-1},
-    lambda_j + t_j> and t_j = (P_j + sqrt(D))/Q_j lies in (0, 1), with
-    D = q^2 d r^2.  Q_j divides D - P_j^2 throughout, so
-    1/t_j = (-P_j + sqrt(D))/Q' with Q' = (D - P_j^2)/Q_j, and
-    lambda_{j+1} = floor(1/t_j).
+    walked, and the convergents of t as far as they have been asked for, in
+    integers only.  `states` lists (lambda_j, P_j, Q_j) for j = 0, 1, ...,
+    where t = <lambda_0; lambda_1, ..., lambda_{j-1}, lambda_j + t_j> and
+    t_j = (P_j + sqrt(D))/Q_j lies in (0, 1), with D = q^2 d r^2.  Q_j
+    divides D - P_j^2 throughout, so 1/t_j = (-P_j + sqrt(D))/Q' with
+    Q' = (D - P_j^2)/Q_j, and lambda_{j+1} = floor(1/t_j).
 
-    `start` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i);
-    the walk stops there, at j = len(states) - 1, and start = i + 1: from
-    then on the states are states[start:] over and over.  The first pair to
-    repeat is the first one on the cycle, and by Galois's theorem t_j is on
-    the cycle exactly when 1/t_j is reduced, that is when its conjugate
-    (-P_j - sqrt(D))/Q' lies in (-1, 0): 0 < P_j + sqrt(D) < Q', or
-    0 <= P_j + floor(sqrt(D)) < Q' in integers.  So the walk keeps that one
-    pair, not every pair it saw.
+    `cf` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i); the
+    walk stops there, at j = len(states) - 1, and `cf` is t's expansion,
+    whose period starts at lambda_{i+1}: from then on the states are
+    states[i+1:] over and over.  The first pair to repeat is the first one
+    on the cycle, and by Galois's theorem t_j is on the cycle exactly when
+    1/t_j is reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
+    (-1, 0): 0 < P_j + sqrt(D) < Q', or 0 <= P_j + floor(sqrt(D)) < Q' in
+    integers.  So the walk keeps that one pair, not every pair it saw.
 
-    Each reader grows the record with one `fill` call, to the number of
-    states it needs.  Readers may share a record across threads: the walk
-    takes a lock, and `states` only grows."""
+    The continuants are the lists `lam`, `a` and `b`: lam[k] = lambda_k, and
+    a[k]/b[k] = a_k/b_k = <lambda_0; ..., lambda_{k-1}> from a_0/b_0 = 1/0
+    and a_1/b_1 = lambda_0/1, with a_{k+1} = lambda_k a_k + a_{k-1},
+    likewise b.  `extend_past(n)` grows them to the first k >= 4 with
+    b_k > n, reading lambda_k off the states, walked on one at a time only
+    as far as it reads them, and past the walk off the period.
 
-    __slots__ = ("states", "start", "_entry", "_next", "_D", "_root", "_lock")
+    Readers may share a record across threads: walks and growth take a
+    lock, the lists only grow, and `b` is appended last, so a reader that
+    sees b_k also sees a_k and lambda_{k-1}."""
+
+    __slots__ = ("states", "cf", "lam", "a", "b", "_entry", "_next", "_D", "_root", "_lock")
 
     def __init__(self, p: int, q: int, d: int, r: int):
-        self._lock = threading.Lock()
-        self.states: list[tuple[int, int, int]] = []
-        self.start = None
-        self._entry = None  # (P_i, Q_i, i + 1) of the first state on the cycle
+        # `extend_past` walks by `fill`, so the lock is reentrant
+        self.states, self._lock = [], threading.RLock()
+        # _entry is (P_i, Q_i, i + 1) of the first state on the cycle
+        self.cf = self._entry = None
         self._D = D = (q * r) ** 2 * d
-        self._root = math.isqrt(D)
+        self._root = root = math.isqrt(D)
+        # lambda_0 = floor((p r + q r sqrt(d))/r^2), and D is not a square
+        lam0 = (p * r + (root if q > 0 else -root - 1)) // (r * r)
+        self.lam, self.a, self.b = [lam0], [1, lam0], [0, 1]
         # the pair (P, Q) of lambda_j + t_j for the next j, before its floor
         self._next = (p * r, r * r) if q > 0 else (-p * r, -r * r)
+
+    def __iter__(self):
+        """(lambda_j, P_j, Q_j) for j = 0, 1, ..., with no end: the states,
+        walked on one at a time past the last one known while the period is
+        unknown, and once it is known the period over and over."""
+        if self.cf is None:
+            return self._walked()
+        start = len(self.cf.pre) + 1
+        return chain(islice(self.states, start), cycle(self.states[start:]))
+
+    def _walked(self):
+        """`__iter__` while the period is unknown."""
+        states, j = self.states, 0
+        while self.cf is None:
+            if j == len(states):
+                self.fill(j + 1)  # state j, and the period if it is j's
+            yield states[j]
+            j += 1
+        yield from islice(iter(self), j, None)
 
     def fill(self, m: int) -> None:
         """Walk on until m states are known or the period is."""
         states, D, root = self.states, self._D, self._root
         with self._lock:
-            k = len(states)
-            if self.start is not None or k >= m:
-                return
             (P, Q), entry = self._next, self._entry
             try:  # _next and _entry are written back on every exit
-                while k < m:
+                while len(states) < m and self.cf is None:
                     x = P + root  # lambda = floor((P + sqrt(D))/Q)
                     lam = x // Q if Q > 0 else (-x - 1) // -Q
                     P -= lam * Q
                     states.append((lam, P, Q))
-                    k += 1
                     Q1 = (D - P * P) // Q
                     if entry is None:
                         if 0 <= P + root < Q1:
-                            entry = P, Q, k
+                            entry = P, Q, len(states)
                     elif P == entry[0] and Q == entry[1]:
-                        self.start = entry[2]
+                        lams, s = [lam for lam, _, _ in states], entry[2]
+                        self.cf = CFExpansion(lams[0], tuple(lams[1:s]), tuple(lams[s:]))
                         return
                     P, Q = -P, Q1
             finally:
                 self._next, self._entry = (P, Q), entry
 
+    def extend_past(self, n: int) -> None:
+        """Grow the continuants to the first k >= 4 with b_k > n, as
+        `sums.OstrowskiTables.extend_past` grows the tables."""
+        lam, a, b = self.lam, self.a, self.b
+        with self._lock:
+            states = islice(iter(self), len(lam), None)
+            while len(b) < 5 or b[-1] <= n:
+                x = next(states)[0]
+                lam.append(x)
+                a.append(x * a[-1] + a[-2])
+                b.append(x * b[-1] + b[-2])
+
 
 _record = functools.lru_cache(maxsize=1)(_Record)
-
-
-def _orbit(t: QuadExt, m: int):
-    """Iterator of (lambda_j, P_j, Q_j) for j = 0, 1, ... (see `_Record`),
-    read from the record of t, grown once to m states or to its period.  It
-    yields at least the first m states: all the record holds while the
-    period is unknown, and once it is known the states and then the period
-    over and over, with no end."""
-    rec = _record(*_parts(t))
-    if rec.start is None:
-        rec.fill(m)
-    states, start = rec.states, rec.start
-    if start is None:
-        return iter(states)
-    return chain(islice(states, start), cycle(states[start:]))
 
 
 def _continuants(lambda0: int, lams):

@@ -95,7 +95,7 @@ def sample_bounded_cf(cutoff: int, m: int, seed: int) -> Scalar:
     period = tuple(rng.randint(1, cutoff - 1) for _ in range(max(m, 8)))
     t = cfrac.value(cfrac.CFExpansion(0, (), period))
     m = max(m, 1)
-    for j, (lam, _, _) in enumerate(islice(cfrac._orbit(t, m + 1), 1, m + 1), 1):
+    for j, (lam, _, _) in enumerate(islice(cfrac._record(*_parts(t)), 1, m + 1), 1):
         assert lam < cutoff, f"theta_{j} >= cutoff for sampled t"
     return t
 
@@ -136,7 +136,7 @@ def verify_ae_bound(n: int, epsilon, theta_of_n, t: Scalar,
     theta = float(theta_of_n)
     s_val = sums.ostrowski_S(n, t)[0]
     m = int(4 * math.log(n)) + 1
-    for j, (lam, _, _) in enumerate(islice(cfrac._orbit(t, m + 1), 1, m + 1), 1):
+    for j, (lam, _, _) in enumerate(islice(cfrac._record(*_parts(t)), 1, m + 1), 1):
         if cf is not None and lam != cf.coeff(j):
             raise ValueError(f"cf has lambda_{j} = {cf.coeff(j)}, t has {lam}")
         if lam > theta * j ** (1 + eps):

@@ -41,28 +41,33 @@ b_j <= n < b_{j+1}, and n' <= n - b_j, so m <= 2n - b_j + 1 < 2 b_{j+1}
 whenever b_j >= 1; and with t = <lambda_0; ..., lambda_{j-1}, lambda_j + t_j>,
 0 < t_j < 1, rho_j = 1/(b_{j+1} + b_j t_j) < 1/b_{j+1}, so 0 < rho_j m < 2,
 and rho_j m is irrational, so it is not 1.  The recursion therefore needs
-no bound beyond the convergents, and `OstrowskiTables` takes those from
-t's own orbit.  What the checks test is the tables: q = floor(n/b_j) <=
-lambda_j, which fails where lambda and b disagree.  They also keep the test
-m < 2 b_{j+1}, which holds by construction on every table whose b_j >= 1,
-as a guard against tampered tables.  `_ostrowski_F` is the one copy of the
-step, and every step it takes is checked: on tables built from t's orbit
-neither test can fail, so there is no unchecked mode to skip them.
+no bound beyond the convergents, and those are t's own: the orbit record
+`cfrac` keeps for the last t holds lambda_k, a_k and b_k, grown once per t
+to the first k >= 4 with b_k > n (`cfrac._Record.extend_past`), and the
+recursion reads them there; `OstrowskiTables` copies them out of it.  What
+the checks test is the tables: q = floor(n/b_j) <= lambda_j, which fails
+where lambda and b disagree.  They also keep the test m < 2 b_{j+1}, which
+holds by construction on every table whose b_j >= 1, as a guard against
+tampered tables.  `_ostrowski_F` is the one copy of the step, and every
+step it takes is checked: on the record's lists, or on tables copied from
+them, neither test can fail, so there is no unchecked mode to skip them.
 
 bseq_S is the alternative recursion through the Gauss-map orbit of t, an
 independent cross-check that uses no convergents and carries F in
-integers too.  Both read t's orbit as integer pairs (P_j, Q_j) from
-`cfrac._orbit`, so neither needs a period.  That orbit is walked once per
-t: `cfrac.expand`, the tables and the Gauss-map recursion all read the one
-orbit record `cfrac` keeps for the last t, so a query that expands t and
-runs both recursions makes each state of the orbit once.  Each read names
-how many states it needs, and the record is grown to that many in one
-walk: the Gauss-map recursion takes at most 2 n.bit_length() steps, as
-t_j t_{j+1} < 1/2 halves n_j every two steps, and the tables reach
-b_k > n within 2 n.bit_length() + 4 quotients, as b_k >= phi^(k-2).
+integers too.  It reads t's orbit as integer pairs (P_j, Q_j) from the
+same record, so it needs no period either.  That orbit is walked once per
+t: `cfrac.expand`, the continuants and the Gauss-map recursion all read
+the one record, so a query that expands t and runs both recursions makes
+each state of the orbit once.  No reader names a count of states: the
+record walks on as it is read, one state at a time, so the continuants
+walk the K states whose quotients b_K needs, and the Gauss-map recursion
+the states its steps read, at most the same K, as
+n_{j+1} <= n t_0 ... t_j = n rho_{j+1} < n/b_{j+2}.  A public call takes
+t's integer view `exactnum._parts` once and passes it to the record
+lookup and to `_values`.
 Each has an integer core that returns the int F(n,t) and its trace rows:
-`_ostrowski_F` sums the dF of the steps in one loop over tables grown
-once, to b_k > n, and `_bseq_F` takes F from the alternating sum G below,
+`_ostrowski_F` sums the dF of the steps in one loop over lists grown once,
+to b_k > n, and `_bseq_F` takes F from the alternating sum G below,
 with one isqrt per step, asserting the Bsequence estimate on the integer
 numerators of S.  ostrowski_S and bseq_S are `_values` of their cores, and
 `verify` compares the cores' ints with the `_floor_sums` prefix directly.
@@ -92,14 +97,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
 from operator import add, gt, index
 
 from . import cfrac
 from .errors import DomainError, NotIrrational, NotNeighbors
-from .exactnum import (Scalar, _exact, _floor_sqrt_times, _make, _parts, floor,
-                       is_rational)
+from .exactnum import Scalar, _exact, _floor_sqrt_times, _make, _parts, floor
 
 
 OstrowskiStep = namedtuple("OstrowskiStep", "j_star n_before n_after rho increment")
@@ -317,9 +321,8 @@ def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
     Ostrowski steps along its own orbit, where S0 = S as k t is never an
     integer."""
     parts = p, q, _, r = _parts(t)
-    if q:
-        return ostrowski_S(n, t)[0]
-    return _values(parts, [(n, floor_sum(n, p, r))], midpoint)[0]
+    F = _ostrowski_F(n, cfrac._record(*parts))[0] if q else floor_sum(n, p, r)
+    return _values(parts, [(n, F)], midpoint)[0]
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -347,49 +350,46 @@ def B_left(x: Scalar, t: Scalar) -> Scalar:
 
 
 class OstrowskiTables:
-    """Partial quotients lambda_k and convergents a_k/b_k of t, grown on
-    demand from t's own orbit (`cfrac._orbit`); ints only.  Amortizes the
-    expansion across an n-sweep.
+    """Partial quotients lambda_k and convergents a_k/b_k of t, ints only:
+    lam[k] = lambda_k for k < K and a[k], b[k] for k <= K, with K >= 4 the
+    first k with b_k > n for the largest n they were grown past.  t's orbit
+    record (`cfrac._Record`) holds the continuants, grown once per t; the
+    tables copy the prefix they need out of it each time they grow, so a
+    write into lam, a or b stays in these tables until they next grow and
+    never reaches the record.
 
     An expansion cf, if given, is a cross-check: the tables raise ValueError
     where its lambda_k differs from t's, and keep it as `cf`.  Nothing is
-    appended at a refused k, so it stays refused."""
+    copied at a refused growth, so it stays refused."""
 
     def __init__(self, t: Scalar, cf: cfrac.CFExpansion | None = None):
-        if is_rational(t) or (cf is not None and cf.is_finite):
+        parts = _parts(t)
+        if not parts[1] or (cf is not None and cf.is_finite):
             raise NotIrrational("Ostrowski recursion needs irrational t")
-        self.t = t
-        self.cf = cf
-        self.lam = []  # index k -> lambda_k
-        # a_{-1}, a_0 and b_{-1}, b_0 seed the recurrence at k = 0
-        self.a, self.b = [0, 1], [1, 0]
+        self.t, self.cf, self.lam, self._rec = t, cf, [], cfrac._record(*parts)
         self.extend_past(0)  # a mismatch in lambda_0..lambda_3 fails here
-        del self.a[0], self.b[0]
 
     def extend_past(self, n: int):
-        """Grow the tables until b_k > n, and at least to k = 4.  One read
-        of t's orbit from lambda_{len(lam)} on: b_k >= phi^(k-2), so b_k > n
-        within the first 2 n.bit_length() + 4 states."""
-        lams, a, b, cf = self.lam, self.a, self.b, self.cf
-        if b[-1] > n and len(lams) > 3:
+        """Grow the tables until b_k > n, and at least to k = 4, as copies of
+        the record's continuants, grown that far first.  Only the quotients
+        new to the tables are compared with cf, and none where cf is the
+        record's own expansion (`cfrac.expand`'s), as every lambda agrees."""
+        lam, rec, cf = self.lam, self._rec, self.cf
+        if len(lam) > 3 and self.b[-1] > n:
             return
-        k = len(lams)
-        orbit = islice(cfrac._orbit(self.t, 2 * n.bit_length() + 4), k, None)
-        wants = (repeat(None) if cf is None else
-                 islice(chain((cf.lambda0,), cf.pre, cycle(cf.period)), k, None))
-        for (lam, _, _), want in zip(orbit, wants):
-            if want is not None and lam != want:
-                raise ValueError("expansion does not match t")
-            lams.append(lam)
-            a.append(a[-2] + lam * a[-1])
-            b.append(b[-2] + lam * b[-1])
-            if b[-1] > n and len(lams) > 3:
-                return
+        rec.extend_past(n)
+        K, k = max(4, bisect_right(rec.b, n)), len(lam)
+        if cf not in (None, rec.cf) and rec.lam[k:K] != [
+                cf.coeff(j) if j else cf.lambda0 for j in range(k, K)]:
+            raise ValueError("expansion does not match t")
+        self.lam, self.a, self.b = rec.lam[:K], rec.a[:K + 1], rec.b[:K + 1]
 
 
 def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
     """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
-    its trace rows (j, n, n', dF), one per checked step; ints only.  The one
+    its trace rows (j, n, n', dF), one per checked step; ints only.  `tab` is
+    an `OstrowskiTables`, or t's orbit record, which holds the same lists
+    lam, a and b and grows them by the same extend_past.  The one
     Ostrowski step of the library: j = j*(n), the rightmost j with
     b_j <= n, by bisecting b, then n -> n' = n mod b_j and
     dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2 with q = floor(n/b_j)
@@ -397,7 +397,9 @@ def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
     which holds by construction wherever b_j >= 1 (module docstring) and
     guards against tampered tables; each raises AssertionError naming the n
     of the failing step.  The tables are grown once: n only decreases, so
-    b_k > n holds at every step."""
+    b_k > n holds at every step.  ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     tab.extend_past(n)
     lam, a, b = tab.lam, tab.a, tab.b
     rows = []
@@ -425,21 +427,23 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
 
     cf, if given, cross-checks the expansion (see `OstrowskiTables`).
     `tables`, if given, must have been built for this t, and for this cf
-    when cf is given; ValueError otherwise.  The trace keeps (j, n, n', dF)
-    per step."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    tab = OstrowskiTables(t, cf) if tables is None else tables
-    if tables is not None and (tab.t != t or (cf is not None and tab.cf != cf)):
-        raise ValueError("tables were built for another t or expansion")
-
+    when cf is given; ValueError otherwise.  Without them the recursion
+    reads t's orbit record, where cf is None or the record's own expansion
+    (`cfrac.expand`'s), which needs no check, and tables of its own
+    otherwise.  ValueError for n < 0.  The trace keeps (j, n, n', dF) per
+    step."""
     parts = _parts(t)
+    if tables is None:  # t's record itself, where there is no other cf to check
+        rec = parts[1] and cfrac._record(*parts)
+        tables = rec if rec and cf in (None, rec.cf) else OstrowskiTables(t, cf)
+    elif tables.t != t or (cf is not None and tables.cf != cf):
+        raise ValueError("tables were built for another t or expansion")
 
     def step(j, n, n2, dF):
         S, S2 = _values(parts, [(n, dF), (n2, 0)])
-        return OstrowskiStep(j, n, n2, abs(tab.b[j] * tab.t - tab.a[j]), S - S2)
+        return OstrowskiStep(j, n, n2, abs(tables.b[j] * t - tables.a[j]), S - S2)
 
-    F, rows = _ostrowski_F(n, tab)
+    F, rows = _ostrowski_F(n, tables)
     return _values(parts, [(n, F)])[0], _trace(step, rows)
 
 
@@ -526,9 +530,7 @@ def _bseq_F(n: int, t: Scalar, parts=None) -> tuple[int, list[tuple]]:
     parts = _, q, d, r = parts or _parts(t)
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
-    # t_j t_{j+1} = t_{j+1}/(lambda_{j+1} + t_{j+1}) < 1/2, so n_j halves
-    # every two steps: at most 2 n.bit_length() steps, one state each
-    orbit = cfrac._orbit(t, 2 * n.bit_length() + 1)
+    orbit = iter(cfrac._record(*parts))  # walked on as the steps read it
     lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
     if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")
@@ -557,8 +559,8 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     the value of F(n,t) from `_bseq_F`.
 
     Theorem 2.1(b) gives S(n,t) = sum over j of (-1)^j (n_j eta_tilde(t_j n_j)
-    + frac(t_j n_j)/2).  The orbit comes from `cfrac._orbit` as integer
-    pairs, t_j = (P_j + sqrt(D))/Q_j with D = q^2 d r^2, and with them
+    + frac(t_j n_j)/2).  The orbit comes from t's record in `cfrac` as
+    integer pairs, t_j = (P_j + sqrt(D))/Q_j with D = q^2 d r^2, and with them
     lambda_{j+1} = floor(1/t_j).  With m_j = n_{j+1}, the j-th term is
     t_j n_j(n_j+1)/2 + t_{j+1} m_j(m_j+1)/2
     + (m_j(m_j+1) lambda_{j+1} - (2m_j+1) n_j - m_j)/2, and the t parts cancel

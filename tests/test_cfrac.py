@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import math
+import random
 import sys
 import threading
 from fractions import Fraction as F
@@ -27,9 +29,15 @@ def theta_sequence(t, m):
     return out
 
 
+def _states(t):
+    """The states (lambda_j, P_j, Q_j) of t's orbit record, read as the
+    library's readers read them: the record walks on as they are read."""
+    return iter(cfrac._record(*_parts(t)))
+
+
 def _reference_orbit(t):
     """A fresh integer walk of t's orbit, with no record: yields
-    (lambda_j, P_j, Q_j) for j = 0, 1, ... as `cfrac._orbit` must."""
+    (lambda_j, P_j, Q_j) for j = 0, 1, ... as `_states` must."""
     p, q, d, r = _parts(t)
     D = (q * r) ** 2 * d
     root = math.isqrt(D)
@@ -145,7 +153,7 @@ class TestOrbit:
     @settings(max_examples=200, deadline=None)
     def test_states_are_the_complete_quotients(self, t, m):
         D = (t.q * t.r) ** 2 * t.d
-        orbit = list(itertools.islice(cfrac._orbit(t, m + 1), m + 1))
+        orbit = list(itertools.islice(_states(t), m + 1))
         assert orbit[0][0] == floor(t)
         for (lam, P, Q), theta in zip(orbit[1:], theta_sequence(t, m)):
             assert (D - P * P) % Q == 0
@@ -160,8 +168,8 @@ PRE_PERIOD = cfrac.value(CFExpansion(0, (1, 1), (1, 2)))
 
 
 class TestOrbitRecord:
-    """`cfrac._orbit` reads one record per t; every reader must see what a
-    fresh walk of t's orbit gives, however the readers interleave."""
+    """One record per t; every reader must see what a fresh walk of t's
+    orbit gives, however the readers interleave."""
 
     @given(quadratic_irrationals(), quadratic_irrationals(),
            st.integers(1, 90), st.integers(0, 90))
@@ -174,16 +182,16 @@ class TestOrbitRecord:
         want1 = list(itertools.islice(_reference_orbit(t1), m))
         want2 = list(itertools.islice(_reference_orbit(t2), m))
         cfrac._record.cache_clear()
-        stopped = cfrac._orbit(t1, m)  # a reader stopped partway
+        stopped = _states(t1)  # a reader stopped partway
         head = list(itertools.islice(stopped, min(stop, m)))
         # two readers of one record, interleaved state by state
-        x, y = cfrac._orbit(t1, m), cfrac._orbit(t1, m)
+        x, y = _states(t1), _states(t1)
         pairs = [(next(x), next(y)) for _ in range(m // 2)]
         assert [u for u, _ in pairs] == [v for _, v in pairs] == want1[:m // 2]
         # t1, t2, t1: t2 evicts t1's record, and t1's readers stay valid
-        assert list(itertools.islice(cfrac._orbit(t2, m), m)) == want2
+        assert list(itertools.islice(_states(t2), m)) == want2
         assert list(itertools.islice(x, m - m // 2)) == want1[m // 2:]
-        assert list(itertools.islice(cfrac._orbit(t1, m), m)) == want1
+        assert list(itertools.islice(_states(t1), m)) == want1
         assert head + list(itertools.islice(stopped, m - len(head))) == want1
         assert list(itertools.islice(y, m - m // 2)) == want1[m // 2:]
 
@@ -196,7 +204,7 @@ class TestOrbitRecord:
     def test_expand_refuses_a_record_grown_past_max_terms(self, t, max_terms,
                                                           more):
         cfrac._record.cache_clear()
-        list(itertools.islice(cfrac._orbit(t, max_terms + more), max_terms + more))
+        list(itertools.islice(_states(t), max_terms + more))
         try:
             expected = _reference_expand(t, max_terms)
         except PeriodNotFound:
@@ -206,19 +214,21 @@ class TestOrbitRecord:
             assert cfrac.expand(t, max_terms) == expected
 
     def test_one_fill_per_read(self, monkeypatch):
-        # a fresh record is grown by one walk to the m states asked for, and
-        # a record whose period is known is read with no walk at all
+        # a fresh record is walked one state per fill, as far as it is read
+        # and no further, and a record whose period is known is read with no
+        # walk at all
         calls = []
         fill = cfrac._Record.fill
         monkeypatch.setattr(cfrac._Record, "fill",
                             lambda rec, m: calls.append(m) or fill(rec, m))
         cfrac._record.cache_clear()
-        got = list(itertools.islice(cfrac._orbit(NO_PERIOD_WITHIN_64, 90), 90))
+        got = list(itertools.islice(_states(NO_PERIOD_WITHIN_64), 90))
         assert got == list(itertools.islice(_reference_orbit(NO_PERIOD_WITHIN_64), 90))
-        assert calls == [90]
+        assert calls == list(range(1, 91))
+        assert len(cfrac._record(*_parts(NO_PERIOD_WITHIN_64)).states) == 90
         cfrac.expand(PRE_PERIOD, 64)
         del calls[:]
-        got = list(itertools.islice(cfrac._orbit(PRE_PERIOD, 5), 40))
+        got = list(itertools.islice(_states(PRE_PERIOD), 40))
         assert got == list(itertools.islice(_reference_orbit(PRE_PERIOD), 40))
         assert calls == []
 
@@ -231,24 +241,42 @@ class TestOrbitRecord:
         assert cfrac._record.cache_info().currsize == 1
 
     def test_threads_share_a_record(self):
-        # more readers than cores on one record: half expand t, walking
-        # 1166 states in one go, half read 3000 states of it through
-        # `_orbit`; a thread switch is forced every few bytecodes
+        # more readers than cores on one record: a quarter expand t, walking
+        # 1166 states in one go, a quarter read 3000 states of it as the
+        # record walks on, and half grow tables of it to random n, up to
+        # 3700 continuants, past the walk and through the period; a thread
+        # switch is forced every few bytecodes
+        from remsum import sums
+
         t = QuadExt(0, 1, 1000033, 1)  # sqrt(1000033) = <1000; (1165 terms)>
         want = list(itertools.islice(_reference_orbit(t), 3000))
         cfrac._record.cache_clear()
         want_cf = cfrac.expand(t, 5000)
         assert len(want_cf.period) == 1165
+        conv = cfrac.convergents(want_cf, 4000)
+        lam = [want_cf.lambda0, *map(want_cf.coeff, range(1, 4001))]
+        a, b = [c.a for c in conv], [c.b for c in conv]
+        rng = random.Random(31)
+        ns = iter([10 ** rng.randint(0, 1900) + rng.randint(0, 999) for _ in range(16)])
+
+        def tables():
+            n = next(ns)
+            tab = sums.OstrowskiTables(t)
+            tab.extend_past(n)
+            K = max(4, bisect.bisect_right(b, n))
+            got.append((tab.lam, tab.a, tab.b) == (lam[:K], a[:K + 1], b[:K + 1]))
+
         got = []
         readers = [lambda: got.append(cfrac.expand(t, 5000) == want_cf),
-                   lambda: got.append(list(itertools.islice(cfrac._orbit(t, 3000), 3000)) == want)]
+                   lambda: got.append(list(itertools.islice(_states(t), 3000)) == want),
+                   tables, tables]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(4):
                 cfrac._record.cache_clear()
-                cfrac._orbit(t, 0)  # every thread reads this one record
-                threads = [threading.Thread(target=readers[i % 2]) for i in range(8)]
+                cfrac._record(*_parts(t))  # every thread reads this one record
+                threads = [threading.Thread(target=readers[i % 4]) for i in range(8)]
                 for th in threads:
                     th.start()
                 for th in threads:

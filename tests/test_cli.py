@@ -62,10 +62,15 @@ FAREY_DIGESTS = {
         "farey", "--n", "200", "--t", "quad:(-1+1*sqrt(5))/2"),
     "farey_rational.json.sha256": ("farey", "--n", "300", "--t", "rat:377/991"),
 }
-# a t with no period within 64 terms, every point brute-checked
+# a t with no period within 64 terms, every point brute-checked, and two t
+# up to n = 10^18, where only the two recursions run
 BENCH_DIGESTS = {
     "bench_long_period.csv.sha256": ("bench", "--t", LONG_PERIOD,
                                      "--n-max", "100000"),
+    "bench_golden_n1e18.csv.sha256": ("bench", "--t", "cf:0;(1)",
+                                      "--n-max", str(10 ** 18)),
+    "bench_preperiod_n1e18.csv.sha256": ("bench", "--t", "cf:0;2,(1,3,7)",
+                                         "--n-max", str(10 ** 18)),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from remsum import cfrac, sums, verify
 from remsum.errors import DomainError, NotIrrational, NotNeighbors
-from remsum.exactnum import QuadExt, beta, beta0, floor, is_rational
+from remsum.exactnum import QuadExt, _parts, beta, beta0, floor, is_rational
 from remsum.limits import eta_tilde
 
 
@@ -718,9 +718,10 @@ def slow_orbits(draw):
 
 
 class TestOrbitReadBounds:
-    """Each reader of `cfrac._orbit` names how many states it needs; a bound
-    that is too small would show as tables cut short or a recursion that
-    runs out of states."""
+    """The record walks t's orbit only as far as its readers read it: the
+    tables to the first b_k > n, the Gauss-map recursion to its last step.
+    A walk cut short would show as tables cut short or a recursion that
+    runs out of states, and one too long as states that nobody read."""
 
     @pytest.mark.parametrize("cf, limit", [
         (cfrac.CFExpansion(0, (), (1,)), 10 ** 300),  # golden
@@ -744,6 +745,70 @@ class TestOrbitReadBounds:
         F, rows = sums._bseq_F(n, t)
         assert len(rows) <= 2 * n.bit_length()
         assert F == sums._ostrowski_F(n, sums.OstrowskiTables(t))[0]
+
+    # sqrt(10^9 + 7 + 2k)/(40000 + k) - floor, long periods, on fresh records
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 49])
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 18, 10 ** 60])
+    def test_walks_only_the_states_read(self, k, n):
+        t = QuadExt(0, 1, 10 ** 9 + 7 + 2 * k, 40000 + k)
+        t = t - floor(t)
+        cfrac._record.cache_clear()
+        rec = cfrac._record(*_parts(t))
+        F, rows = sums._bseq_F(n, t)
+        assert rec.cf is None  # no period within the states read
+        assert len(rec.states) == len(rows) + 1  # states 0..len(rows)
+        tab = sums.OstrowskiTables(t)
+        tab.extend_past(n)
+        # the tables read lambda_0..lambda_{K-1}, one state each
+        assert len(rec.states) == max(len(rows) + 1, len(tab.lam))
+        assert F == sums._ostrowski_F(n, tab)[0]
+
+
+class TestSharedRecord:
+    """The tables of t copy their prefix out of t's one orbit record, and
+    the recursions read the record itself: neither sees the other's reads
+    or writes."""
+
+    @given(expansions(max_quotient=20), expansions(max_quotient=20),
+           st.booleans(), st.lists(st.integers(0, 10 ** 40), min_size=1, max_size=6),
+           st.sampled_from(["rising", "falling", "repeated"]))
+    @settings(max_examples=80, deadline=None)
+    def test_two_t_interleaved(self, t_cf1, t_cf2, with_cf, ns, order):
+        # the two records evict each other at every call: each table grows
+        # from the record it was made with, and the recursions from t's own
+        ns = {"rising": sorted(ns), "falling": sorted(ns, reverse=True),
+              "repeated": [ns[0]] * len(ns)}[order]
+        cfrac._record.cache_clear()
+        pairs = [(t, cf, sums.OstrowskiTables(t, cf if with_cf else None),
+                  _reference_tables(cf, max(ns))) for t, cf in (t_cf1, t_cf2)]
+        past = 0
+        for n in ns:
+            past = max(past, n)
+            for t, cf, tab, want in pairs:
+                tab.extend_past(n)
+                assert (tab.lam, tab.a, tab.b) == want(past)
+                assert (sums.exact_S(n, t) == sums.ostrowski_S(n, t, cf)[0]
+                        == sums.ostrowski_S(n, t, tables=tab)[0])
+
+    def test_a_write_stays_in_its_tables(self):
+        # sqrt(2) - 1 with b_7 = 68 written over 169 in one table: every
+        # other reader of t sees b_7 = 169, and the table sees 68 until it
+        # grows
+        t, n_max = QuadExt(-1, 1, 2, 1), 200
+        want = _reference_tables(cfrac.CFExpansion(0, (), (2,)), 10 ** 6)
+        tab = sums.OstrowskiTables(t)
+        tab.extend_past(n_max)
+        tab.b[7] = 68
+        fresh = sums.OstrowskiTables(t)
+        fresh.extend_past(n_max)
+        assert (fresh.lam, fresh.a, fresh.b) == want(n_max) and fresh.b[7] == 169
+        F = [0, *sums._floor_sums(t, n_max)]
+        assert sums._sweep(sums.OstrowskiTables(t), n_max)[0] == F
+        assert [sums.exact_S(n, t) for n in range(n_max + 1)] == sums._prefix(t, F)[:]
+        assert sums._sweep(tab, n_max) != sums._sweep(fresh, n_max)
+        assert tab.b[7] == 68
+        tab.extend_past(10 ** 6)  # a growth copies the record's prefix again
+        assert (tab.lam, tab.a, tab.b) == want(10 ** 6)
 
 
 class TestIntegerCores:
