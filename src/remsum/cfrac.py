@@ -21,8 +21,9 @@ Everything here is read off one of two integer walks.
   `expand` finds no period within its max_terms; a reader that holds it
   keeps it until it is done.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
-  convergents a_k/b_k of a given expansion (the record runs it on t's own
-  quotients).  `convergents` lists it, `evaluate` takes its last
+  convergents a_k/b_k of a given expansion (the record's `extend_past`
+  runs the same recurrence itself, as it appends to its lists).
+  `convergents` lists it, `evaluate` takes its last
   term, `value` solves a period's fixed point from its last two terms and
   maps the pre-period onto it, and `fundamental_interval` reads its
   endpoints a_m/b_m and (a_m + a_{m-1})/(b_m + b_{m-1}) off the same two.
@@ -88,15 +89,12 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     p, q, d, den = _parts(t)
-    if not q:
-        lam0 = p // den
+    if not q:  # Euclid on p/den
+        lam0, num = divmod(p, den)
         coeffs = []
-        num = p - lam0 * den
         while num:
-            num, den = den, num
-            c, r = divmod(num, den)
+            den, (c, num) = num, divmod(den, num)
             coeffs.append(c)
-            num = r
         return CFExpansion(lam0, tuple(coeffs))
     rec = _record(p, q, d, den)
     rec.fill(max_terms)
@@ -142,13 +140,13 @@ class _Record:
         self.states, self._lock = [], threading.RLock()
         # _entry is (P_i, Q_i, i + 1) of the first state on the cycle
         self.cf = self._entry = None
-        self._D = D = (q * r) ** 2 * d
-        self._root = root = math.isqrt(D)
-        # lambda_0 = floor((p r + q r sqrt(d))/r^2), and D is not a square
-        lam0 = (p * r + (root if q > 0 else -root - 1)) // (r * r)
-        self.lam, self.a, self.b = [lam0], [1, lam0], [0, 1]
+        self._D = (q * r) ** 2 * d
+        self._root = math.isqrt(self._D)
         # the pair (P, Q) of lambda_j + t_j for the next j, before its floor
         self._next = (p * r, r * r) if q > 0 else (-p * r, -r * r)
+        self.fill(1)  # state 0, and lambda_0 with it
+        lam0 = self.states[0][0]
+        self.lam, self.a, self.b = [lam0], [1, lam0], [0, 1]
 
     def __iter__(self):
         """(lambda_j, P_j, Q_j) for j = 0, 1, ..., with no end: the states,
@@ -163,10 +161,11 @@ class _Record:
         """`__iter__` while the period is unknown."""
         states, j = self.states, 0
         while self.cf is None:
-            if j == len(states):
-                self.fill(j + 1)  # state j, and the period if it is j's
-            yield states[j]
-            j += 1
+            if j < len(states):
+                yield states[j]
+                j += 1
+            else:  # walk state j; a walk elsewhere may find the period first
+                self.fill(j + 1)
         yield from islice(iter(self), j, None)
 
     def fill(self, m: int) -> None:
@@ -196,13 +195,14 @@ class _Record:
         """Grow the continuants to the first k >= 4 with b_k > n, as
         `sums.OstrowskiTables.extend_past` grows the tables."""
         lam, a, b = self.lam, self.a, self.b
-        with self._lock:
-            states = islice(iter(self), len(lam), None)
-            while len(b) < 5 or b[-1] <= n:
-                x = next(states)[0]
-                lam.append(x)
-                a.append(x * a[-1] + a[-2])
-                b.append(x * b[-1] + b[-2])
+        if len(b) < 5 or b[-1] <= n:  # and again under the lock
+            with self._lock:
+                states = islice(iter(self), len(lam), None)
+                while len(b) < 5 or b[-1] <= n:
+                    x = next(states)[0]
+                    lam.append(x)
+                    a.append(x * a[-1] + a[-2])
+                    b.append(x * b[-1] + b[-2])
 
 
 _record = functools.lru_cache(maxsize=1)(_Record)

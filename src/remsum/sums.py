@@ -385,12 +385,12 @@ class OstrowskiTables:
         self.lam, self.a, self.b = rec.lam[:K], rec.a[:K + 1], rec.b[:K + 1]
 
 
-def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
+def _ostrowski_F(n: int, tab: OstrowskiTables | cfrac._Record) -> tuple[int, list[tuple]]:
     """F(n,t) for n >= 0 and the t of `tab` by the Ostrowski recursion, with
     its trace rows (j, n, n', dF), one per checked step; ints only.  `tab` is
-    an `OstrowskiTables`, or t's orbit record, which holds the same lists
-    lam, a and b and grows them by the same extend_past.  The one
-    Ostrowski step of the library: j = j*(n), the rightmost j with
+    an `OstrowskiTables`, or t's orbit record `cfrac._Record`, which holds
+    the same lists lam, a and b and grows them by the same extend_past.
+    The one Ostrowski step of the library: j = j*(n), the rightmost j with
     b_j <= n, by bisecting b, then n -> n' = n mod b_j and
     dF = F(n,t) - F(n',t) = q (m a_j - b_j - (-1)^j)/2 with q = floor(n/b_j)
     and m = n + n' + 1.  Every step checks q <= lambda_j, and m < 2 b_{j+1},
@@ -402,8 +402,7 @@ def _ostrowski_F(n: int, tab: OstrowskiTables) -> tuple[int, list[tuple]]:
         raise ValueError("n must be >= 0")
     tab.extend_past(n)
     lam, a, b = tab.lam, tab.a, tab.b
-    rows = []
-    F = 0
+    rows, F = [], 0
     while n > 0:
         j = bisect_right(b, n) - 1
         bj = b[j]

@@ -286,6 +286,42 @@ class TestOrbitRecord:
             sys.setswitchinterval(interval)
         assert got == [True] * 32
 
+    def test_a_reader_at_the_period_waits_for_it(self):
+        # a walk elsewhere has appended the state that repeats, and holds the
+        # lock, but has not set cf yet; a reader that reaches the end of the
+        # states then must wait for the period and read on through it, not
+        # index past the states
+        t = PRE_PERIOD
+        want = list(itertools.islice(_reference_orbit(t), 20))
+        cfrac._record.cache_clear()
+        cf = cfrac.expand(t, 64)
+        L = len(cfrac._record(*_parts(t)).states)  # the repeat is state L - 1
+        appended, waiting = threading.Event(), threading.Event()
+
+        class Paused(list):
+            def append(self, state):
+                super().append(state)
+                if len(self) == L:  # the repeat: wait for the reader
+                    appended.set()
+                    assert waiting.wait(timeout=30)
+
+        class Record(cfrac._Record):
+            __slots__ = ()
+
+            def fill(self, m):
+                if m > L:  # the reader, before the lock
+                    waiting.set()
+                super().fill(m)
+
+        rec = Record(*_parts(t))
+        rec.states = Paused(rec.states)
+        writer = threading.Thread(target=cfrac._Record.fill, args=(rec, 64))
+        writer.start()
+        assert appended.wait(timeout=30) and rec.cf is None
+        assert list(itertools.islice(iter(rec), 20)) == want
+        writer.join(timeout=30)
+        assert not writer.is_alive() and rec.cf == cf
+
     def test_one_walk_serves_expand_and_both_recursions(self):
         from remsum import sums
 
