@@ -184,8 +184,9 @@ class _Record:
                         if 0 <= P + root < Q1:
                             entry = P, Q, len(states)
                     elif P == entry[0] and Q == entry[1]:
+                        # every lambda_j past lambda_0 is >= 1: no check
                         lams, s = [lam for lam, _, _ in states], entry[2]
-                        self.cf = CFExpansion(lams[0], tuple(lams[1:s]), tuple(lams[s:]))
+                        self.cf = CFExpansion._make((lams[0], tuple(lams[1:s]), tuple(lams[s:])))
                         return
                     P, Q = -P, Q1
             finally:
