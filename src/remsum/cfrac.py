@@ -11,15 +11,19 @@ Everything here is read off one of two integer walks.
   walk's next pair, t's expansion once the first pair repeats, and the
   continuants of t, lambda_k, a_k and b_k, as far as they have been asked
   for.  `expand` fills the record to its period and returns the expansion
-  it keeps.  Iterating the record reads its states and walks on one state
-  at a time as they are read, so the Gauss-map recursion of `sums` and the
-  checks of `measure` walk no state they do not read; past the period they
-  cycle through it.  `extend_past(n)` grows the continuants to the first
-  k >= 4 with b_k > n, by that same read: the Ostrowski recursion of
-  `sums` reads them from the record, and `sums.OstrowskiTables` copies
-  them.  The record is dropped when another t is asked for, or when
-  `expand` finds no period within its max_terms; a reader that holds it
-  keeps it until it is done.
+  it keeps.  The record is read one way, by index: its reader `read(j)`
+  yields the states from index j on, walking on one state at a time as they
+  are read while the period is unknown, and past the walk, once the period
+  is known, reading it by index arithmetic.  Iterating the record is the
+  reader from 0, so the Gauss-map recursion of `sums` and the checks of
+  `measure` walk no state they do not read.  `extend_past(n)` grows the
+  continuants to the first k >= 4 with b_k > n by the reader from the
+  first quotient they lack: the Ostrowski recursion of `sums` reads them
+  from the record, and `sums.OstrowskiTables` copies them.  The record is
+  dropped when another t is asked for, or when `expand` finds no period
+  within its max_terms; a reader that holds it keeps it until it is done.
+  The floor of a state, floor((P + sqrt(D))/Q) for Q of either sign, is
+  `_floor_over`, which the Gauss-map recursion of `sums` also takes.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
   convergents a_k/b_k of a given expansion (the record's `extend_past`
   runs the same recurrence itself, as it appends to its lists).
@@ -40,7 +44,7 @@ import re
 import threading
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, count, cycle, islice
+from itertools import chain, count, islice
 
 from .errors import PeriodNotFound
 from .exactnum import QuadExt, Scalar, _parts
@@ -104,6 +108,13 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
     return rec.cf
 
 
+def _floor_over(x: int, Q: int) -> int:
+    """floor((x + theta)/Q) for ints x and Q != 0 and an irrational theta in
+    (0, 1): the floor of (P + sqrt(D))/Q at x = P + floor(sqrt(D)), and of
+    (n P + n sqrt(D))/Q at x = n P + floor(n sqrt(D)), for either sign of Q."""
+    return x // Q if Q > 0 else (-x - 1) // -Q
+
+
 class _Record:
     """The orbit of one t = (p + q sqrt(d))/r, q != 0, as far as it has been
     walked, and the convergents of t as far as they have been asked for, in
@@ -116,7 +127,8 @@ class _Record:
     `cf` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i); the
     walk stops there, at j = len(states) - 1, and `cf` is t's expansion,
     whose period starts at lambda_{i+1}: from then on the states are
-    states[i+1:] over and over.  The first pair to repeat is the first one
+    states[i+1:] over and over, and `read` finds state j past the walk at
+    index s + (j - s) mod (len(states) - s), s = i + 1.  The first pair to repeat is the first one
     on the cycle, and by Galois's theorem t_j is on the cycle exactly when
     1/t_j is reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
     (-1, 0): 0 < P_j + sqrt(D) < Q', or 0 <= P_j + floor(sqrt(D)) < Q' in
@@ -126,12 +138,14 @@ class _Record:
     a[k]/b[k] = a_k/b_k = <lambda_0; ..., lambda_{k-1}> from a_0/b_0 = 1/0
     and a_1/b_1 = lambda_0/1, with a_{k+1} = lambda_k a_k + a_{k-1},
     likewise b.  `extend_past(n)` grows them to the first k >= 4 with
-    b_k > n, reading lambda_k off the states, walked on one at a time only
-    as far as it reads them, and past the walk off the period.
+    b_k > n, reading lambda_k off the states by the reader from
+    k = len(lam): walked on one at a time only as far as it reads them, and
+    past the walk off the period.
 
     Readers may share a record across threads: walks and growth take a
-    lock, the lists only grow, and `b` is appended last, so a reader that
-    sees b_k also sees a_k and lambda_{k-1}."""
+    lock, the lists only grow, `cf` is set after the last state is
+    appended, and `b` is appended last, so a reader that sees cf sees every
+    state, and one that sees b_k also sees a_k and lambda_{k-1}."""
 
     __slots__ = ("states", "cf", "lam", "a", "b", "_entry", "_next", "_D", "_root", "_lock")
 
@@ -148,25 +162,26 @@ class _Record:
         lam0 = self.states[0][0]
         self.lam, self.a, self.b = [lam0], [1, lam0], [0, 1]
 
-    def __iter__(self):
-        """(lambda_j, P_j, Q_j) for j = 0, 1, ..., with no end: the states,
-        walked on one at a time past the last one known while the period is
-        unknown, and once it is known the period over and over."""
-        if self.cf is None:
-            return self._walked()
-        start = len(self.cf.pre) + 1
-        return chain(islice(self.states, start), cycle(self.states[start:]))
-
-    def _walked(self):
-        """`__iter__` while the period is unknown."""
-        states, j = self.states, 0
+    def read(self, j: int = 0):
+        """(lambda_j, P_j, Q_j), (lambda_{j+1}, ...), ... with no end: the
+        record's one reader.  It yields each known state; while the period is
+        unknown, it walks the next one by `fill` under the lock and then looks
+        again, as a walk elsewhere may have set the period first.  Past the
+        walk, once the period is known, state j is at index
+        s + (j - s) mod (L - s), with s = len(cf.pre) + 1 the period's first
+        index and L = len(states), so a reader may start anywhere."""
+        states = self.states
         while self.cf is None:
             if j < len(states):
                 yield states[j]
                 j += 1
             else:  # walk state j; a walk elsewhere may find the period first
                 self.fill(j + 1)
-        yield from islice(iter(self), j, None)
+        s, L = len(self.cf.pre) + 1, len(states)  # cf is set after the last append
+        for j in count(j):
+            yield states[j if j < L else s + (j - s) % (L - s)]
+
+    __iter__ = read  # the states from index 0
 
     def fill(self, m: int) -> None:
         """Walk on until m states are known or the period is."""
@@ -175,8 +190,7 @@ class _Record:
             (P, Q), entry = self._next, self._entry
             try:  # _next and _entry are written back on every exit
                 while len(states) < m and self.cf is None:
-                    x = P + root  # lambda = floor((P + sqrt(D))/Q)
-                    lam = x // Q if Q > 0 else (-x - 1) // -Q
+                    lam = _floor_over(P + root, Q)  # floor((P + sqrt(D))/Q)
                     P -= lam * Q
                     states.append((lam, P, Q))
                     Q1 = (D - P * P) // Q
@@ -194,11 +208,12 @@ class _Record:
 
     def extend_past(self, n: int) -> None:
         """Grow the continuants to the first k >= 4 with b_k > n, as
-        `sums.OstrowskiTables.extend_past` grows the tables."""
+        `sums.OstrowskiTables.extend_past` grows the tables, reading lambda_k
+        from state k = len(lam) on."""
         lam, a, b = self.lam, self.a, self.b
         if len(b) < 5 or b[-1] <= n:  # and again under the lock
             with self._lock:
-                states = islice(iter(self), len(lam), None)
+                states = self.read(len(lam))
                 while len(b) < 5 or b[-1] <= n:
                     x = next(states)[0]
                     lam.append(x)

@@ -216,8 +216,12 @@ def cmd_plot(args) -> int:
     header, value = _plot_value(args, lo, hi, D)
     with _open_out(args.out) as out:
         print(header, file=out)
-        # i / D rounds correctly, as float(Fraction(i, D)) does
-        out.write("".join(["%.12g,%.12g\n" % (i / D, value(i)) for i in nums]))
+        # the rows are made and written 4096 at a time, so no grid is held
+        # whole; i / D rounds correctly, as float(Fraction(i, D)) does
+        h = nums.step
+        for k in range(nums.start, nums.stop, 4096 * h):
+            out.write("".join(["%.12g,%.12g\n" % (i / D, value(i))
+                               for i in range(k, min(k + 4096 * h, nums.stop), h)]))
     return EXIT_OK
 
 

@@ -538,9 +538,8 @@ def _bseq_F(n: int, t: Scalar, parts=None) -> tuple[int, list[tuple]]:
     nj, sign, G, lam_sum = n, 1, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
-        # m = floor(t_j n_j) = floor((n_j P + floor(n_j sqrt(D)))/Q)
-        x = nj * P + isqrt(nj * nj * D)
-        m = x // Q if Q > 0 else (-x - 1) // -Q
+        # m = floor(t_j n_j) = floor((n_j P + n_j sqrt(D))/Q), one isqrt
+        m = cfrac._floor_over(nj * P + isqrt(nj * nj * D), Q)
         lam, P, Q = next(orbit)
         G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
         lam_sum += lam

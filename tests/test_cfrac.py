@@ -14,6 +14,7 @@ from remsum import cfrac
 from remsum.cfrac import CFExpansion
 from remsum.errors import PeriodNotFound
 from remsum.exactnum import QuadExt, _parts, floor
+from test_sums import expansions
 
 
 def theta_sequence(t, m):
@@ -231,6 +232,39 @@ class TestOrbitRecord:
         got = list(itertools.islice(_states(PRE_PERIOD), 40))
         assert got == list(itertools.islice(_reference_orbit(PRE_PERIOD), 40))
         assert calls == []
+
+    @given(expansions(min_pre=1))
+    @settings(max_examples=100, deadline=None)
+    @example((PRE_PERIOD, CFExpansion(0, (1, 1), (1, 2))))
+    @example((cfrac.value(CFExpansion(2, (7,), (1, 3, 1, 5))),
+              CFExpansion(2, (7,), (1, 3, 1, 5))))
+    def test_a_reader_from_any_start(self, t_cf):
+        # the reader from j yields states j, j + 1, ... of the orbit, for
+        # every j up to three periods past the walked states, on a fresh
+        # record, on one walked to its period, and on one whose continuants
+        # were grown first, in which case the reader starts past the walk
+        t, _ = t_cf
+        cf = _reference_expand(t, 64)
+        assume(cf.pre and len(cf.period) >= 2)
+        L, p = len(cf.pre) + len(cf.period) + 1, len(cf.period)
+        want = list(itertools.islice(_reference_orbit(t), L + 6 * p + 1))
+
+        def walked():
+            cfrac._record.cache_clear()
+            cfrac.expand(t, 64)
+            return cfrac._record(*_parts(t))
+
+        def grown():  # lambda_k read on from k = len(lam), through the period
+            rec = cfrac._Record(*_parts(t))
+            rec.extend_past(10 ** 18)
+            orbit = itertools.islice(_reference_orbit(t), len(rec.lam))
+            assert rec.lam == [lam for lam, _, _ in orbit]
+            return rec
+
+        for record in (lambda: cfrac._Record(*_parts(t)), walked, grown):
+            for j in range(L + 3 * p + 1):
+                got = list(itertools.islice(record().read(j), 2 * p + 1))
+                assert got == want[j:j + 2 * p + 1], (record, j)
 
     def test_a_refused_expansion_keeps_no_walk(self):
         # 2000 states of sqrt(10^9 + 7)/40000 and no period among them

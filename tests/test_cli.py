@@ -339,6 +339,23 @@ class TestPlot:
         want = (DATA / name).read_text().split()[0]
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
+    def test_rows_are_written_as_they_are_made(self, monkeypatch):
+        # 100001 rows reach the stream in pieces of at most 4096 rows each,
+        # and together they are the bytes of the whole grid joined at once
+        class Recording(io.StringIO):
+            def write(self, text):
+                pieces.append(text.count("\n"))
+                return super().write(text)
+
+        pieces, out = [], Recording()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["plot", "--which", "eta", "--range", "0:1",
+                         "--step", "1e-5"]) == 0
+        want = "x,value\n" + "".join("%.12g,%.12g\n" % (i / 10 ** 5, cli._eta_float(i, 10 ** 5))
+                                      for i in range(10 ** 5 + 1))
+        assert out.getvalue() == want
+        assert sum(pieces) == 10 ** 5 + 2 and max(pieces) <= 4096
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "eta.csv"
         code, out, _ = run(capsys, "plot", "--which", "eta", "--range", "0:1",

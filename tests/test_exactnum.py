@@ -436,6 +436,19 @@ class TestFloatBoundary:
         _assert_float_nearest(x)
         _assert_to_float_nearest(x, 100)
 
+    # the bracket every float of an irrational is read off, checked by exact
+    # compares: x 2^e lies in [m, m + 1) and |x| 2^e >= 2^bits, for (p, q, r)
+    # reduced or scaled by k
+    @given(irrationals(), st.integers(1, 1000), st.integers(53, 200))
+    @example(QuadExt(-16616132878186749607, 11749380235262596085, 2, 2 ** 1060), 1, 53)
+    @example(QuadExt(2 ** 53 + 1 - 2140758220993, 1513744654945, 2, 2 ** 53), 7, 200)
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_floor_brackets_x(self, x, k, bits):
+        m, e = exactnum._scaled_floor(k * x.p, k * x.q, x.d, k * x.r, bits)
+        scaled = x * F(2) ** e
+        assert m <= scaled < m + 1
+        assert abs(scaled) >= 2 ** bits
+
     def test_golden_residues(self):
         # rho_k = |b_k t - a_k| > 0 for the convergents a_k/b_k of t = GOLDEN
         cf = cfrac.expand(GOLDEN, 64)
