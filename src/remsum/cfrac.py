@@ -127,10 +127,10 @@ class _Record:
     `cf` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i); the
     walk stops there, at j = len(states) - 1, and `cf` is t's expansion,
     whose period starts at lambda_{i+1}: from then on the states are
-    states[i+1:] over and over, and `read` finds state j past the walk at
-    index s + (j - s) mod (len(states) - s), s = i + 1.  The first pair to repeat is the first one
-    on the cycle, and by Galois's theorem t_j is on the cycle exactly when
-    1/t_j is reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
+    states[i+1:] over and over, and `read` finds them there by index
+    arithmetic.  The first pair to repeat is the first one on the cycle,
+    and by Galois's theorem t_j is on the cycle exactly when 1/t_j is
+    reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
     (-1, 0): 0 < P_j + sqrt(D) < Q', or 0 <= P_j + floor(sqrt(D)) < Q' in
     integers.  So the walk keeps that one pair, not every pair it saw.
 
