@@ -12,8 +12,7 @@ from .errors import (BoundViolated, DomainError, IncompatibleField,
                      NotIrrational, NotMember, NotNeighbors, PeriodNotFound,
                      PoleAtOne, RemsumError, TooLarge)
 from .exactnum import (HALF, QuadExt, Scalar, as_fraction, beta, beta0, floor,
-                       format_scalar, is_integer, is_rational, parse_scalar,
-                       to_float)
+                       format_scalar, is_integer, is_rational, parse_scalar)
 
 __version__ = "0.1.0"
 
@@ -22,7 +21,7 @@ _LAZY = ("dirichlet", "farey", "limits", "measure", "verify")
 __all__ = [
     "cfrac", "dirichlet", "farey", "limits", "measure", "sums", "verify",
     "QuadExt", "Scalar", "HALF", "floor", "beta", "beta0", "as_fraction",
-    "is_integer", "is_rational", "to_float", "format_scalar", "parse_scalar",
+    "is_integer", "is_rational", "format_scalar", "parse_scalar",
     "RemsumError", "IncompatibleField", "PeriodNotFound", "NotIrrational",
     "DomainError", "NotNeighbors", "TooLarge", "BoundViolated", "NotMember",
     "PoleAtOne",

@@ -19,7 +19,8 @@ Everything here is read off one of two integer walks.
   `measure` walk no state they do not read.  `extend_past(n)` grows the
   continuants to the first k >= 4 with b_k > n by the reader from the
   first quotient they lack: the Ostrowski recursion of `sums` reads them
-  from the record, and `sums.OstrowskiTables` copies them.  The record is
+  from the record, and `sums.OstrowskiTables` copies them only to check a
+  caller's own expansion or to give a caller lists of its own.  The record is
   dropped when another t is asked for, or when `expand` finds no period
   within its max_terms; a reader that holds it keeps it until it is done.
   The floor of a state, floor((P + sqrt(D))/Q) for Q of either sign, is
@@ -169,7 +170,9 @@ class _Record:
         again, as a walk elsewhere may have set the period first.  Past the
         walk, once the period is known, state j is at index
         s + (j - s) mod (L - s), with s = len(cf.pre) + 1 the period's first
-        index and L = len(states), so a reader may start anywhere."""
+        index and L = len(states), so a reader may start anywhere: that
+        index is taken once, and from there the reader steps on and goes
+        back to s at L."""
         states = self.states
         while self.cf is None:
             if j < len(states):
@@ -178,8 +181,10 @@ class _Record:
             else:  # walk state j; a walk elsewhere may find the period first
                 self.fill(j + 1)
         s, L = len(self.cf.pre) + 1, len(states)  # cf is set after the last append
-        for j in count(j):
-            yield states[j if j < L else s + (j - s) % (L - s)]
+        j = j if j < L else s + (j - s) % (L - s)
+        while True:
+            yield states[j]
+            j = j + 1 if j + 1 < L else s
 
     __iter__ = read  # the states from index 0
 
@@ -207,9 +212,8 @@ class _Record:
                 self._next, self._entry = (P, Q), entry
 
     def extend_past(self, n: int) -> None:
-        """Grow the continuants to the first k >= 4 with b_k > n, as
-        `sums.OstrowskiTables.extend_past` grows the tables, reading lambda_k
-        from state k = len(lam) on."""
+        """Grow the continuants to the first k >= 4 with b_k > n, reading
+        lambda_k from state k = len(lam) on."""
         lam, a, b = self.lam, self.a, self.b
         if len(b) < 5 or b[-1] <= n:  # and again under the lock
             with self._lock:

@@ -91,11 +91,10 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction]:
         raise UsageError(f"cannot parse range {_echo(text)}")
     if hi < lo:
         raise UsageError("range must satisfy lo <= hi")
+    if max(-lo, hi) > sys.float_info.max:  # every x is printed as a float
+        raise UsageError(f"range must lie within the float range "
+                         f"(|x| <= {sys.float_info.max})")
     return lo, hi
-
-
-def _fmt_float(v: float) -> str:
-    return "%.12g" % v
 
 
 def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[int, range]:
@@ -142,19 +141,19 @@ def _write_json(rec, path=None) -> None:
 
 
 _METHODS = {
-    "brute": lambda n, t, tables: (sums.brute_S(n, t), None),
-    "ostrowski": lambda n, t, tables: sums.ostrowski_S(n, t, tables=tables),
-    "bseq": lambda n, t, tables: sums.bseq_S(n, t),
+    "brute": lambda n, t: (sums.brute_S(n, t), None),
+    "ostrowski": lambda n, t: sums.ostrowski_S(n, t),
+    "bseq": lambda n, t: sums.bseq_S(n, t),
 }
 
 
-def _evaluate(n: int, t: Scalar, methods=None, tables=None) -> tuple[dict, bool]:
+def _evaluate(n: int, t: Scalar, methods=None) -> tuple[dict, bool]:
     """S(n,t) by each method as {method: (S, trace)}, brute's trace None, and
     whether the values agree.  By default every method runs, brute (O(n))
     only up to _BRUTE_CHECK_CAP."""
     if methods is None:
         methods = [m for m in _METHODS if m != "brute" or n <= _BRUTE_CHECK_CAP]
-    results = {m: _METHODS[m](n, t, tables) for m in methods}
+    results = {m: _METHODS[m](n, t) for m in methods}
     first = results[methods[0]][0]
     return results, all(s == first for s, _ in results.values())
 
@@ -245,16 +244,18 @@ def cmd_bench(args) -> int:
     t = parse_tspec(args.t)
     if is_rational(t):
         raise UsageError("bench needs irrational t")
-    tab = sums.OstrowskiTables(t)
-    points = sorted({max(1, int(round(args.n_max ** (i / (args.points - 1)))))
-                     for i in range(args.points)}) if args.points > 1 else [args.n_max]
+    n_max, k = args.n_max, args.points - 1
+    if n_max > sys.float_info.max:  # the points below n_max are floats
+        raise UsageError(f"--n-max must be at most {sys.float_info.max}")
+    # n_max^(i/k) in floats for i < k, and the last point n_max itself
+    points = sorted({max(1, round(n_max ** (i / k))) for i in range(k)} | {n_max})
     # brute force checks every point up to the cap from one walk of the floor
     # sums, read at the sorted points
-    floors, walked = sums._floor_sums(t, min(args.n_max, _BRUTE_CHECK_CAP)), 0
+    floors, walked = sums._floor_sums(t, min(n_max, _BRUTE_CHECK_CAP)), 0
     with _open_out(args.out) as out:
         print("n,brute_ops,ostrowski_steps,bseq_steps,S", file=out)
         for n in points:
-            results, agree = _evaluate(n, t, ["ostrowski", "bseq"], tab)
+            results, agree = _evaluate(n, t, ["ostrowski", "bseq"])
             if n <= _BRUTE_CHECK_CAP:
                 F, walked = next(islice(floors, n - walked - 1, None)), n
                 agree = agree and sums._values(_parts(t), [(n, F)])[0] == results["ostrowski"][0]
@@ -276,7 +277,7 @@ def cmd_farey(args) -> int:
         count, identity = farey.farey_count(args.n, t, tables)
         rec = {"n": args.n, "t": format_scalar(t), "count": count,
                "identity": format_scalar(identity) if is_rational(identity)
-               else _fmt_float(float(identity)),
+               else "%.12g" % float(identity),
                "match": bool(identity == count)}
         _write_json(rec, args.out)
         return EXIT_OK if rec["match"] else EXIT_VERIFY_FAILED

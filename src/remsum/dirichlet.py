@@ -196,13 +196,6 @@ def _float_tables(t: Scalar, K: int):
     return _Pair((b0, s0))
 
 
-def beta0_float_table(t: Scalar, K: int) -> list[float]:
-    """[0.0, beta0(t), beta0(2t), ..., beta0(Kt)], each entry float() of the
-    exact value, computed in integers (`_float_tables`).  The table is retained
-    for the last (t, K); the list returned is a fresh copy."""
-    return list(_float_tables(t, K)[0])
-
-
 # -- series ----------------------------------------------------------------
 
 

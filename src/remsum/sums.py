@@ -12,7 +12,7 @@ them, or on the parts of an exact S, with one isqrt.
 s0_prefix and the S of ostrowski_sweep are read-only sequences built on
 read (`_Lazy`): each keeps the int list F(0..n_max, t), and an entry is
 made from (n, F(n,t)) by `_values` each time it is read, a slice or an
-iteration in bulk; two of one t and kind compare by their F lists.
+iteration in bulk.
 brute_S is the oracle: it sums the floors directly (over one period for
 rational t), as do brute_S0 and s0_prefix, all through the one loop
 `_floor_sums`, which reads floor(k t) off one fixed-point multiple of t,
@@ -44,13 +44,18 @@ and rho_j m is irrational, so it is not 1.  The recursion therefore needs
 no bound beyond the convergents, and those are t's own: the orbit record
 `cfrac` keeps for the last t holds lambda_k, a_k and b_k, grown once per t
 to the first k >= 4 with b_k > n (`cfrac._Record.extend_past`), and the
-recursion reads them there; `OstrowskiTables` copies them out of it.  What
-the checks test is the tables: q = floor(n/b_j) <= lambda_j, which fails
-where lambda and b disagree.  They also keep the test m < 2 b_{j+1}, which
-holds by construction on every table whose b_j >= 1, as a guard against
-tampered tables.  `_ostrowski_F` is the one copy of the step, and every
-step it takes is checked: on the record's lists, or on tables copied from
-them, neither test can fail, so there is no unchecked mode to skip them.
+recursion reads them there.  One rule, `_tables`, chooses what it reads:
+the record itself unless a caller's cf differs from the record's own
+expansion, where `OstrowskiTables` copies them out of it and checks that
+cf.  ostrowski_S (and with it the CLI's `sum` and `bench`) and
+ostrowski_sweep go through it; exact_S and `verify` read the record
+directly.  What the checks test is the tables: q = floor(n/b_j) <=
+lambda_j, which fails where lambda and b disagree.  They also keep the
+test m < 2 b_{j+1}, which holds by construction on every table whose
+b_j >= 1, as a guard against tampered tables.  `_ostrowski_F` is the one
+copy of the step, and every step it takes is checked: on the record's
+lists, or on tables copied from them, neither test can fail, so there is
+no unchecked mode to skip them.
 
 bseq_S is the alternative recursion through the Gauss-map orbit of t, an
 independent cross-check that uses no convergents and carries F in
@@ -116,14 +121,13 @@ class _Lazy:
     made from (i, rows[i]) each time it is read, len() builds nothing and a
     sequence that nobody reads builds no item at all.  Slices are lists;
     iteration builds 1024 items at a time, so it never holds them all.
-    Two sequences of one `key`, such as the S0 prefixes of one t, are equal
-    when their rows are, with no item built; against any other sequence or
-    a list the items are compared.  Unhashable, as a list is."""
+    Against another such sequence or a list the items are compared.
+    Unhashable, as a list is."""
 
-    __slots__ = ("rows", "_make", "_key")
+    __slots__ = ("rows", "_make")
 
-    def __init__(self, make, rows: list, key=None):
-        self.rows, self._make, self._key = rows, make, key
+    def __init__(self, make, rows: list):
+        self.rows, self._make = rows, make
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -139,8 +143,6 @@ class _Lazy:
             yield from self[i:i + 1024]
 
     def __eq__(self, other):
-        if isinstance(other, _Lazy) and self._key is not None and self._key == other._key:
-            return self.rows == other.rows
         return self[:] == other[:] if isinstance(other, (list, _Lazy)) else NotImplemented
 
 
@@ -234,9 +236,9 @@ def _values(parts: tuple[int, int, int, int], pairs, midpoint: bool = False) -> 
 
 def _prefix(t: Scalar, F: list[int], midpoint: bool = False) -> _Lazy:
     """S(n,t), or S0(n,t) if midpoint, for n = 0..len(F) - 1, as a read-only
-    sequence built on read from F[n] = F(n,t), keyed by t's parts."""
+    sequence built on read from F[n] = F(n,t)."""
     parts = _parts(t)
-    return _Lazy(lambda pairs: _values(parts, pairs, midpoint), F, (parts, midpoint))
+    return _Lazy(lambda pairs: _values(parts, pairs, midpoint), F)
 
 
 def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
@@ -353,10 +355,12 @@ class OstrowskiTables:
     """Partial quotients lambda_k and convergents a_k/b_k of t, ints only:
     lam[k] = lambda_k for k < K and a[k], b[k] for k <= K, with K >= 4 the
     first k with b_k > n for the largest n they were grown past.  t's orbit
-    record (`cfrac._Record`) holds the continuants, grown once per t; the
-    tables copy the prefix they need out of it each time they grow, so a
-    write into lam, a or b stays in these tables until they next grow and
-    never reaches the record.
+    record (`cfrac._Record`) holds the continuants, grown once per t, and
+    the recursions read them there (`_tables`); tables are built only to
+    check a caller's own cf, or for a caller that wants lists of its own.
+    They copy the prefix they need out of the record each time they grow,
+    so a write into lam, a or b stays in these tables until they next grow
+    and never reaches the record.
 
     An expansion cf, if given, is a cross-check: the tables raise ValueError
     where its lambda_k differs from t's, and keep it as `cf`.  Nothing is
@@ -383,6 +387,17 @@ class OstrowskiTables:
                 cf.coeff(j) if j else cf.lambda0 for j in range(k, K)]:
             raise ValueError("expansion does not match t")
         self.lam, self.a, self.b = rec.lam[:K], rec.a[:K + 1], rec.b[:K + 1]
+
+
+def _tables(t: Scalar, cf=None, parts=None) -> OstrowskiTables | cfrac._Record:
+    """The continuants the recursions read for t: t's orbit record itself
+    where cf is None or the record's own expansion (`cfrac.expand`'s), as
+    there is no other cf to check, and `OstrowskiTables(t, cf)`, which
+    checks cf against the record, otherwise.  `parts`, if given, is
+    `_parts(t)` as the caller holds it."""
+    parts = parts or _parts(t)
+    rec = parts[1] and cfrac._record(*parts)
+    return rec if rec and cf in (None, rec.cf) else OstrowskiTables(t, cf)
 
 
 def _ostrowski_F(n: int, tab: OstrowskiTables | cfrac._Record) -> tuple[int, list[tuple]]:
@@ -427,14 +442,11 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     cf, if given, cross-checks the expansion (see `OstrowskiTables`).
     `tables`, if given, must have been built for this t, and for this cf
     when cf is given; ValueError otherwise.  Without them the recursion
-    reads t's orbit record, where cf is None or the record's own expansion
-    (`cfrac.expand`'s), which needs no check, and tables of its own
-    otherwise.  ValueError for n < 0.  The trace keeps (j, n, n', dF) per
-    step."""
+    reads the continuants of `_tables(t, cf)`.  ValueError for n < 0.  The
+    trace keeps (j, n, n', dF) per step."""
     parts = _parts(t)
-    if tables is None:  # t's record itself, where there is no other cf to check
-        rec = parts[1] and cfrac._record(*parts)
-        tables = rec if rec and cf in (None, rec.cf) else OstrowskiTables(t, cf)
+    if tables is None:
+        tables = _tables(t, cf, parts)
     elif tables.t != t or (cf is not None and tables.cf != cf):
         raise ValueError("tables were built for another t or expansion")
 
@@ -446,7 +458,7 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     return _values(parts, [(n, F)])[0], _trace(step, rows)
 
 
-def _sweep(tab: OstrowskiTables, n_max: int):
+def _sweep(tab: OstrowskiTables | cfrac._Record, n_max: int):
     """F(n,t), the recursion depth and j*(n) for every n <= n_max, as int
     lists indexed by n: exactly what `_ostrowski_F(n, tab)` gives at each n,
     its F, its number of steps and the j of its first step, made a block at
@@ -509,24 +521,25 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    tab = OstrowskiTables(t, cf)
+    tab = _tables(t, cf)
     F, depth, js = _sweep(tab, n_max)
-    # index j -> (1/2) sum_{k<=j} lambda_k, summed in ints
-    half_sums = [Fraction(L, 2) for L in accumulate(tab.lam[1:], initial=0)]
+    # index j -> (1/2) sum_{k<=j} lambda_k, summed in ints, up to the largest
+    # j* read: the record's lists may have grown far past n_max
+    half_sums = [Fraction(L, 2) for L in accumulate(tab.lam[1:max(js) + 1], initial=0)]
     return _prefix(t, F), depth, [half_sums[j] for j in js]
 
 
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
-def _bseq_F(n: int, t: Scalar, parts=None) -> tuple[int, list[tuple]]:
+def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple]]:
     """F(n,t) by the Gauss-map recursion of `bseq_S`, with its trace rows
-    (j, n_j, P_j, Q_j); ints only.  The modified Bsequence estimate is
-    asserted on the numerators (u, v) of S(n,t), so no QuadExt is built.
-    `parts`, if given, is `_parts(t)` as the caller holds it."""
+    (j, n_j, P_j, Q_j); ints only, for the t of parts = `_parts(t)` as the
+    caller holds it.  The modified Bsequence estimate is asserted on the
+    numerators (u, v) of S(n,t), so no QuadExt is built."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    parts = _, q, d, r = parts or _parts(t)
+    _, q, d, r = parts
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
     orbit = iter(cfrac._record(*parts))  # walked on as the steps read it
@@ -570,7 +583,7 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
     """
     parts = _, q, d, r = _parts(t)
-    F, rows = _bseq_F(n, t, parts)
+    F, rows = _bseq_F(n, parts)
     s = abs(q) * r
 
     def step(j, nj, P, Q):

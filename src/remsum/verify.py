@@ -38,11 +38,11 @@ def suite_oracle(size: str = "quick", seed: int = 0) -> list[dict]:
     n_max = 2000 if size == "full" else 300
     checks = []
     for label, t in corpus().items():
-        tab = sums.OstrowskiTables(t)
-        detail = ""
+        parts = _parts(t)
+        rec, detail = cfrac._record(*parts), ""  # t's continuants
         for n, f_brute in enumerate(sums._floor_sums(t, n_max), 1):
-            f_ostrowski = sums._ostrowski_F(n, tab)[0]
-            f_bseq = sums._bseq_F(n, t)[0]
+            f_ostrowski = sums._ostrowski_F(n, rec)[0]
+            f_bseq = sums._bseq_F(n, parts)[0]
             if f_ostrowski != f_brute or f_bseq != f_brute:
                 off = [name for name, f in (("ostrowski", f_ostrowski),
                                             ("bseq", f_bseq)) if f != f_brute]
@@ -70,15 +70,14 @@ def _at_most_2logn(n: int, held: bool, L_j: int, u: int, v: int, d: int,
 def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     checks = []
     n_sweep = 100000 if size == "full" else 2000
-    t = corpus()["golden"]
-    tab = sums.OstrowskiTables(t)
-    F, depth, js = sums._sweep(tab, n_sweep)
+    parts = _, _, d, r = _parts(corpus()["golden"])
+    rec = cfrac._record(*parts)  # t's continuants
+    F, depth, js = sums._sweep(rec, n_sweep)
     # S(n,t) = (u + v sqrt(d))/(2r), each n's (u, v) computed once, against
     # the Snfinal bound (1/2) L_j, L_j = lambda_1 + ... + lambda_j, j = j*(n),
     # and against 2 log n for n >= 3
-    parts = _, _, d, r = _parts(t)
     r2 = 2 * r
-    L = list(accumulate(tab.lam[1:], initial=0))
+    L = list(accumulate(rec.lam[1:], initial=0))
     snfinal = log_ok = True
     uv = sums._numerators(parts, False, enumerate(F[1:], 1))
     for n, (u, v) in enumerate(uv, 1):
@@ -92,9 +91,10 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
 
     n_bseq = 2000 if size == "full" else 300
     ok = True
-    for label, t in corpus().items():
+    for t in corpus().values():
+        parts = _parts(t)
         for n in range(8, n_bseq + 1, 7):
-            if len(sums._bseq_F(n, t)[1]) > 4 * math.log(n):
+            if len(sums._bseq_F(n, parts)[1]) > 4 * math.log(n):
                 ok = False
     checks.append(_check("bseq-depth<=4logn", ok))
 

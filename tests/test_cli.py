@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remsum import cli, limits, measure, sums
-from remsum.exactnum import QuadExt
+from remsum.exactnum import QuadExt, format_scalar
 
 
 # t = sqrt(10^9 + 7)/40000: its expansion has no period within 64 terms
@@ -25,9 +26,8 @@ DATA = Path(__file__).parent / "data"
 # exact stdout of `sum ... --trace` for four t specs, n up to 10^15
 SUM_TRACES = json.loads((DATA / "sum_trace.json").read_text())
 
-# sha256 of the stdout of three plot grids, four Dirichlet records, two
-# Farey counting identities and one bench table; CI checks the same argv
-# with `sha256sum -c`
+# sha256 of the stdout of three plot grids, seven Dirichlet records, two
+# Farey counting identities and three bench tables, as `sha256sum` prints it
 PLOT_DIGESTS = {
     "plot_rescaled.csv.sha256": ("plot", "--which", "rescaled", "--range=-3:3",
                                  "--step", "1/7", "--a-over-b", "2/5",
@@ -55,6 +55,15 @@ DIRICHLET_DIGESTS = {
     "dirichlet_evidence_K131073.json.sha256": (
         "dirichlet", "--t", "cf:0;(1)", "--s", "0.7+2j", "--K", "131073",
         "--mode", "evidence"),
+    # the strip-mode tables at a K no benchmark workload reaches
+    "dirichlet_strip_K100000.json.sha256": (
+        "dirichlet", "--t", "cf:0;(1)", "--s", "0.5+3j", "--K", "100000"),
+    # the q_{k,0} tables through both phases of the Moebius build (slices,
+    # then groups), at a quadratic and at a rational t
+    "dirichlet_q_golden_K20000.json.sha256": (
+        "dirichlet", "--t", "cf:0;(1)", "--s", "2.5+1j", "--K", "20000", "--mode", "q"),
+    "dirichlet_q_rational_K20000.json.sha256": (
+        "dirichlet", "--t", "rat:377/991", "--s", "1.7-4j", "--K", "20000", "--mode", "q"),
 }
 # the counting identity at a quadratic t with negative q, and at a rational t
 FAREY_DIGESTS = {
@@ -78,6 +87,23 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--alphas", "9,9,9,9,9"),
+    ("dirichlet", "--t", "cf:0;(1)", "--s", "2+5j", "--K", "10000", "--mode", "beta"),
+])
+def test_runs_to_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err
+
+
+def test_readme_python_example_runs():
+    # the README's one Python example block, as printed there
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
 
 
 class TestTSpec:
@@ -202,6 +228,21 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error: argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("bench", "--t", "cf:0;(1)", "--n-max", str(10 ** 400)), "--n-max must be at most"),
+    # the first int above the largest float
+    (("bench", "--t", "cf:0;(1)", "--n-max", str(int(sys.float_info.max) + 1),
+      "--points", "1"), "--n-max must be at most"),
+    (("plot", "--which", "eta", "--range=1e400:1e400", "--step", "1"), "float range"),
+    (("plot", "--which", "etaprime", "--range=1e400:1e400", "--step", "1"), "float range"),
+    (("plot", "--which", "eta", "--range=-1e400:0", "--step", "1e399"), "float range"),
+], ids=["bench-1e400", "bench-past-max", "eta", "etaprime", "eta-negative"])
+def test_numbers_past_the_float_range_are_usage_errors(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("s_arg", ["--s=inf", "--s=-inf", "--s=2+infj"])
@@ -378,6 +419,12 @@ class TestVerify:
         assert rec["pass"] is True and rec["seed"] == 0
         assert all(c["pass"] for c in rec["checks"])
 
+    def test_full_report_matches_its_digest(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--size", "full", "--json")
+        assert code == 0
+        want = (DATA / "verify_all_full.json.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
     def test_json_reports_the_b0_mass_margin(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "measure", "--json")
         assert code == 0
@@ -523,6 +570,16 @@ class TestBench:
         assert code == 0
         want = (DATA / name).read_text().split()[0]
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("n_max", [10 ** 29, 2 ** 53 + 1])
+    def test_last_row_is_n_max(self, capsys, n_max):
+        # neither 10^29 nor 2^53 + 1 is a float: the last row is n_max itself
+        code, out, _ = run(capsys, "bench", "--t", "cf:0;(1)", "--n-max", str(n_max),
+                           "--points", "2")
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert code == 0 and [r[0] for r in rows] == ["1", str(n_max)]
+        want = sums.exact_S(n_max, QuadExt(-1, 1, 5, 2))
+        assert rows[-1][4] == format_scalar(want)
 
     def test_brute_column_is_one_walk(self, capsys, monkeypatch):
         # n_max terms in one walk, not the sum of the points; a floor one

@@ -96,12 +96,12 @@ class TestZeta:
 class TestTermTables:
     def test_beta0_table_matches_direct(self, corpus):
         t = corpus["golden"]
-        table = dirichlet.beta0_float_table(t, 50)
+        table = dirichlet._float_tables(t, 50)[0]
         for k in range(1, 51):
             assert abs(table[k] - float(beta0(k * t))) < 1e-15
 
     def test_rational_t_midpoint_terms(self):
-        table = dirichlet.beta0_float_table(F(1, 2), 6)
+        table = dirichlet._float_tables(F(1, 2), 6)[0]
         assert table[2] == table[4] == table[6] == 0.0
         assert table[1] == table[3] == 0.0  # beta0(1/2) = 0 too
 
@@ -120,7 +120,7 @@ class TestTermTables:
         want_s0 = [float(v).hex() for v in exact]
         want_b0 = [0.0.hex()] + [float(exact[k] - exact[k - 1]).hex()
                                  for k in range(1, K + 1)]
-        assert [v.hex() for v in dirichlet.beta0_float_table(t, K)] == want_b0
+        assert [v.hex() for v in dirichlet._float_tables(t, K)[0]] == want_b0
         assert [v.hex() for v in dirichlet._float_tables(t, K)[1]] == want_s0
 
     @pytest.mark.parametrize("t, K, floors, roundings", [
@@ -156,7 +156,7 @@ class TestTermTables:
         # each step changes t or K alone, so a memo keyed on the other fails
         for t, K in [(t1, 40), (t2, 40), (t1, 90), (t1, 40), (t2, 90)]:
             exact = want[t, K]
-            assert dirichlet.beta0_float_table(t, K) == \
+            assert dirichlet._float_tables(t, K)[0] == \
                 [0.0] + [float(exact[k] - exact[k - 1]) for k in range(1, K + 1)]
             assert list(dirichlet._float_tables(t, K)[1]) == [float(v) for v in exact]
             s = 2 + 0j
@@ -171,18 +171,6 @@ class TestTermTables:
         with pytest.raises(TooLarge) as info:
             dirichlet._float_tables(t, K)
         assert str(K) not in str(info.value)
-
-    def test_returned_table_is_a_copy(self, corpus):
-        t, K = corpus["sqrt3m1"], 120
-        tables = farey.build_tables(K)
-        before = (dirichlet.f_beta_partial(t, 0.7 + 3j, K),
-                  dirichlet.f_q_partial(t, 2, K, tables))
-        table = dirichlet.beta0_float_table(t, K)
-        table[1:] = [1.0] * K
-        table.append(5.0)
-        assert (dirichlet.f_beta_partial(t, 0.7 + 3j, K),
-                dirichlet.f_q_partial(t, 2, K, tables)) == before
-        assert dirichlet.beta0_float_table(t, K)[1] != 1.0
 
 
 def _q_reference(t, s, K, N):
@@ -421,10 +409,10 @@ class TestSeries:
                      lambda: dirichlet.f_beta_partial(t, 0.5 + 3j, K),
                      lambda: dirichlet.f_beta_mellin(t, 2, K),
                      lambda: dirichlet.f_q_partial(t, 2, K, tables),
-                     lambda: dirichlet.beta0_float_table(t, K)):
+                     lambda: dirichlet._float_tables(t, K)):
             with pytest.raises(ValueError, match="K must be >= 1"):
                 call()
-        assert dirichlet.beta0_float_table(t, 1) == [0.0, float(beta0(t))]
+        assert dirichlet._float_tables(t, 1)[0] == [0.0, float(beta0(t))]
 
 
 class TestKernelBits:

@@ -5,7 +5,7 @@ from itertools import accumulate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remsum import cfrac, sums, verify
+from remsum import cfrac, cli, sums, verify
 from remsum.exactnum import QuadExt, floor
 
 
@@ -84,3 +84,15 @@ def test_cheap_2logn_rule_never_accepts_what_the_isqrt_test_rejects(t, n_max):
         exact = sums._abs_at_most(u, v, d, 2 * r, *B.as_integer_ratio())
         assert not cheap or exact
         assert verify._at_most_2logn(n, held, L[js[n]], u, v, d, 2 * r) == exact
+
+
+def test_bench_and_the_oracle_and_bounds_suites_build_no_tables(capsys, monkeypatch):
+    # they read t's orbit record: tables are only for a caller's own cf
+    def refuse(*args):
+        raise AssertionError("OstrowskiTables built")
+
+    monkeypatch.setattr(sums.OstrowskiTables, "__init__", refuse)
+    for spec in ("cf:0;(1)", "quad:(0+1*sqrt(1000000007))/40000"):
+        assert cli.main(["bench", "--t", spec, "--n-max", "100000"]) == 0
+    assert all(verify.run_suite(name)["pass"] for name in ("oracle", "bounds"))
+    assert "cross-check" not in capsys.readouterr().err
