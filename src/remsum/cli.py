@@ -92,8 +92,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     if hi < lo:
         raise UsageError("range must satisfy lo <= hi")
     if max(-lo, hi) > sys.float_info.max:  # every x is printed as a float
-        raise UsageError(f"range must lie within the float range "
-                         f"(|x| <= {sys.float_info.max})")
+        raise UsageError(f"range must lie within the float range (|x| <= {sys.float_info.max})")
     return lo, hi
 
 
