@@ -234,10 +234,11 @@ def _values(parts: tuple[int, int, int, int], pairs, midpoint: bool = False) -> 
             for u, v in _numerators(parts, midpoint, pairs)]
 
 
-def _prefix(t: Scalar, F: list[int], midpoint: bool = False) -> _Lazy:
+def _prefix(parts: tuple[int, int, int, int], F: list[int],
+            midpoint: bool = False) -> _Lazy:
     """S(n,t), or S0(n,t) if midpoint, for n = 0..len(F) - 1, as a read-only
-    sequence built on read from F[n] = F(n,t)."""
-    parts = _parts(t)
+    sequence built on read from F[n] = F(n,t), for the t of
+    parts = `_parts(t)`."""
     return _Lazy(lambda pairs: _values(parts, pairs, midpoint), F)
 
 
@@ -287,7 +288,7 @@ def s0_prefix(t: Scalar, n_max: int) -> _Lazy:
     made from (n, F(n,t)) each time it is read.  ValueError for n_max < 0."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _prefix(t, [0, *_floor_sums(t, n_max)], midpoint=True)
+    return _prefix(_parts(t), [0, *_floor_sums(t, n_max)], midpoint=True)
 
 
 def floor_sum(n: int, a: int, b: int, c: int = 0) -> int:
@@ -389,13 +390,12 @@ class OstrowskiTables:
         self.lam, self.a, self.b = rec.lam[:K], rec.a[:K + 1], rec.b[:K + 1]
 
 
-def _tables(t: Scalar, cf=None, parts=None) -> OstrowskiTables | cfrac._Record:
+def _tables(t: Scalar, cf, parts) -> OstrowskiTables | cfrac._Record:
     """The continuants the recursions read for t: t's orbit record itself
     where cf is None or the record's own expansion (`cfrac.expand`'s), as
     there is no other cf to check, and `OstrowskiTables(t, cf)`, which
-    checks cf against the record, otherwise.  `parts`, if given, is
-    `_parts(t)` as the caller holds it."""
-    parts = parts or _parts(t)
+    checks cf against the record, otherwise.  parts = `_parts(t)`, as the
+    caller holds it."""
     rec = parts[1] and cfrac._record(*parts)
     return rec if rec and cf in (None, rec.cf) else OstrowskiTables(t, cf)
 
@@ -442,7 +442,7 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
     cf, if given, cross-checks the expansion (see `OstrowskiTables`).
     `tables`, if given, must have been built for this t, and for this cf
     when cf is given; ValueError otherwise.  Without them the recursion
-    reads the continuants of `_tables(t, cf)`.  ValueError for n < 0.  The
+    reads the continuants `_tables` chooses.  ValueError for n < 0.  The
     trace keeps (j, n, n', dF) per step."""
     parts = _parts(t)
     if tables is None:
@@ -521,12 +521,13 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    tab = _tables(t, cf)
+    parts = _parts(t)
+    tab = _tables(t, cf, parts)
     F, depth, js = _sweep(tab, n_max)
     # index j -> (1/2) sum_{k<=j} lambda_k, summed in ints, up to the largest
     # j* read: the record's lists may have grown far past n_max
     half_sums = [Fraction(L, 2) for L in accumulate(tab.lam[1:max(js) + 1], initial=0)]
-    return _prefix(t, F), depth, [half_sums[j] for j in js]
+    return _prefix(parts, F), depth, [half_sums[j] for j in js]
 
 
 # -- Gauss-map (Bsequence) recursion --------------------------------------

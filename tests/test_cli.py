@@ -492,8 +492,14 @@ class TestMeasureCommand:
         assert lines[1] == "2,1/2,1/4,1/2"
         assert lines[2] == "2;2,1/6,1/16,1/4"
 
-    def test_exact_output_past_the_int_str_limit(self, capsys):
-        code, out, _ = run(capsys, "measure", "--alphas", "3163,3163")
+    def test_exact_output_past_the_int_str_limit(self):
+        # in its own process, within 60 s, as the command runs
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "remsum", "measure", "--alphas", "3163,3163"],
+            capture_output=True, text=True, env=env, timeout=60)
+        code, out = proc.returncode, proc.stdout
         exact = measure.measure_exact((3163, 3163)).exact_measure
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # no limit

@@ -797,7 +797,7 @@ class TestSharedRecord:
         assert (fresh.lam, fresh.a, fresh.b) == want(n_max) and fresh.b[7] == 169
         F = [0, *sums._floor_sums(t, n_max)]
         assert sums._sweep(sums.OstrowskiTables(t), n_max)[0] == F
-        assert [sums.exact_S(n, t) for n in range(n_max + 1)] == sums._prefix(t, F)[:]
+        assert [sums.exact_S(n, t) for n in range(n_max + 1)] == sums._prefix(_parts(t), F)[:]
         assert sums._sweep(tab, n_max) != sums._sweep(fresh, n_max)
         assert tab.b[7] == 68
         tab.extend_past(10 ** 6)  # a growth copies the record's prefix again
