@@ -25,11 +25,10 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from . import cfrac, sums
 from .errors import BoundViolated, RemsumError
-from .exactnum import Scalar, _parts, format_scalar, is_rational, parse_scalar
+from .exactnum import Scalar, format_scalar, is_rational, parse_scalar
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -148,8 +147,9 @@ _METHODS = {
 
 def _evaluate(n: int, t: Scalar, methods=None) -> tuple[dict, bool]:
     """S(n,t) by each method as {method: (S, trace)}, brute's trace None, and
-    whether the values agree.  By default every method runs, brute (O(n))
-    only up to _BRUTE_CHECK_CAP."""
+    whether the values agree.  By default every method runs, brute (its n
+    floors counted a block at a time, O(sqrt(n)) steps) only up to
+    _BRUTE_CHECK_CAP."""
     if methods is None:
         methods = [m for m in _METHODS if m != "brute" or n <= _BRUTE_CHECK_CAP]
     results = {m: _METHODS[m](n, t) for m in methods}
@@ -248,16 +248,12 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--n-max must be at most {sys.float_info.max}")
     # n_max^(i/k) in floats for i < k, and the last point n_max itself
     points = sorted({max(1, round(n_max ** (i / k))) for i in range(k)} | {n_max})
-    # brute force checks every point up to the cap from one walk of the floor
-    # sums, read at the sorted points
-    floors, walked = sums._floor_sums(t, min(n_max, _BRUTE_CHECK_CAP)), 0
     with _open_out(args.out) as out:
         print("n,brute_ops,ostrowski_steps,bseq_steps,S", file=out)
         for n in points:
-            results, agree = _evaluate(n, t, ["ostrowski", "bseq"])
-            if n <= _BRUTE_CHECK_CAP:
-                F, walked = next(islice(floors, n - walked - 1, None)), n
-                agree = agree and sums._values(_parts(t), [(n, F)])[0] == results["ostrowski"][0]
+            # brute_S checks each point up to the cap, n floors counted a
+            # block at a time
+            results, agree = _evaluate(n, t)
             if not agree:
                 print(f"cross-check disagreement at n={n}", file=sys.stderr)
                 return EXIT_CROSSCHECK

@@ -48,9 +48,15 @@ class ArithTables(namedtuple("ArithTables", "N phi mu mertens phi_prefix")):
         return self.phi_prefix[x] if x >= 1 else 0
 
     def s_frac(self, x: int) -> Fraction:
-        """Exact s_x = sum of phi(k)/k for k <= x, summed for this x alone."""
-        return sum((Fraction(self.phi[k], k) for k in range(1, x + 1)),
-                   Fraction(0))
+        """Exact s_x = sum of phi(k)/k for k <= x, summed for this x alone:
+        the pairs (phi(k), k) are added pairwise as int pairs,
+        a/b + c/d = (a d + c b)/(b d), so that the products stay balanced,
+        and the sum is normalised once."""
+        pairs = [(self.phi[k], k) for k in range(1, x + 1)] or [(0, 1)]
+        while len(pairs) > 1:
+            pairs = [(a * d + c * b, b * d) for (a, b), (c, d)
+                     in zip(pairs[::2], pairs[1::2])] + pairs[len(pairs) & ~1:]
+        return Fraction(*pairs[0])
 
     @functools.cached_property
     def _s_fixed(self) -> list[int]:

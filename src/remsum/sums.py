@@ -14,10 +14,23 @@ read (`_Lazy`): each keeps the int list F(0..n_max, t), and an entry is
 made from (n, F(n,t)) by `_values` each time it is read, a slice or an
 iteration in bulk.
 brute_S is the oracle: it sums the floors directly (over one period for
-rational t), as do brute_S0 and s0_prefix, all through the one loop
-`_floor_sums`, which reads floor(k t) off one fixed-point multiple of t,
-carried by addition as a remainder mod 2^E and a count of wraps, and
-takes it exactly, with one isqrt, only where that bracket cannot decide it.
+rational t), as does brute_S0, B of them at a time, B about 2 sqrt(n), by
+`_floor_total`.  With t in fixed point as T/M (M = 2^E for irrational t,
+T/M = p/r for rational t), (f0, y0) = divmod(k0 T, M) at a block start k0
+and (u_i, v_i) = divmod(i T, M) for i <= B,
+
+    floor((k0 + i) T / M) = f0 + u_i + [y0 + v_i >= M],
+
+so a block sums to B f0 + sum u_i plus a count of the v_i >= M - y0, one
+bisection in the v_i sorted once per call.  For irrational t the
+fixed-point floor is floor(k t) wherever (y0 + v_i) mod M < M - n, and two
+more bisections check that for a whole block; a block they do not clear
+takes its floors exactly, with one isqrt each.  s0_prefix and the `verify`
+oracle need every F(k,t), and take it from the per-k loop `_floor_sums`,
+which reads floor(k t) off the same fixed-point multiple of t, carried by
+addition as a remainder mod 2^E and a count of wraps, and takes it exactly,
+with one isqrt, only where that bracket cannot decide it; `_floor_total`
+sums its first n mod B terms by that loop too.
 `exact_S` is the front door to S that B, B_left and the Theorem 2.1
 identities go through: for rational t = a/b, `floor_sum` gives F(n, a/b)
 in O(log b) steps, and irrational t goes to ostrowski_S.
@@ -99,7 +112,7 @@ built from it only when the trace is read, by the same `_Lazy` sequence.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -163,7 +176,10 @@ def _trace(step, rows: list[tuple]) -> SumTrace:
 
 
 def _floor_sums(t: Scalar, n: int):
-    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only.
+    """Yield F(k,t) = sum of floor(j t) for j <= k, for k = 1..n; ints only:
+    one step per k, for the readers of every F(k,t) (`s0_prefix`, the
+    `verify` oracle).  A reader of F(n,t) alone counts the floors B at a
+    time with `_floor_total`.
 
     Rational t = p/r takes floor(k p/r) directly.  Irrational t reads one
     fixed-point constant T = floor(t 2^E), E = 64 + n.bit_length(): t 2^E
@@ -203,6 +219,61 @@ def _floor_sums(t: Scalar, n: int):
         else:
             total += f
         yield total
+
+
+# the most terms one block of `_floor_total` counts at once
+_BLOCK_CAP = 4096
+
+
+def _floor_total(t: Scalar, n: int) -> int:
+    """F(n,t) = sum of floor(k t) over k <= n, for n >= 0, counted B terms
+    at a time; ints only, in O(B) memory.
+
+    T/M is t in fixed point: T = floor(t 2^E) over M = 2^E, E = 64 +
+    n.bit_length(), as `_floor_sums` takes it, for irrational t, and p/r
+    itself for rational t = p/r.  With (f0, y0) = divmod(k0 T, M) at a block
+    start k0 and (u_i, v_i) = divmod(i T, M) for 1 <= i <= B,
+
+        floor((k0 + i) T / M) = f0 + u_i + [y0 + v_i >= M],
+
+    so the block k0 + 1..k0 + B sums to B f0 + sum u_i + #{i : v_i >= M - y0},
+    one bisection in the v_i, sorted once per call.  Each block reads k0 in
+    closed form, so none carries a state to the next.
+
+    For irrational t, floor(k t) is that fixed-point floor unless its
+    bracket (k T, k T + k) reaches a multiple of M (`_floor_sums`), which
+    needs (y0 + v_i) mod M >= M - n: a block is safe when no v_i lies in
+    [M - n - y0, M - y0) or in [2M - n - y0, M), two bisections more.  An
+    unsafe block takes each of its floors exactly, with one isqrt.
+
+    The first n mod B terms are `_floor_sums`'.  B = 2 sqrt(n), at least
+    16 and at most 4096, balances the table against the blocks."""
+    B = min(_BLOCK_CAP, max(16, isqrt(4 * n)))
+    g = n % B
+    total = 0
+    for total in _floor_sums(t, g):
+        pass
+    if g == n:
+        return total
+    p, q, d, r = _parts(t)
+    if q:
+        E = 64 + n.bit_length()
+        M = 1 << E
+        T = ((p << E) + _floor_sqrt_times(q << E, d)) // r
+    else:
+        M, T = r, p
+    vs = sorted([i * T % M for i in range(1, B + 1)])
+    U = (T * (B * (B + 1) // 2) - sum(vs)) // M  # the sum of the u_i
+    for k0 in range(g, n, B):
+        f0, y0 = divmod(k0 * T, M)
+        c = bisect_left(vs, M - y0)
+        if q and (bisect_left(vs, M - n - y0) < c
+                  or bisect_left(vs, 2 * M - n - y0) < B):
+            total += sum([(k * p + _floor_sqrt_times(k * q, d)) // r
+                          for k in range(k0 + 1, k0 + B + 1)])
+        else:
+            total += B * f0 + U + B - c
+    return total
 
 
 def _numerators(parts: tuple[int, int, int, int], midpoint: bool, pairs):
@@ -260,20 +331,17 @@ def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
     # F(n) = Q F(b) + F(R) + p b Q(Q-1)/2 + p Q R needs at most 2b floors;
     # irrational t has no period: Q = 0, R = n
     Q, R = divmod(n, b) if not q else (0, n)
-    FR = Fb = 0
-    for FR in _floor_sums(t, R):
-        pass
-    for Fb in _floor_sums(t, b if Q else 0):
-        pass
-    F = Q * Fb + FR + p * b * Q * (Q - 1) // 2 + p * Q * R
+    Fb = _floor_total(t, b) if Q else 0
+    F = Q * Fb + _floor_total(t, R) + p * b * Q * (Q - 1) // 2 + p * Q * R
     return _values(parts, [(n, F)], midpoint)[0]
 
 
 def brute_S(n: int, t: Scalar) -> Scalar:
     """Exact S(n,t) = sum of beta(k t) for k <= n; the oracle.  It sums the
-    floors directly: all n of them for irrational t, O(n) steps, and at most
-    one period of b for t = a/b, extended by the periodic identity, so it
-    stays independent of floor_sum."""
+    floors directly, a block of B at a time (`_floor_total`): all n of them
+    for irrational t, in O(sqrt(n)) steps up to B = 4096, and at most one
+    period of b for t = a/b, extended by the periodic identity, so it stays
+    independent of floor_sum and the recursions."""
     return _brute(n, t, midpoint=False)
 
 

@@ -177,8 +177,9 @@ class TestSum:
         assert len({r[1] for r in rows}) == 1
 
     def test_all_skips_brute_past_the_check_cap(self):
-        # brute_S is O(n): at n = 10^15 it would not finish.  The second t
-        # has no period within 64 terms, so only its orbit drives ostrowski
+        # brute_S takes n/4096 blocks at large n: at n = 10^15 it would not
+        # finish.  The second t has no period within 64 terms, so only its
+        # orbit drives ostrowski
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         for n, spec in (("1000000000000000", "cf:0;(1)"),
@@ -194,9 +195,12 @@ class TestSum:
     @pytest.mark.parametrize("spec, t", [
         ("rat:7/10", F(7, 10)),
         ("quad:(1+1*sqrt(1018081))/2000", F(101, 200)),  # square radicand
+        ("rat:1/1000000007", F(1, 1000000007)),
     ])
     def test_rational_brute_sums_one_period(self, spec, t):
-        # brute_S walks at most one period of a rational t, not all n terms
+        # brute_S sums at most one period of a rational t, not all n terms,
+        # and counts its floors a block at a time: a period of 10^9 + 7 terms
+        # taken one at a time would run for minutes
         n = 10 ** 18 + 3
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -587,27 +591,31 @@ class TestBench:
         want = sums.exact_S(n_max, QuadExt(-1, 1, 5, 2))
         assert rows[-1][4] == format_scalar(want)
 
-    def test_brute_column_is_one_walk(self, capsys, monkeypatch):
-        # n_max terms in one walk, not the sum of the points; a floor one
-        # too large at k = 500 fails the cross-check at the next point
-        walks = []
-        floor_sums = sums._floor_sums
+    def test_brute_checks_each_point_up_to_the_cap(self, capsys, monkeypatch):
+        # a brute_S one too small from n = 500 on fails the cross-check at
+        # the first point past it, and a point past the cap gets no brute call
+        calls = []
+        brute_S = sums.brute_S
 
-        def counted(t, n):
-            walks.append(n)
-            for k, F in enumerate(floor_sums(t, n), 1):
-                yield F + (k >= 500)
+        def off_by_one(n, t):
+            calls.append(n)
+            return brute_S(n, t) - (n >= 500)
 
-        monkeypatch.setattr(sums, "_floor_sums", counted)
-        args = ("bench", "--t", "cf:0;(2)", "--n-max", "499", "--points", "4")
-        code, out, _ = run(capsys, *args)
-        assert code == 0 and walks == [499]
+        monkeypatch.setattr(sums, "brute_S", off_by_one)
+        code, out, _ = run(capsys, "bench", "--t", "cf:0;(2)", "--n-max", "499",
+                           "--points", "4")
+        assert code == 0 and calls == [1, 8, 63, 499]
         assert out.count("\n") == 5  # the header and the points 1, 8, 63, 499
         code, out, err = run(capsys, "bench", "--t", "cf:0;(2)", "--n-max",
                              "1000", "--points", "4")
-        assert code == 3 and walks == [499, 1000]
+        assert code == 3 and calls[4:] == [1, 10, 100, 1000]
         assert err == "cross-check disagreement at n=1000\n"
         assert out.splitlines()[-1].startswith("100,")
+        monkeypatch.setattr(cli, "_BRUTE_CHECK_CAP", 99)
+        code, out, _ = run(capsys, "bench", "--t", "cf:0;(2)", "--n-max",
+                           "1000", "--points", "4")
+        assert code == 0 and calls[8:] == [1, 10]
+        assert [ln.split(",")[0] for ln in out.splitlines()[1:]] == ["1", "10", "100", "1000"]
 
 
 # -- argv fuzz --------------------------------------------------------------

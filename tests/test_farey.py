@@ -28,6 +28,13 @@ class TestSieves:
             assert tables.phi[n] == sum(1 for k in range(1, n + 1)
                                         if math.gcd(k, n) == 1)
 
+    def test_s_frac_is_the_fraction_sum(self, tables):
+        total = F(0)
+        assert tables.s_frac(0) == total and type(tables.s_frac(0)) is F
+        for x in range(1, 301):
+            total += F(tables.phi[x], x)
+            assert tables.s_frac(x) == total
+
     def test_mu_matches_mobius_identity(self, tables):
         # sum over d|n of mu(d) is [n == 1]
         for n in range(1, 200):

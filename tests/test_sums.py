@@ -134,14 +134,17 @@ ALWAYS_FALLS_BACK = QuadExt(-(10 ** 22 - 1), 1, 10 ** 44 - 1, 1)
 ONE_THIRD_AND_A_BIT = QuadExt(1 - 3 * 10 ** 30, 3, 10 ** 60 + 1, 3)
 
 
+# large p, q and r, and radicands with a square factor the constructor keeps
+# (1009^2)
+FIXED_POINT_T = st.one_of(quadratic_irrationals(), st.builds(
+    QuadExt, st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-10 ** 4, 10 ** 4).filter(bool),
+    st.sampled_from([2, 3, 5, 7, 1009 ** 2 * 3, 10 ** 18 + 9]),
+    st.integers(2, 10 ** 6)))
+
+
 class TestFixedPointFloors:
-    # large p, q and r, and radicands with a square factor the constructor
-    # keeps (1009^2)
-    @given(st.one_of(quadratic_irrationals(), st.builds(
-        QuadExt, st.integers(-10 ** 6, 10 ** 6),
-        st.integers(-10 ** 4, 10 ** 4).filter(bool),
-        st.sampled_from([2, 3, 5, 7, 1009 ** 2 * 3, 10 ** 18 + 9]),
-        st.integers(2, 10 ** 6))), st.integers(0, 1500))
+    @given(FIXED_POINT_T, st.integers(0, 1500))
     @example(ALWAYS_FALLS_BACK, 1023)
     @example(ONE_THIRD_AND_A_BIT, 600)
     @settings(max_examples=200, deadline=None)
@@ -178,6 +181,66 @@ class TestFixedPointFloors:
     def test_carry_matches_the_isqrt_definition_where_E_changes(self, t, j, off):
         n = 2 ** j + off
         assert list(sums._floor_sums(t, n)) == _isqrt_floor_sums(t, n)
+
+
+def _definition_total(t, n):
+    """F(n,t) by the definition, one floor at a time: `_isqrt_floor_sums` for
+    a QuadExt, floor(k a/b) for t = a/b."""
+    if isinstance(t, F):
+        return sum(k * t.numerator // t.denominator for k in range(1, n + 1))
+    return _isqrt_floor_sums(t, n)[-1] if n else 0
+
+
+class TestBlockTotals:
+    """`_floor_total` counts the floors a block of B = isqrt(4n) at a time,
+    after a prefix of n mod B terms."""
+
+    # t as for the fixed-point floors, and rational t: small denominators
+    # carry at y0 + v_i = M exactly, wherever b divides k
+    @given(st.one_of(FIXED_POINT_T, st.fractions(max_denominator=60),
+                     st.builds(F, st.integers(-10 ** 12, 10 ** 12),
+                               st.integers(1, 10 ** 12))),
+           st.integers(0, 3000))
+    @example(QuadExt(-1, 1, 5, 2), 10)  # n < B = 16: the prefix alone
+    @example(QuadExt(-1, 1, 5, 2), 1024)  # 16 blocks of B = 64, no prefix
+    @example(QuadExt(-1, 1, 5, 2), 1025)  # the same blocks after one term
+    @example(QuadExt(-1, 1, 5, 2), 1007)  # 15 blocks of B = 63 after 62 terms
+    @example(F(7, 10), 1024)
+    @example(F(10 ** 9 + 6, 10 ** 9 + 7), 3000)
+    @example(ALWAYS_FALLS_BACK, 1023)  # every block unsafe
+    @example(ONE_THIRD_AND_A_BIT, 3000)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_definition(self, t, n):
+        assert sums._floor_total(t, n) == _definition_total(t, n)
+
+    # an unsafe block takes all B of its floors exactly; the prefix and the
+    # blocks take T = floor(t 2^E) once each
+    @pytest.mark.parametrize("t, n, exact", [
+        (ALWAYS_FALLS_BACK, 1023, 15 + 16 * 63),  # B = 63: every floor
+        (ONE_THIRD_AND_A_BIT, 600, 8 + 12 * 48),  # B = 48: k = 3, 6, ..., 24
+        (QuadExt(-1, 1, 5, 2), 10 ** 5, 0),  # B = 632, 158 blocks, all safe
+    ])
+    def test_takes_exact_floors_only_in_unsafe_blocks(self, monkeypatch, t, n, exact):
+        calls = []
+
+        def counted(q, d):
+            calls.append(q)
+            return floor_sqrt_times(q, d)
+
+        floor_sqrt_times = sums._floor_sqrt_times
+        monkeypatch.setattr(sums, "_floor_sqrt_times", counted)
+        assert sums._floor_total(t, n) == _definition_total(t, n)
+        assert len(calls) == 2 + exact
+
+    # the check cap of the CLI's bench and sum, on the corpus, a t of long
+    # period and both fixed-point constants
+    @pytest.mark.parametrize("t", [
+        QuadExt(-1, 1, 5, 2), QuadExt(-1, 1, 2, 1), QuadExt(-1, 1, 3, 1),
+        QuadExt(0, 1, 10 ** 9 + 7, 40000), ALWAYS_FALLS_BACK, ONE_THIRD_AND_A_BIT])
+    def test_brute_at_the_check_cap_matches_the_walk(self, t):
+        n = 200_000
+        *_, F_walk = sums._floor_sums(t, n)
+        assert sums.brute_S(n, t) == sums._values(_parts(t), [(n, F_walk)])[0]
 
 
 class TestFloorSum:
