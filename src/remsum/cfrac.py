@@ -11,20 +11,26 @@ Everything here is read off one of two integer walks.
   walk's next pair, t's expansion once the first pair repeats, and the
   continuants of t, lambda_k, a_k and b_k, as far as they have been asked
   for.  `expand` fills the record to its period and returns the expansion
-  it keeps.  The record is read one way, by index: its reader `read(j)`
-  yields the states from index j on, walking on one state at a time as they
-  are read while the period is unknown, and past the walk, once the period
-  is known, reading it by index arithmetic.  Iterating the record is the
-  reader from 0, so the Gauss-map recursion of `sums` and the checks of
-  `measure` walk no state they do not read.  `extend_past(n)` grows the
-  continuants to the first k >= 4 with b_k > n by the reader from the
-  first quotient they lack: the Ostrowski recursion of `sums` reads them
-  from the record, and `sums.OstrowskiTables` copies them only to check a
-  caller's own expansion or to give a caller lists of its own.  The record is
+  it keeps.  The record is read one way, by index: `index(j)` is where
+  state j lies in its list of states, walked on first while the period is
+  unknown, and past the walk, once the period is known, found by index
+  arithmetic.  A reader takes it once where it starts and again only where
+  its next index runs past the walked states, so the Ostrowski continuants
+  (`extend_past`) and the Gauss-map recursion of `sums` read the states as
+  a flat list, in one loop each, and take the period's wrap once per pass
+  through it, as an index back to `start`.  `read(j)` is the same read as
+  a generator, for the checks of `measure`; iterating the record is the
+  reader from 0.  No reader walks a state it does not read.
+  `extend_past(n)` grows the continuants to the first k >= 4 with b_k > n
+  from the first quotient they lack: the Ostrowski recursion of `sums`
+  reads them from the record, and `sums.OstrowskiTables` copies them only
+  to check a caller's own expansion or to give a caller lists of its own.
+  The record also keeps sqrt(D) in fixed point for the Gauss-map recursion
+  (`fixed_root`), taken again only when a larger n asks.  The record is
   dropped when another t is asked for, or when `expand` finds no period
   within its max_terms; a reader that holds it keeps it until it is done.
   The floor of a state, floor((P + sqrt(D))/Q) for Q of either sign, is
-  `_floor_over`, which the Gauss-map recursion of `sums` also takes.
+  taken inline where the walk steps.
 - The continuant walk, `_continuants`, runs the forward recurrence of the
   convergents a_k/b_k of a given expansion (the record's `extend_past`
   runs the same recurrence itself, as it appends to its lists).
@@ -109,13 +115,6 @@ def expand(t: Scalar, max_terms: int) -> CFExpansion:
     return rec.cf
 
 
-def _floor_over(x: int, Q: int) -> int:
-    """floor((x + theta)/Q) for ints x and Q != 0 and an irrational theta in
-    (0, 1): the floor of (P + sqrt(D))/Q at x = P + floor(sqrt(D)), and of
-    (n P + n sqrt(D))/Q at x = n P + floor(n sqrt(D)), for either sign of Q."""
-    return x // Q if Q > 0 else (-x - 1) // -Q
-
-
 class _Record:
     """The orbit of one t = (p + q sqrt(d))/r, q != 0, as far as it has been
     walked, and the convergents of t as far as they have been asked for, in
@@ -127,9 +126,9 @@ class _Record:
 
     `cf` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i); the
     walk stops there, at j = len(states) - 1, and `cf` is t's expansion,
-    whose period starts at lambda_{i+1}: from then on the states are
-    states[i+1:] over and over, and `read` finds them there by index
-    arithmetic.  The first pair to repeat is the first one on the cycle,
+    whose period starts at lambda_{i+1}, and `start` = i + 1 (0 until
+    then): from then on the states are states[i+1:] over and over, and
+    `index` finds them there by index arithmetic.  The first pair to repeat is the first one on the cycle,
     and by Galois's theorem t_j is on the cycle exactly when 1/t_j is
     reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
     (-1, 0): 0 < P_j + sqrt(D) < Q', or 0 <= P_j + floor(sqrt(D)) < Q' in
@@ -138,53 +137,53 @@ class _Record:
     The continuants are the lists `lam`, `a` and `b`: lam[k] = lambda_k, and
     a[k]/b[k] = a_k/b_k = <lambda_0; ..., lambda_{k-1}> from a_0/b_0 = 1/0
     and a_1/b_1 = lambda_0/1, with a_{k+1} = lambda_k a_k + a_{k-1},
-    likewise b.  `extend_past(n)` grows them to the first k >= 4 with
-    b_k > n, reading lambda_k off the states by the reader from
-    k = len(lam): walked on one at a time only as far as it reads them, and
-    past the walk off the period.
+    likewise b.  lambda_0 = floor(t) is taken when the record is made, which
+    walks no state.  `extend_past(n)` grows them to the first k >= 4 with
+    b_k > n, reading lambda_k off the states by index from k = len(lam):
+    walked on one at a time only as far as it reads them, and past the walk
+    off the period.
 
     Readers may share a record across threads: walks and growth take a
-    lock, the lists only grow, `cf` is set after the last state is
-    appended, and `b` is appended last, so a reader that sees cf sees every
-    state, and one that sees b_k also sees a_k and lambda_{k-1}."""
+    lock, the lists only grow, `start` and then `cf` are set after the last
+    state is appended, and `b` is appended last, so a reader that sees cf
+    or a nonzero start sees every state, and one that sees b_k also sees
+    a_k and lambda_{k-1}.  `_fixed` is replaced whole, and any pair it has
+    held gives exact floors, so it takes no lock."""
 
-    __slots__ = ("states", "cf", "lam", "a", "b", "_entry", "_next", "_D", "_root", "_lock")
+    __slots__ = ("states", "cf", "start", "lam", "a", "b", "_entry", "_next", "_D",
+                 "_root", "_fixed", "_lock")
 
     def __init__(self, p: int, q: int, d: int, r: int):
-        # `extend_past` walks by `fill`, so the lock is reentrant
-        self.states, self._lock = [], threading.RLock()
+        # `extend_past` and `index` walk by `fill`, so the lock is reentrant
+        self.states, self._lock, self.start = [], threading.RLock(), 0
         # _entry is (P_i, Q_i, i + 1) of the first state on the cycle
         self.cf = self._entry = None
         self._D = (q * r) ** 2 * d
         self._root = math.isqrt(self._D)
-        # the pair (P, Q) of lambda_j + t_j for the next j, before its floor
-        self._next = (p * r, r * r) if q > 0 else (-p * r, -r * r)
-        self.fill(1)  # state 0, and lambda_0 with it
-        lam0 = self.states[0][0]
+        self._fixed = 0, self._root  # (E, floor(sqrt(D) 2^E)), see `fixed_root`
+        # the pair (P, Q) of lambda_j + t_j for the next j, before its floor;
+        # lambda_0 = floor(t) is that floor for j = 0, and no state is walked
+        P, Q = self._next = (p * r, r * r) if q > 0 else (-p * r, -r * r)
+        lam0 = (P + self._root) // Q if Q > 0 else (-P - self._root - 1) // -Q
         self.lam, self.a, self.b = [lam0], [1, lam0], [0, 1]
 
+    def index(self, j: int) -> int:
+        """Where state j is in `states`: j itself, walked first by `fill` while
+        the period is unknown (a walk elsewhere may find the period first),
+        and past the walk, once the period is known, s + (j - s) mod (L - s),
+        with s = len(cf.pre) + 1 the period's first index and L = len(states).
+        A reader by index takes it once, where it starts, and again only
+        where its next index reaches L: there it walks on, or wraps to s."""
+        if j >= len(self.states) and self.cf is None:
+            self.fill(j + 1)
+        L, s = len(self.states), self.start  # start is set after the last append
+        return j if j < L else s + (j - s) % (L - s)
+
     def read(self, j: int = 0):
-        """(lambda_j, P_j, Q_j), (lambda_{j+1}, ...), ... with no end: the
-        record's one reader.  It yields each known state; while the period is
-        unknown, it walks the next one by `fill` under the lock and then looks
-        again, as a walk elsewhere may have set the period first.  Past the
-        walk, once the period is known, state j is at index
-        s + (j - s) mod (L - s), with s = len(cf.pre) + 1 the period's first
-        index and L = len(states), so a reader may start anywhere: that
-        index is taken once, and from there the reader steps on and goes
-        back to s at L."""
-        states = self.states
-        while self.cf is None:
-            if j < len(states):
-                yield states[j]
-                j += 1
-            else:  # walk state j; a walk elsewhere may find the period first
-                self.fill(j + 1)
-        s, L = len(self.cf.pre) + 1, len(states)  # cf is set after the last append
-        j = j if j < L else s + (j - s) % (L - s)
-        while True:
-            yield states[j]
-            j = j + 1 if j + 1 < L else s
+        """(lambda_j, P_j, Q_j), (lambda_{j+1}, ...), ... with no end, one
+        `index` per state: the states as a generator, for the readers that
+        want one."""
+        return (self.states[self.index(k)] for k in count(j))
 
     __iter__ = read  # the states from index 0
 
@@ -192,20 +191,23 @@ class _Record:
         """Walk on until m states are known or the period is."""
         states, D, root = self.states, self._D, self._root
         with self._lock:
-            (P, Q), entry = self._next, self._entry
+            (P, Q), entry, j = self._next, self._entry, len(states)
             try:  # _next and _entry are written back on every exit
-                while len(states) < m and self.cf is None:
-                    lam = _floor_over(P + root, Q)  # floor((P + sqrt(D))/Q)
+                while j < m and self.cf is None:
+                    # lambda_j = floor((P + sqrt(D))/Q), for Q of either sign
+                    lam = (P + root) // Q if Q > 0 else (-P - root - 1) // -Q
                     P -= lam * Q
                     states.append((lam, P, Q))
+                    j += 1
                     Q1 = (D - P * P) // Q
                     if entry is None:
                         if 0 <= P + root < Q1:
-                            entry = P, Q, len(states)
+                            entry = P, Q, j
                     elif P == entry[0] and Q == entry[1]:
                         # every lambda_j past lambda_0 is >= 1: no check
-                        lams, s = [lam for lam, _, _ in states], entry[2]
-                        self.cf = CFExpansion._make((lams[0], tuple(lams[1:s]), tuple(lams[s:])))
+                        lams, self.start = [lam for lam, _, _ in states], entry[2]
+                        self.cf = CFExpansion._make((lams[0], tuple(lams[1:entry[2]]),
+                                                     tuple(lams[entry[2]:])))
                         return
                     P, Q = -P, Q1
             finally:
@@ -213,16 +215,37 @@ class _Record:
 
     def extend_past(self, n: int) -> None:
         """Grow the continuants to the first k >= 4 with b_k > n, reading
-        lambda_k from state k = len(lam) on."""
-        lam, a, b = self.lam, self.a, self.b
+        lambda_k by index from state k = len(lam) on, with the last two
+        continuants in locals: `index` once where the read starts, and past
+        the walked states again, which walks on, or wraps to `start` once
+        the period is known."""
+        lam, a, b, states = self.lam, self.a, self.b, self.states
         if len(b) < 5 or b[-1] <= n:  # and again under the lock
             with self._lock:
-                states = self.read(len(lam))
-                while len(b) < 5 or b[-1] <= n:
-                    x = next(states)[0]
+                k, i, (a0, a1), (b0, b1) = len(lam), None, a[-2:], b[-2:]
+                while k < 4 or b1 <= n:
+                    i = self.index(k) if i is None else i + 1
+                    if i == len(states):
+                        i = self.start or self.index(k)
+                    x = states[i][0]
+                    a0, a1 = a1, x * a1 + a0
+                    b0, b1 = b1, x * b1 + b0
                     lam.append(x)
-                    a.append(x * a[-1] + a[-2])
-                    b.append(x * b[-1] + b[-2])
+                    a.append(a1)
+                    b.append(b1)
+                    k += 1
+
+    def fixed_root(self, n: int) -> tuple[int, int]:
+        """(E, R) with R = floor(sqrt(D) 2^E) and E >= 64 + n.bit_length():
+        sqrt(D) in fixed point, so that floor(m sqrt(D)) = (m R) >> E for
+        1 <= m <= n wherever (m R mod 2^E) + m <= 2^E - 1, as m sqrt(D) 2^E
+        lies in (m R, m R + m); that holds for any E, and this E makes it
+        fail at a rate below m 2^-E < 2^-64.  Kept, and taken again, one
+        isqrt, only when a larger n asks."""
+        if self._fixed[0] < 64 + n.bit_length():
+            E = 64 + n.bit_length()
+            self._fixed = E, math.isqrt(self._D << 2 * E)
+        return self._fixed
 
 
 _record = functools.lru_cache(maxsize=1)(_Record)

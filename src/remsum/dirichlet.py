@@ -38,9 +38,10 @@ groups taken in increasing d (`f_q_partial`).
 
 Two memos hold tables between calls; callers only read them.
 - `_float_tables` keeps the pair of float tables of the last (t, K) it was
-  built for, so an s grid at one (t, K) builds it once.  It stays allocated
-  until a call with another (t, K): two lists of K + 1 floats, 6.4 MB at
-  K = 10^5 (tracemalloc), growing linearly in K.  The first `f_q_partial`
+  built for, keyed on t's integer parts, so an s grid at one (t, K) builds
+  it once and hashes no QuadExt.  It stays allocated until a call with
+  another (t, K): two lists of K + 1 floats, 6.4 MB at K = 10^5
+  (tracemalloc), growing linearly in K.  The first `f_q_partial`
   at that (t, K) adds its q_{k,0} float table to the pair (`_Pair.q`),
   K + 1 more floats (3.2 MB at K = 10^5), and later calls at that (t, K)
   read it; it is dropped with the pair.  q depends on t and K alone: the
@@ -72,7 +73,7 @@ from operator import add, mul, sub
 
 from . import sums
 from .errors import DomainError, PoleAtOne, TooLarge
-from .exactnum import Scalar, _parts, beta0, floor
+from .exactnum import Scalar, _make, _parts, beta0, floor
 # `to_float` is no longer used here; the name stays because the benchmark
 # tracer (perfbench/tracer.py) wraps it in every layer namespace and its
 # self-test reaches it as `dirichlet.to_float`.
@@ -134,12 +135,19 @@ class _Pair(tuple):
         return max(map(abs, self[1]))
 
 
-@functools.lru_cache(maxsize=1)
 def _float_tables(t: Scalar, K: int):
-    """([0.0, beta0(t), ..., beta0(Kt)], [S0(0,t), S0(1,t), ..., S0(K,t)]),
-    each entry float() of the exact value, both built in one pass over k,
-    as a `_Pair`.  The lists are shared through the memo; callers only read
-    them.
+    """The float tables of (t, K), from the memo `_tables_at`, which is
+    keyed on t's integer parts `_parts(t)`: a hit hashes four ints and K,
+    not a QuadExt, and equal t, however written, share one build."""
+    return _tables_at(_parts(t), K)
+
+
+@functools.lru_cache(maxsize=1)
+def _tables_at(parts: tuple[int, int, int, int], K: int):
+    """([0.0, beta0(t), ..., beta0(Kt)], [S0(0,t), S0(1,t), ..., S0(K,t)])
+    for the t of parts = `_parts(t)`, each entry float() of the exact
+    value, both built in one pass over k, as a `_Pair`.  The lists are
+    shared through the memo; callers only read them.
     Every table, and so every series, needs K >= 1; ValueError otherwise.
     Both lists are allocated before the pass and filled by index; TooLarge
     where they cannot be: past sys.maxsize entries (OverflowError) or past
@@ -163,7 +171,7 @@ def _float_tables(t: Scalar, K: int):
         b0, s0 = [0.0] * (K + 1), [0.0] * (K + 1)
     except (OverflowError, MemoryError):
         raise TooLarge("the float tables do not fit in memory") from None
-    p, q, d, r = _parts(t)
+    p, q, d, r = parts
     if not q:  # t = p/r: beta0(kt) = (2(kp mod r) - r)/(2r), and 0 where r | k
         r2, v = 2 * r, 0
         for k in range(1, K + 1):
@@ -172,6 +180,7 @@ def _float_tables(t: Scalar, K: int):
             b0[k] = u / r2
             s0[k] = v / r2
         return _Pair((b0, s0))
+    t = _make(p, q, d, r)  # the QuadExt of these parts
     # the S0 brackets are n(n+1)/2 wide against values of O(log n)
     E = 64 + 3 * K.bit_length()
     one, half, ulp = 1 << E, 1 << (E - 1), 2.0 ** -E

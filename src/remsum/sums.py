@@ -2,17 +2,17 @@
 
 Every exact S here is built from one integer, F(n,t) = sum of floor(k t)
 over k <= n, by the affine map S(n,t) = t n(n+1)/2 - n/2 - F(n,t).
-`_numerators` is the only (n, F) -> S map: for a whole iterable of pairs
-(n, F) it yields S(n,t), or S0(n,t), as integer numerators (u, v) of
+`_numerators` is the only (n, F) -> S map: for one pair (n, F) it gives
+S(n,t), or S0(n,t), as the integer numerators (u, v) of
 (u + v sqrt(d))/(2r), read off t's integer view `exactnum._parts`, which
 its caller takes once and passes in.
-`_values` makes the exact values from them in one comprehension, on the
-parts its caller holds, and `_abs_at_most` decides every |S| <= bound on
-them, or on the parts of an exact S, with one isqrt.
+`_value` makes the one exact value of a pair from them, on the parts its
+caller holds, and `_abs_at_most` decides every |S| <= bound on them, or
+on the parts of an exact S, with one isqrt.
 s0_prefix and the S of ostrowski_sweep are read-only sequences built on
 read (`_Lazy`): each keeps the int list F(0..n_max, t), and an entry is
-made from (n, F(n,t)) by `_values` each time it is read, a slice or an
-iteration in bulk.
+made from (n, F(n,t)) by `_value` each time it is read, one entry, a
+slice or an iteration in bulk.
 brute_S is the oracle: it sums the floors directly (over one period for
 rational t), as does brute_S0, B of them at a time, B about 2 sqrt(n), by
 `_floor_total`.  With t in fixed point as T/M (M = 2^E for irrational t,
@@ -29,8 +29,9 @@ takes its floors exactly, with one isqrt each.  s0_prefix and the `verify`
 oracle need every F(k,t), and take it from the per-k loop `_floor_sums`,
 which reads floor(k t) off the same fixed-point multiple of t, carried by
 addition as a remainder mod 2^E and a count of wraps, and takes it exactly,
-with one isqrt, only where that bracket cannot decide it; `_floor_total`
-sums its first n mod B terms by that loop too.
+with one isqrt, only where that bracket cannot decide it.  `_floor_total`
+reads its first n mod B terms off its own table of the v_i, before it is
+sorted, with the same screen, so each call takes T once.
 `exact_S` is the front door to S that B, B_left and the Theorem 2.1
 identities go through: for rational t = a/b, `floor_sum` gives F(n, a/b)
 in O(log b) steps, and irrational t goes to ostrowski_S.
@@ -82,14 +83,21 @@ walk the K states whose quotients b_K needs, and the Gauss-map recursion
 the states its steps read, at most the same K, as
 n_{j+1} <= n t_0 ... t_j = n rho_{j+1} < n/b_{j+2}.  A public call takes
 t's integer view `exactnum._parts` once and passes it to the record
-lookup and to `_values`.
-Each has an integer core that returns the int F(n,t) and its trace rows:
-`_ostrowski_F` sums the dF of the steps in one loop over lists grown once,
-to b_k > n, and `_bseq_F` takes F from the alternating sum G below,
-with one isqrt per step, asserting the Bsequence estimate on the integer
-numerators of S.  ostrowski_S and bseq_S are `_values` of their cores, and
-`verify` compares the cores' ints with the `_floor_sums` prefix directly.
-All three agree exactly on every input.
+lookup and to `_value`.
+Each has an integer core that returns the int F(n,t) and its trace rows,
+and reads the record's lists by index in one loop (`cfrac._Record.index`
+only where the read starts and where it runs past the walked states):
+`_ostrowski_F` sums the dF of the steps over lists grown once, to
+b_k > n, and `_bseq_F` takes F from the alternating sum G below.  Its
+floor(n_j sqrt(D)) is (n_j R) >> E off the record's fixed-point
+R = floor(sqrt(D) 2^E) (`cfrac._Record.fixed_root`), one multiply and
+shift, and one isqrt only where the bracket (n_j R, n_j R + n_j) reaches
+a multiple of 2^E, as `_floor_sums` does for k t; it asserts the
+Bsequence estimate on the parts of S, and returns S with F.
+ostrowski_S makes its one value from its core's F by `_value`, bseq_S
+returns its core's, and each keeps its trace rows with no closure made
+per call; `verify` compares the cores' ints with the `_floor_sums`
+prefix directly.  All three agree exactly on every input.
 
 ostrowski_sweep needs F(n,t) at every n <= n_max, and `_sweep` makes it a
 block of n at a time.  Between b_j and b_{j+1}, on n = q b_j + n' with
@@ -107,7 +115,9 @@ checked as it is made; only the values of S wait until they are read.
 
 Both recursions keep one tuple of integers per step in their `SumTrace`;
 the step objects, with their exact QuadExt fields (rho_j among them), are
-built from it only when the trace is read, by the same `_Lazy` sequence.
+built from it only when the trace is read, by the same `_Lazy` sequence,
+which holds a module-level step maker (`_ostrowski_step`, `_bseq_step`)
+and the few values it reads.
 """
 
 from __future__ import annotations
@@ -115,6 +125,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
 from operator import add, gt, index
@@ -129,27 +140,26 @@ BseqStep = namedtuple("BseqStep", "j n_j t_j term")
 
 
 class _Lazy:
-    """A read-only sequence built on read: it keeps int rows, and `make`
-    builds the items of a list of (index, row) pairs in bulk, so item i is
-    made from (i, rows[i]) each time it is read, len() builds nothing and a
-    sequence that nobody reads builds no item at all.  Slices are lists;
-    iteration builds 1024 items at a time, so it never holds them all.
-    Against another such sequence or a list the items are compared.
+    """A read-only sequence built on read: it keeps int rows, and item i is
+    made as `make(*args, i, rows[i])` each time it is read, so len() builds
+    nothing and a sequence that nobody reads builds no item at all.  Slices
+    are lists; iteration builds 1024 items at a time, so it never holds them
+    all.  Against another such sequence or a list the items are compared.
     Unhashable, as a list is."""
 
-    __slots__ = ("rows", "_make")
+    __slots__ = ("rows", "_make", "_args")
 
-    def __init__(self, make, rows: list):
-        self.rows, self._make = rows, make
+    def __init__(self, make, rows: list, *args):
+        self.rows, self._make, self._args = rows, make, args
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
-        rows = self.rows
+        rows, make, args = self.rows, self._make, self._args
         if isinstance(i, slice):
-            return self._make(zip(range(len(rows))[i], rows[i]))
-        return self._make([(i if i >= 0 else i + len(rows), rows[i])])[0]
+            return [make(*args, k, row) for k, row in zip(range(len(rows))[i], rows[i])]
+        return make(*args, i if i >= 0 else i + len(rows), rows[i])
 
     def __iter__(self):
         for i in range(0, len(self.rows), 1024):
@@ -164,12 +174,6 @@ class SumTrace(namedtuple("SumTrace", "steps")):
     `OstrowskiStep` or `BseqStep` objects."""
 
     __slots__ = ()
-
-
-def _trace(step, rows: list[tuple]) -> SumTrace:
-    """The trace of one recursion run, which appends one tuple of ints per
-    step to `rows`: its steps are made by `step(*row)` when read."""
-    return SumTrace(_Lazy(lambda pairs: [step(*row) for _, row in pairs], rows))
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -246,23 +250,20 @@ def _floor_total(t: Scalar, n: int) -> int:
     [M - n - y0, M - y0) or in [2M - n - y0, M), two bisections more.  An
     unsafe block takes each of its floors exactly, with one isqrt.
 
-    The first n mod B terms are `_floor_sums`'.  B = 2 sqrt(n), at least
-    16 and at most 4096, balances the table against the blocks."""
+    The first g = n mod B terms come off the same table before it is
+    sorted, one term each: floor(k T / M) = (k T - v_k)/M, or floor(k t)
+    exactly where v_k + k >= M, so each call takes T once.  B = 2 sqrt(n),
+    at least 16 and at most 4096, balances the table against the blocks."""
     B = min(_BLOCK_CAP, max(16, isqrt(4 * n)))
     g = n % B
-    total = 0
-    for total in _floor_sums(t, g):
-        pass
-    if g == n:
-        return total
     p, q, d, r = _parts(t)
-    if q:
-        E = 64 + n.bit_length()
-        M = 1 << E
-        T = ((p << E) + _floor_sqrt_times(q << E, d)) // r
-    else:
-        M, T = r, p
-    vs = sorted([i * T % M for i in range(1, B + 1)])
+    E = 64 + n.bit_length()
+    M, T = (1 << E, ((p << E) + _floor_sqrt_times(q << E, d)) // r) if q else (r, p)
+    vs = [i * T % M for i in range(1, B + 1)]
+    total = sum([(k * T - v) // M if not q or v + k < M
+                 else (k * p + _floor_sqrt_times(k * q, d)) // r
+                 for k, v in zip(range(1, g + 1), vs)])
+    vs.sort()
     U = (T * (B * (B + 1) // 2) - sum(vs)) // M  # the sum of the u_i
     for k0 in range(g, n, B):
         f0, y0 = divmod(k0 * T, M)
@@ -276,33 +277,30 @@ def _floor_total(t: Scalar, n: int) -> int:
     return total
 
 
-def _numerators(parts: tuple[int, int, int, int], midpoint: bool, pairs):
+def _numerators(parts: tuple[int, int, int, int], n: int, F: int,
+                midpoint: bool = False) -> tuple[int, int]:
     """The one map (n, F(n,t)) -> (u, v) with S(n,t) = (u + v sqrt(d))/(2r)
     for t = (p + q sqrt(d))/r, parts = (p, q, d, r) = `_parts(t)` as the
     caller holds it, or S0(n,t) if midpoint: u = p n (n+1) - r (n + 2F - h)
-    and v = q n (n+1).  Yields (u, v) for each (n, F) of `pairs`, in order,
-    with no call per pair.
+    and v = q n (n+1).
 
     beta0 differs from beta by +1/2 exactly where k t is an integer: where
     r | k for rational t, and nowhere for irrational t; so h = floor(n/r)
     for S0 at rational t, and h = 0 otherwise."""
     p, q, _, r = parts
-    mid = midpoint and not q
-    return ((p * n * (n + 1) - r * (n + 2 * F - (n // r if mid else 0)),
-             q * n * (n + 1)) for n, F in pairs)
+    m = n * (n + 1)
+    return p * m - r * (n + 2 * F - (n // r if midpoint and not q else 0)), q * m
 
 
-def _values(parts: tuple[int, int, int, int], pairs, midpoint: bool = False) -> list:
-    """The exact values of `_numerators` on the parts of t its caller holds:
-    S(n,t), or S0(n,t) if midpoint, for each (n, F(n,t)) of `pairs`, in one
-    list, as Fractions where they are rational (rational t, and n = 0) and
-    QuadExts otherwise.  The read-only sequences of `_prefix` call it on
-    read, for one entry or a slice.  S is affine in F, so entry(n,
-    F(n) - F(n')) less entry(n', 0) is S(n,t) - S(n',t)."""
-    _, _, d, r = parts
-    r2 = 2 * r
-    return [_make(u, v, d, r2) if v else Fraction(u, r2)
-            for u, v in _numerators(parts, midpoint, pairs)]
+def _value(parts: tuple[int, int, int, int], n: int, F: int,
+           midpoint: bool = False) -> Scalar:
+    """The exact value of `_numerators` at one (n, F(n,t)), on the parts of
+    t its caller holds: S(n,t), or S0(n,t) if midpoint, as a Fraction where
+    it is rational (rational t, and n = 0) and a QuadExt otherwise.  S is
+    affine in F, so _value(n, F(n) - F(n')) less _value(n', 0) is
+    S(n,t) - S(n',t)."""
+    u, v = _numerators(parts, n, F, midpoint)
+    return _make(u, v, parts[2], 2 * parts[3]) if v else Fraction(u, 2 * parts[3])
 
 
 def _prefix(parts: tuple[int, int, int, int], F: list[int],
@@ -310,7 +308,7 @@ def _prefix(parts: tuple[int, int, int, int], F: list[int],
     """S(n,t), or S0(n,t) if midpoint, for n = 0..len(F) - 1, as a read-only
     sequence built on read from F[n] = F(n,t), for the t of
     parts = `_parts(t)`."""
-    return _Lazy(lambda pairs: _values(parts, pairs, midpoint), F)
+    return _Lazy(partial(_value, midpoint=midpoint), F, parts)
 
 
 def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
@@ -319,8 +317,7 @@ def _abs_at_most(p: int, q: int, d: int, r: int, u: int, v: int) -> bool:
     v p + v q sqrt(d) is irrational, so -u r <= v x r <= u r holds exactly
     when -u r <= v p + floor(v q sqrt(d)) < u r.  The one test of every
     |S| <= bound for irrational S."""
-    ur = u * r
-    return -ur <= v * p + _floor_sqrt_times(v * q, d) < ur
+    return -u * r <= v * p + _floor_sqrt_times(v * q, d) < u * r
 
 
 def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
@@ -333,7 +330,7 @@ def _brute(n: int, t: Scalar, midpoint: bool) -> Scalar:
     Q, R = divmod(n, b) if not q else (0, n)
     Fb = _floor_total(t, b) if Q else 0
     F = Q * Fb + _floor_total(t, R) + p * b * Q * (Q - 1) // 2 + p * Q * R
-    return _values(parts, [(n, F)], midpoint)[0]
+    return _value(parts, n, F, midpoint)
 
 
 def brute_S(n: int, t: Scalar) -> Scalar:
@@ -393,7 +390,7 @@ def exact_S(n: int, t: Scalar, midpoint: bool = False) -> Scalar:
     integer."""
     parts = p, q, _, r = _parts(t)
     F = _ostrowski_F(n, cfrac._record(*parts))[0] if q else floor_sum(n, p, r)
-    return _values(parts, [(n, F)], midpoint)[0]
+    return _value(parts, n, F, midpoint)
 
 
 # -- means and one-sided limits -------------------------------------------
@@ -517,13 +514,17 @@ def ostrowski_S(n: int, t: Scalar, cf: cfrac.CFExpansion | None = None,
         tables = _tables(t, cf, parts)
     elif tables.t != t or (cf is not None and tables.cf != cf):
         raise ValueError("tables were built for another t or expansion")
-
-    def step(j, n, n2, dF):
-        S, S2 = _values(parts, [(n, dF), (n2, 0)])
-        return OstrowskiStep(j, n, n2, abs(tables.b[j] * t - tables.a[j]), S - S2)
-
     F, rows = _ostrowski_F(n, tables)
-    return _values(parts, [(n, F)])[0], _trace(step, rows)
+    return _value(parts, n, F), SumTrace(_Lazy(_ostrowski_step, rows, parts, tables, t))
+
+
+def _ostrowski_step(parts, tab, t: Scalar, _, row: tuple) -> OstrowskiStep:
+    """The step of an `ostrowski_S` trace row (j, n, n', dF), as its `_Lazy`
+    makes it on read: rho_j off the continuants the run read, and the
+    increment from dF."""
+    j, n, n2, dF = row
+    return OstrowskiStep(j, n, n2, abs(tab.b[j] * t - tab.a[j]),
+                         _value(parts, n, dF) - _value(parts, n2, 0))
 
 
 def _sweep(tab: OstrowskiTables | cfrac._Record, n_max: int):
@@ -601,37 +602,45 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
-def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple]]:
+def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple], Scalar]:
     """F(n,t) by the Gauss-map recursion of `bseq_S`, with its trace rows
-    (j, n_j, P_j, Q_j); ints only, for the t of parts = `_parts(t)` as the
-    caller holds it.  The modified Bsequence estimate is asserted on the
-    numerators (u, v) of S(n,t), so no QuadExt is built."""
+    (j, n_j, P_j, Q_j) and the value S(n,t), for the t of parts =
+    `_parts(t)` as the caller holds it; the steps are ints only.  They read
+    t's orbit record by index, and floor(n_j sqrt(D)) off the record's
+    fixed-point R = floor(sqrt(D) 2^E) (`cfrac._Record.fixed_root`) as
+    (n_j R) >> E, with one isqrt only where the bracket (n_j R, n_j R + n_j)
+    reaches a multiple of 2^E.  The modified Bsequence estimate is asserted
+    on the parts of S."""
     if n < 0:
         raise ValueError("n must be >= 0")
     _, q, d, r = parts
     if not q:
         raise NotIrrational("bseq recursion needs irrational t")
-    orbit = iter(cfrac._record(*parts))  # walked on as the steps read it
-    lam0, P, Q = next(orbit)  # t_0 = t - lambda_0
+    rec = cfrac._record(*parts)
+    states, (E, R) = rec.states, rec.fixed_root(n)
+    lam0, P, Q = states[rec.index(0)]  # t_0 = t - lambda_0
     if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")
-    D = (q * r) ** 2 * d
-    rows = []
-    nj, sign, G, lam_sum = n, 1, 0, 0
+    rows, i, mask = [], 0, (1 << E) - 1
+    nj, G, lam_sum = n, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
-        # m = floor(t_j n_j) = floor((n_j P + n_j sqrt(D))/Q), one isqrt
-        m = cfrac._floor_over(nj * P + isqrt(nj * nj * D), Q)
-        lam, P, Q = next(orbit)
-        G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
+        # m = floor(t_j n_j) = floor((n_j P + floor(n_j sqrt(D)))/Q), for Q
+        # of either sign, where n_j sqrt(D) 2^E lies in (x, x + n_j)
+        x = nj * R
+        x = nj * P + (x >> E if (x & mask) + nj <= mask else isqrt((nj * q * r) ** 2 * d))
+        m = x // Q if Q > 0 else (-x - 1) // -Q
+        i = i + 1 if i + 1 < len(states) else rec.start or rec.index(len(rows))
+        lam, P, Q = states[i]
+        # G is the alternating sum below, up to the sign (-1)^(steps + 1)
+        G = m * (m + 1) * lam - (2 * m + 1) * nj - m - G
         lam_sum += lam
-        nj, sign = m, -sign
-    F = (-n - G) // 2
-    if n:
-        (u, v), = _numerators(parts, False, [(n, F)])
-        if not _abs_at_most(u, v, d, 2 * r, lam_sum, 2):
-            raise AssertionError("modified Bsequence estimate violated")
-    return F, rows
+        nj = m
+    F = (-n - (G if len(rows) & 1 else -G)) // 2
+    S = _value(parts, n, F)
+    if n and not _abs_at_most(S.p, S.q, d, S.r, lam_sum, 2):
+        raise AssertionError("modified Bsequence estimate violated")
+    return F, rows, S
 
 
 def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
@@ -652,16 +661,17 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
     """
     parts = _, q, d, r = _parts(t)
-    F, rows = _bseq_F(n, parts)
-    s = abs(q) * r
+    _, rows, S = _bseq_F(n, parts)
+    return S, SumTrace(_Lazy(_bseq_step, rows, abs(q) * r, d))
 
-    def step(j, nj, P, Q):
-        tj = _make(P, s, d, Q)
-        x = tj * nj
-        f = x - floor(x)  # n_j eta_tilde(x) = f(f - 1)/(2 t_j)
-        return BseqStep(j, nj, tj, (f * (f - 1) / tj + f) / 2)
 
-    return _values(parts, [(n, F)])[0], _trace(step, rows)
+def _bseq_step(s: int, d: int, _, row: tuple) -> BseqStep:
+    """The step of a `bseq_S` trace row (j, n_j, P_j, Q_j), as its `_Lazy`
+    makes it on read: t_j = (P_j + s sqrt(d))/Q_j, with s = |q| r."""
+    j, nj, P, Q = row
+    tj = _make(P, s, d, Q)
+    f = (x := tj * nj) - floor(x)  # n_j eta_tilde(x) = f(f - 1)/(2 t_j)
+    return BseqStep(j, nj, tj, (f * (f - 1) / tj + f) / 2)
 
 
 # -- Theorem identities and bounds -----------------------------------------
@@ -731,7 +741,7 @@ def lemma31_bound(x: Scalar, a_over_b: Fraction):
         raise DomainError("x must be positive")
     a, b = ab.numerator, ab.denominator
     n = floor(x)
-    (u, _), = _numerators((a, 0, 1, b), True, [(n, floor_sum(n, a, b))])
+    u, _ = _numerators((a, 0, 1, b), n, floor_sum(n, a, b), True)
     return Fraction(u, 2 * b) / x, b / x, abs(u) <= 2 * b * b
 
 
@@ -742,7 +752,7 @@ def tab_sum(x: int, a_over_b: Fraction) -> Fraction:
     checked as such and made a Fraction once."""
     ab = Fraction(a_over_b)
     a, b = ab.numerator, ab.denominator
-    (u, _), = _numerators((a, 0, 1, b), False, [(x, floor_sum(x, a, b))])
+    u, _ = _numerators((a, 0, 1, b), x, floor_sum(x, a, b))
     total = x + u
     if abs(total) > b * (b + 1):
         raise AssertionError("t_{a/b} partial sum bound violated")

@@ -79,8 +79,8 @@ def suite_bounds(size: str = "quick", seed: int = 0) -> list[dict]:
     r2 = 2 * r
     L = list(accumulate(rec.lam[1:], initial=0))
     snfinal = log_ok = True
-    uv = sums._numerators(parts, False, enumerate(F[1:], 1))
-    for n, (u, v) in enumerate(uv, 1):
+    for n in range(1, n_sweep + 1):
+        u, v = sums._numerators(parts, n, F[n])
         L_j = L[js[n]]
         snfinal = snfinal and sums._abs_at_most(u, v, d, r2, L_j, 2)
         log_ok = log_ok and (n < 3 or _at_most_2logn(n, snfinal, L_j, u, v, d, r2))

@@ -140,7 +140,7 @@ class TestTermTables:
         monkeypatch.setattr(dirichlet, "floor", counted(dirichlet.floor, floor_calls))
         monkeypatch.setattr(dirichlet, "beta0", counted(dirichlet.beta0, exact_calls))
         monkeypatch.setattr(sums, "exact_S", counted(sums.exact_S, exact_calls))
-        dirichlet._float_tables.cache_clear()
+        dirichlet._tables_at.cache_clear()
         b0, s0 = dirichlet._float_tables(t, K)
         # one more floor for T = floor(t 2^E)
         assert (len(floor_calls), len(exact_calls)) == (1 + floors, roundings)
@@ -162,6 +162,32 @@ class TestTermTables:
             s = 2 + 0j
             assert dirichlet.f_beta_mellin(t, s, K).value == sum(
                 float(exact[n]) * (n ** -s - (n + 1) ** -s) for n in range(1, K))
+
+    # the memo is keyed on _parts(t): a series call at a hit hashes no
+    # QuadExt, and equal t written as other objects read the same build
+    @pytest.mark.parametrize("ts", [
+        [QuadExt(-1, 1, 5, 2), QuadExt(-2, 2, 5, 4), QuadExt(-1, 1, 5, 2)],
+        [F(3, 7), QuadExt(3, 0, 5, 7), QuadExt(6, 0, 2, 14)],
+        [2, F(2), QuadExt(2, 0, 3)],
+    ], ids=["golden", "three-sevenths", "two"])
+    def test_memo_is_keyed_on_the_integer_parts(self, monkeypatch, ts):
+        K, tables = 120, farey.build_tables(120)
+        dirichlet._tables_at.cache_clear()
+        pair = dirichlet._float_tables(ts[0], K)
+
+        def refuse(self):
+            raise AssertionError("QuadExt hashed")
+
+        monkeypatch.setattr(QuadExt, "__hash__", refuse)
+        got = []
+        for t in ts:
+            got.append((dirichlet.f_beta_partial(t, 2, K),
+                        dirichlet.f_beta_mellin(t, 0.5 + 3j, K),
+                        dirichlet.f_q_partial(t, 2.5, K, tables),
+                        dirichlet.continuation_evidence(t, [2], K)))
+            assert dirichlet._float_tables(t, K) is pair
+        assert got == [got[0]] * len(ts)
+        assert dirichlet._tables_at.cache_info().misses == 1
 
     @pytest.mark.parametrize("t", [QuadExt(-1, 1, 5, 2), F(1, 3)])
     @pytest.mark.parametrize("K", [10 ** 18, 10 ** 19])
@@ -209,7 +235,7 @@ class TestKeptQTable:
     def test_does_not_depend_on_the_table_size(self, corpus):
         t, K = corpus["sqrt3m1"], 150
         for N in (K, 3 * K, K, 3 * K):
-            dirichlet._float_tables.cache_clear()
+            dirichlet._tables_at.cache_clear()
             for M in (N, 4 * K - N):  # fresh under one size, kept under the other
                 for s in self.GRID:
                     assert _q_value(t, s, K, M) == _q_reference(t, s, K, M)
@@ -386,7 +412,7 @@ class TestSeries:
         tables = farey.build_tables(K)
         dirichlet.f_beta_partial(F(3, 7), 2, 50)
         dirichlet.f_beta_mellin(F(3, 7), 3, 50)
-        info = dirichlet._float_tables.cache_info()
+        info = dirichlet._tables_at.cache_info()
         memo = list(dirichlet._powers_memo.items())
         diffs = [v.diffs for v in dirichlet._powers_memo.values()]
         for call in (lambda: dirichlet.f_beta_partial(t, s, K),
@@ -395,7 +421,7 @@ class TestSeries:
                      lambda: dirichlet.continuation_evidence(t, [2, s], K)):
             with pytest.raises(ValueError, match=r"need finite s with Re\(s\) > 0"):
                 call()
-        assert dirichlet._float_tables.cache_info() == info
+        assert dirichlet._tables_at.cache_info() == info
         assert all(a == b and a[1] is b[1] for a, b in
                    zip(dirichlet._powers_memo.items(), memo, strict=True))
         assert all(v.diffs is d for v, d in

@@ -100,10 +100,11 @@ class TestBruteOracle:
         assert sums.brute_S(n, t) == ref[n]
         assert sums.brute_S0(n, t) == ref0[n]
         assert sums.s0_prefix(t, n) == ref0
-        # the bulk map: S = (u + v sqrt(d))/(2r) for t = (p + q sqrt(d))/r
+        # the one map: S = (u + v sqrt(d))/(2r) for t = (p + q sqrt(d))/r
         parts = _, q, d, r = sums._parts(t)
         for midpoint, want in ((False, ref), (True, ref0)):
-            uv = sums._numerators(parts, midpoint, enumerate(sums._floor_sums(t, n), 1))
+            uv = [sums._numerators(parts, k, F_k, midpoint)
+                  for k, F_k in enumerate(sums._floor_sums(t, n), 1)]
             assert [F(0)] + [QuadExt(u, v, d, 2 * r) if q else F(u, 2 * r)
                              for u, v in uv] == want
         zero = sums.brute_S(0, t)
@@ -213,8 +214,9 @@ class TestBlockTotals:
     def test_matches_the_definition(self, t, n):
         assert sums._floor_total(t, n) == _definition_total(t, n)
 
-    # an unsafe block takes all B of its floors exactly; the prefix and the
-    # blocks take T = floor(t 2^E) once each
+    # an unsafe block takes all B of its floors exactly, and the first
+    # n mod B terms only those whose bracket reaches an integer; a call takes
+    # T = floor(t 2^E) once
     @pytest.mark.parametrize("t, n, exact", [
         (ALWAYS_FALLS_BACK, 1023, 15 + 16 * 63),  # B = 63: every floor
         (ONE_THIRD_AND_A_BIT, 600, 8 + 12 * 48),  # B = 48: k = 3, 6, ..., 24
@@ -230,7 +232,7 @@ class TestBlockTotals:
         floor_sqrt_times = sums._floor_sqrt_times
         monkeypatch.setattr(sums, "_floor_sqrt_times", counted)
         assert sums._floor_total(t, n) == _definition_total(t, n)
-        assert len(calls) == 2 + exact
+        assert len(calls) == 1 + exact
 
     # the check cap of the CLI's bench and sum, on the corpus, a t of long
     # period and both fixed-point constants
@@ -240,7 +242,7 @@ class TestBlockTotals:
     def test_brute_at_the_check_cap_matches_the_walk(self, t):
         n = 200_000
         *_, F_walk = sums._floor_sums(t, n)
-        assert sums.brute_S(n, t) == sums._values(_parts(t), [(n, F_walk)])[0]
+        assert sums.brute_S(n, t) == sums._value(_parts(t), n, F_walk)
 
 
 class TestFloorSum:
@@ -540,8 +542,9 @@ class TestBlockSweep:
 
 def _eager(t, F_list, midpoint):
     """The entries that a prefix sequence builds on read, built at once by
-    `_values` from the same F(n,t): the reference for every read."""
-    return sums._values(sums._parts(t), enumerate(F_list), midpoint)
+    `_value` from the same F(n,t): the reference for every read."""
+    parts = sums._parts(t)
+    return [sums._value(parts, n, F_n, midpoint) for n, F_n in enumerate(F_list)]
 
 
 def _prefixes(t, n_max):
@@ -798,7 +801,7 @@ class TestOrbitReadBounds:
     @example(cfrac.value(ONES_THEN_TWO), 10 ** 50)
     def test_bseq_steps_at_most_twice_the_bit_length(self, t, n):
         cfrac._record.cache_clear()
-        F, rows = sums._bseq_F(n, _parts(t))
+        F, rows, _ = sums._bseq_F(n, _parts(t))
         assert len(rows) <= 2 * n.bit_length()
         assert F == sums._ostrowski_F(n, sums.OstrowskiTables(t))[0]
 
@@ -810,7 +813,7 @@ class TestOrbitReadBounds:
         t = t - floor(t)
         cfrac._record.cache_clear()
         rec = cfrac._record(*_parts(t))
-        F, rows = sums._bseq_F(n, _parts(t))
+        F, rows, _ = sums._bseq_F(n, _parts(t))
         assert rec.cf is None  # no period within the states read
         assert len(rec.states) == len(rows) + 1  # states 0..len(rows)
         tab = sums.OstrowskiTables(t)
@@ -818,6 +821,71 @@ class TestOrbitReadBounds:
         # the tables read lambda_0..lambda_{K-1}, one state each
         assert len(rec.states) == max(len(rows) + 1, len(tab.lam))
         assert F == sums._ostrowski_F(n, tab)[0]
+
+
+def _isqrt_bseq(n, t):
+    """F(n,t) and the rows (j, n_j, P_j, Q_j) of the Gauss-map recursion for
+    t in (0, 1), on a fresh walk of t's orbit with no record, every floor
+    taken by isqrt: the reference for `_bseq_F`'s fixed-point floors."""
+    p, q, d, r = _parts(t)
+    D = (q * r) ** 2 * d
+
+    def floor_over(x, Q):  # floor((x + theta)/Q), theta in (0, 1)
+        return x // Q if Q > 0 else (-x - 1) // -Q
+
+    def state(P, Q):  # (lambda, P - lambda Q, Q) of (P + sqrt(D))/Q
+        lam = floor_over(P + math.isqrt(D), Q)
+        return lam, P - lam * Q, Q
+
+    _, P, Q = state(*((p * r, r * r) if q > 0 else (-p * r, -r * r)))
+    rows, G, sign, nj = [], 0, 1, n
+    while nj > 0:
+        rows.append((len(rows), nj, P, Q))
+        m = floor_over(nj * P + math.isqrt(nj * nj * D), Q)
+        lam, P, Q = state(-P, (D - P * P) // Q)
+        G += sign * (m * (m + 1) * lam - (2 * m + 1) * nj - m)
+        nj, sign = m, -sign
+    return (-n - G) // 2, rows
+
+
+# sqrt(D) = 9 10^100 + 1/3 + about 5 10^-102, D = 81 10^200 + 6 10^100 + 1:
+# at n = 3k, n sqrt(D) lies just past an integer, and floor(sqrt(D) 2^E) times
+# n falls short of it, so floor(n sqrt(D)) is wrong unless the bracket
+# (n R, n R + n) sends it to the isqrt
+THIRD_AND_A_BIT = QuadExt(-9 * 10 ** 100, 1, 81 * 10 ** 200 + 6 * 10 ** 100 + 1, 1)
+
+
+class TestFixedPointGaussMap:
+    """`_bseq_F` takes floor(n_j sqrt(D)) off the record's fixed-point
+    sqrt(D), and by isqrt where the bracket reaches an integer."""
+
+    @given(st.one_of(FIXED_POINT_T, slow_orbits()), st.integers(0, 10 ** 60))
+    @example(ALWAYS_FALLS_BACK, 511)  # 2^E < 10^22: every step by isqrt
+    @example(ALWAYS_FALLS_BACK, 10 ** 60)
+    @example(THIRD_AND_A_BIT, 3)
+    @example(THIRD_AND_A_BIT, 3 * 10 ** 59)
+    @example(THIRD_AND_A_BIT, 10 ** 60)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_isqrt_recursion(self, t, n):
+        t = t - floor(t)  # the recursion needs t in (0, 1)
+        F, rows, S = sums._bseq_F(n, _parts(t))
+        assert (F, rows) == _isqrt_bseq(n, t)
+        assert S == sums._value(_parts(t), n, F)
+
+    def test_the_fallback_decides_at_a_multiple_of_3(self, monkeypatch):
+        # at n = 3 the fixed-point floor of 3 sqrt(D) is off by one, so the
+        # first step takes it by isqrt, and F(3,t) = 0 + 0 + 1
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.isqrt(x)
+
+        monkeypatch.setattr(sums, "isqrt", counted)
+        cfrac._record.cache_clear()
+        F, rows, _ = sums._bseq_F(3, _parts(THIRD_AND_A_BIT))
+        assert (F, rows) == _isqrt_bseq(3, THIRD_AND_A_BIT)
+        assert F == 1 and calls == [9 * (81 * 10 ** 200 + 6 * 10 ** 100 + 1)]
 
 
 class TestSharedRecord:
@@ -877,7 +945,7 @@ class TestIntegerCores:
         tab = sums.OstrowskiTables(t)
         for n in ns:
             F_o, rows_o = sums._ostrowski_F(n, tab)
-            F_b, rows_b = sums._bseq_F(n, _parts(t))
+            F_b, rows_b, _ = sums._bseq_F(n, _parts(t))
             assert F_o == F_b == prefix[n]
             assert len(rows_o) == len(sums.ostrowski_S(n, t, tables=tab)[1].steps)
             assert len(rows_b) == len(sums.bseq_S(n, t)[1].steps)

@@ -73,8 +73,8 @@ def test_cheap_2logn_rule_never_accepts_what_the_isqrt_test_rejects(t, n_max):
     F, _, js = sums._sweep(tab, n_max)
     L = list(accumulate(tab.lam[1:], initial=0))
     parts = _, _, d, r = sums._parts(t)
-    uv = sums._numerators(parts, False, enumerate(F[1:], 1))
-    for n, (u, v) in enumerate(uv, 1):
+    for n in range(1, n_max + 1):
+        u, v = sums._numerators(parts, n, F[n])
         if n < 3:
             continue
         B = 2 * math.log(n)
