@@ -14,11 +14,12 @@ Everything here is read off one of two integer walks.
   it keeps.  The record is read one way, by index: `index(j)` is where
   state j lies in its list of states, walked on first while the period is
   unknown, and past the walk, once the period is known, found by index
-  arithmetic.  A reader takes it once where it starts and again only where
-  its next index runs past the walked states, so the Ostrowski continuants
-  (`extend_past`) and the Gauss-map recursion of `sums` read the states as
-  a flat list, in one loop each, and take the period's wrap once per pass
-  through it, as an index back to `start`.  `read(j)` is the same read as
+  arithmetic.  A reader takes it once where it starts and then steps by
+  `next_index(i, j)`, i + 1 while that is a walked state and `index(j)`
+  past them, so the Ostrowski continuants (`extend_past`) and the
+  Gauss-map recursion of `sums` read the states as a flat list, in one
+  loop each, and take the period's wrap once per pass through it; only
+  `index` knows how the list is laid out.  `read(j)` is the same read as
   a generator, for the checks of `measure`; iterating the record is the
   reader from 0.  No reader walks a state it does not read.
   `extend_past(n)` grows the continuants to the first k >= 4 with b_k > n
@@ -126,9 +127,9 @@ class _Record:
 
     `cf` is None until a pair (P_j, Q_j) repeats an earlier (P_i, Q_i); the
     walk stops there, at j = len(states) - 1, and `cf` is t's expansion,
-    whose period starts at lambda_{i+1}, and `start` = i + 1 (0 until
-    then): from then on the states are states[i+1:] over and over, and
-    `index` finds them there by index arithmetic.  The first pair to repeat is the first one on the cycle,
+    whose period starts at lambda_{i+1}: from then on the states are
+    states[i+1:] over and over, and `index` finds them there by index
+    arithmetic.  The first pair to repeat is the first one on the cycle,
     and by Galois's theorem t_j is on the cycle exactly when 1/t_j is
     reduced, that is when its conjugate (-P_j - sqrt(D))/Q' lies in
     (-1, 0): 0 < P_j + sqrt(D) < Q', or 0 <= P_j + floor(sqrt(D)) < Q' in
@@ -144,18 +145,19 @@ class _Record:
     off the period.
 
     Readers may share a record across threads: walks and growth take a
-    lock, the lists only grow, `start` and then `cf` are set after the last
-    state is appended, and `b` is appended last, so a reader that sees cf
-    or a nonzero start sees every state, and one that sees b_k also sees
-    a_k and lambda_{k-1}.  `_fixed` is replaced whole, and any pair it has
-    held gives exact floors, so it takes no lock."""
+    lock, the lists only grow, `cf` is set after the last state is
+    appended, and `b` is appended last, so a reader that sees cf sees every
+    state, and one that sees b_k also sees a_k and lambda_{k-1}.  A reader
+    steps by `next_index`, which reads cf before it reads past the walk.
+    `_fixed` is replaced whole, and any pair it has held gives exact
+    floors, so it takes no lock."""
 
-    __slots__ = ("states", "cf", "start", "lam", "a", "b", "_entry", "_next", "_D",
+    __slots__ = ("states", "cf", "lam", "a", "b", "_entry", "_next", "_D",
                  "_root", "_fixed", "_lock")
 
     def __init__(self, p: int, q: int, d: int, r: int):
         # `extend_past` and `index` walk by `fill`, so the lock is reentrant
-        self.states, self._lock, self.start = [], threading.RLock(), 0
+        self.states, self._lock = [], threading.RLock()
         # _entry is (P_i, Q_i, i + 1) of the first state on the cycle
         self.cf = self._entry = None
         self._D = (q * r) ** 2 * d
@@ -172,12 +174,20 @@ class _Record:
         the period is unknown (a walk elsewhere may find the period first),
         and past the walk, once the period is known, s + (j - s) mod (L - s),
         with s = len(cf.pre) + 1 the period's first index and L = len(states).
-        A reader by index takes it once, where it starts, and again only
-        where its next index reaches L: there it walks on, or wraps to s."""
+        A reader by index takes it once, where it starts, and then steps by
+        `next_index`."""
         if j >= len(self.states) and self.cf is None:
             self.fill(j + 1)
-        L, s = len(self.states), self.start  # start is set after the last append
-        return j if j < L else s + (j - s) % (L - s)
+        L = len(self.states)  # j >= L only once cf is set, after the last append
+        return j if j < L else (s := len(self.cf.pre) + 1) + (j - s) % (L - s)
+
+    def next_index(self, i: int, j: int) -> int:
+        """Where state j is, for i where state j - 1 is: i + 1 while that is a
+        walked state, and past the walked states `index(j)`, which walks on
+        or wraps to the period's start.  It reads the states' length before
+        `index` reads cf, so it needs no lock: a walk elsewhere that appends
+        states, or finds the period, between the two reads is seen whole."""
+        return i + 1 if i + 1 < len(self.states) else self.index(j)
 
     def read(self, j: int = 0):
         """(lambda_j, P_j, Q_j), (lambda_{j+1}, ...), ... with no end, one
@@ -205,7 +215,7 @@ class _Record:
                             entry = P, Q, j
                     elif P == entry[0] and Q == entry[1]:
                         # every lambda_j past lambda_0 is >= 1: no check
-                        lams, self.start = [lam for lam, _, _ in states], entry[2]
+                        lams = [lam for lam, _, _ in states]
                         self.cf = CFExpansion._make((lams[0], tuple(lams[1:entry[2]]),
                                                      tuple(lams[entry[2]:])))
                         return
@@ -216,17 +226,14 @@ class _Record:
     def extend_past(self, n: int) -> None:
         """Grow the continuants to the first k >= 4 with b_k > n, reading
         lambda_k by index from state k = len(lam) on, with the last two
-        continuants in locals: `index` once where the read starts, and past
-        the walked states again, which walks on, or wraps to `start` once
-        the period is known."""
+        continuants in locals: `index` once where the read starts, and
+        `next_index` from there on."""
         lam, a, b, states = self.lam, self.a, self.b, self.states
         if len(b) < 5 or b[-1] <= n:  # and again under the lock
             with self._lock:
                 k, i, (a0, a1), (b0, b1) = len(lam), None, a[-2:], b[-2:]
                 while k < 4 or b1 <= n:
-                    i = self.index(k) if i is None else i + 1
-                    if i == len(states):
-                        i = self.start or self.index(k)
+                    i = self.index(k) if i is None else self.next_index(i, k)
                     x = states[i][0]
                     a0, a1 = a1, x * a1 + a0
                     b0, b1 = b1, x * b1 + b0

@@ -86,18 +86,17 @@ t's integer view `exactnum._parts` once and passes it to the record
 lookup and to `_value`.
 Each has an integer core that returns the int F(n,t) and its trace rows,
 and reads the record's lists by index in one loop (`cfrac._Record.index`
-only where the read starts and where it runs past the walked states):
+where the read starts, and `next_index` from there on):
 `_ostrowski_F` sums the dF of the steps over lists grown once, to
 b_k > n, and `_bseq_F` takes F from the alternating sum G below.  Its
 floor(n_j sqrt(D)) is (n_j R) >> E off the record's fixed-point
 R = floor(sqrt(D) 2^E) (`cfrac._Record.fixed_root`), one multiply and
 shift, and one isqrt only where the bracket (n_j R, n_j R + n_j) reaches
 a multiple of 2^E, as `_floor_sums` does for k t; it asserts the
-Bsequence estimate on the parts of S, and returns S with F.
-ostrowski_S makes its one value from its core's F by `_value`, bseq_S
-returns its core's, and each keeps its trace rows with no closure made
-per call; `verify` compares the cores' ints with the `_floor_sums`
-prefix directly.  All three agree exactly on every input.
+Bsequence estimate on the numerators of S.  ostrowski_S and bseq_S each
+make their one value from their core's F by `_value`, and each keeps its
+trace rows with no closure made per call; `verify` compares the cores'
+ints with the `_floor_sums` prefix directly.  All three agree exactly on every input.
 
 ostrowski_sweep needs F(n,t) at every n <= n_max, and `_sweep` makes it a
 block of n at a time.  Between b_j and b_{j+1}, on n = q b_j + n' with
@@ -602,15 +601,15 @@ def ostrowski_sweep(t: Scalar, cf: cfrac.CFExpansion | None, n_max: int,
 # -- Gauss-map (Bsequence) recursion --------------------------------------
 
 
-def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple], Scalar]:
+def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple]]:
     """F(n,t) by the Gauss-map recursion of `bseq_S`, with its trace rows
-    (j, n_j, P_j, Q_j) and the value S(n,t), for the t of parts =
-    `_parts(t)` as the caller holds it; the steps are ints only.  They read
-    t's orbit record by index, and floor(n_j sqrt(D)) off the record's
+    (j, n_j, P_j, Q_j); ints only, for the t of parts = `_parts(t)` as the
+    caller holds it.  The steps read t's orbit record by index
+    (`cfrac._Record.next_index`), and floor(n_j sqrt(D)) off the record's
     fixed-point R = floor(sqrt(D) 2^E) (`cfrac._Record.fixed_root`) as
     (n_j R) >> E, with one isqrt only where the bracket (n_j R, n_j R + n_j)
     reaches a multiple of 2^E.  The modified Bsequence estimate is asserted
-    on the parts of S."""
+    on the numerators (u, v) of S(n,t), so no QuadExt is built."""
     if n < 0:
         raise ValueError("n must be >= 0")
     _, q, d, r = parts
@@ -618,10 +617,10 @@ def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple],
         raise NotIrrational("bseq recursion needs irrational t")
     rec = cfrac._record(*parts)
     states, (E, R) = rec.states, rec.fixed_root(n)
-    lam0, P, Q = states[rec.index(0)]  # t_0 = t - lambda_0
+    lam0, P, Q = states[i := rec.index(0)]  # t_0 = t - lambda_0
     if lam0:  # irrational t lies in (0, 1] exactly when floor(t) = 0
         raise DomainError("t must lie in (0, 1]")
-    rows, i, mask = [], 0, (1 << E) - 1
+    rows, mask = [], (1 << E) - 1
     nj, G, lam_sum = n, 0, 0
     while nj > 0:
         rows.append((len(rows), nj, P, Q))
@@ -630,17 +629,16 @@ def _bseq_F(n: int, parts: tuple[int, int, int, int]) -> tuple[int, list[tuple],
         x = nj * R
         x = nj * P + (x >> E if (x & mask) + nj <= mask else isqrt((nj * q * r) ** 2 * d))
         m = x // Q if Q > 0 else (-x - 1) // -Q
-        i = i + 1 if i + 1 < len(states) else rec.start or rec.index(len(rows))
+        i = rec.next_index(i, len(rows))
         lam, P, Q = states[i]
         # G is the alternating sum below, up to the sign (-1)^(steps + 1)
         G = m * (m + 1) * lam - (2 * m + 1) * nj - m - G
         lam_sum += lam
         nj = m
     F = (-n - (G if len(rows) & 1 else -G)) // 2
-    S = _value(parts, n, F)
-    if n and not _abs_at_most(S.p, S.q, d, S.r, lam_sum, 2):
+    if n and not _abs_at_most(*_numerators(parts, n, F), d, 2 * r, lam_sum, 2):
         raise AssertionError("modified Bsequence estimate violated")
-    return F, rows, S
+    return F, rows
 
 
 def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
@@ -661,8 +659,8 @@ def bseq_S(n: int, t: Scalar) -> tuple[Scalar, SumTrace]:
     steps is asserted.  The trace keeps (j, n_j, P_j, Q_j) per step.
     """
     parts = _, q, d, r = _parts(t)
-    _, rows, S = _bseq_F(n, parts)
-    return S, SumTrace(_Lazy(_bseq_step, rows, abs(q) * r, d))
+    F, rows = _bseq_F(n, parts)
+    return _value(parts, n, F), SumTrace(_Lazy(_bseq_step, rows, abs(q) * r, d))
 
 
 def _bseq_step(s: int, d: int, _, row: tuple) -> BseqStep:

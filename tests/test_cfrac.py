@@ -275,14 +275,16 @@ class TestOrbitRecord:
         assert cfrac._record.cache_info().currsize == 1
 
     def test_threads_share_a_record(self):
-        # more readers than cores on one record: a quarter expand t, walking
-        # 1166 states in one go, a quarter read 3000 states of it as the
-        # record walks on, and half grow tables of it to random n, up to
-        # 3700 continuants, past the walk and through the period; a thread
-        # switch is forced every few bytecodes
+        # more readers than cores on one record: a fifth expand t, walking
+        # 1166 states in one go, a fifth read 3000 states of it as the
+        # record walks on, two fifths grow tables of it to random n, up to
+        # 3700 continuants, past the walk and through the period, and a
+        # fifth run the Gauss-map recursion to random n, stepping past the
+        # walked states as others walk on; a thread switch is forced every
+        # few bytecodes
         from remsum import sums
 
-        t = QuadExt(0, 1, 1000033, 1)  # sqrt(1000033) = <1000; (1165 terms)>
+        t = QuadExt(-1000, 1, 1000033, 1)  # sqrt(1000033) - 1000 = <0; (1165 terms)>
         want = list(itertools.islice(_reference_orbit(t), 3000))
         cfrac._record.cache_clear()
         want_cf = cfrac.expand(t, 5000)
@@ -292,6 +294,9 @@ class TestOrbitRecord:
         a, b = [c.a for c in conv], [c.b for c in conv]
         rng = random.Random(31)
         ns = iter([10 ** rng.randint(0, 1900) + rng.randint(0, 999) for _ in range(16)])
+        bseq_ns = [10 ** rng.randint(100, 1900) + rng.randint(0, 999) for _ in range(8)]
+        want_S = {n: sums.bseq_S(n, t)[0] for n in bseq_ns}  # on the whole record
+        bseq_ns = iter(bseq_ns)
 
         def tables():
             n = next(ns)
@@ -300,17 +305,21 @@ class TestOrbitRecord:
             K = max(4, bisect.bisect_right(b, n))
             got.append((tab.lam, tab.a, tab.b) == (lam[:K], a[:K + 1], b[:K + 1]))
 
+        def bseq():
+            n = next(bseq_ns)
+            got.append(sums.bseq_S(n, t)[0] == want_S[n])
+
         got = []
         readers = [lambda: got.append(cfrac.expand(t, 5000) == want_cf),
                    lambda: got.append(list(itertools.islice(_states(t), 3000)) == want),
-                   tables, tables]
+                   tables, tables, bseq]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(4):
                 cfrac._record.cache_clear()
                 cfrac._record(*_parts(t))  # every thread reads this one record
-                threads = [threading.Thread(target=readers[i % 4]) for i in range(8)]
+                threads = [threading.Thread(target=readers[i % 5]) for i in range(10)]
                 for th in threads:
                     th.start()
                 for th in threads:
@@ -318,7 +327,7 @@ class TestOrbitRecord:
                 assert not any(th.is_alive() for th in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert got == [True] * 32
+        assert got == [True] * 40
 
     def test_a_reader_at_the_period_waits_for_it(self):
         # a walk elsewhere has appended the state that repeats, and holds the
@@ -355,6 +364,43 @@ class TestOrbitRecord:
         assert list(itertools.islice(iter(rec), 20)) == want
         writer.join(timeout=30)
         assert not writer.is_alive() and rec.cf == cf
+
+    def test_a_reader_past_the_walk_sees_a_walk_elsewhere_whole(self, monkeypatch):
+        # the Gauss-map recursion holds no lock: it reaches the end of the
+        # one walked state just as a walk elsewhere appends the rest of the
+        # orbit and finds the period, between its read of the states' length
+        # and its next step; the state it reads next is state 1, walked
+        # now, not the period's first (state 3 of <0; 1, 1, (1, 2)>)
+        from remsum import sums
+
+        t = PRE_PERIOD
+        cfrac._record.cache_clear()
+        want = sums.bseq_S(10 ** 18, t)[0]
+        armed, walked_at = [], []
+
+        class Racing(list):
+            def __len__(self):
+                L = super().__len__()
+                if armed == [True]:  # the walk elsewhere, in full
+                    armed.clear()
+                    rec.fill(64)
+                    walked_at.append(L)
+                return L
+
+        class Record(cfrac._Record):
+            __slots__ = ()
+
+            def index(self, j):
+                i = super().index(j)
+                armed[:] = [j == 0]  # the reader has its first state
+                return i
+
+        rec = Record(*_parts(t))
+        rec.fill(1)
+        rec.states = Racing(rec.states)
+        monkeypatch.setattr(cfrac, "_record", lambda *parts: rec)
+        assert sums.bseq_S(10 ** 18, t)[0] == want
+        assert walked_at == [1] and rec.cf == CFExpansion(0, (1, 1), (1, 2))
 
     def test_one_walk_serves_expand_and_both_recursions(self):
         from remsum import sums

@@ -801,7 +801,7 @@ class TestOrbitReadBounds:
     @example(cfrac.value(ONES_THEN_TWO), 10 ** 50)
     def test_bseq_steps_at_most_twice_the_bit_length(self, t, n):
         cfrac._record.cache_clear()
-        F, rows, _ = sums._bseq_F(n, _parts(t))
+        F, rows = sums._bseq_F(n, _parts(t))
         assert len(rows) <= 2 * n.bit_length()
         assert F == sums._ostrowski_F(n, sums.OstrowskiTables(t))[0]
 
@@ -813,7 +813,7 @@ class TestOrbitReadBounds:
         t = t - floor(t)
         cfrac._record.cache_clear()
         rec = cfrac._record(*_parts(t))
-        F, rows, _ = sums._bseq_F(n, _parts(t))
+        F, rows = sums._bseq_F(n, _parts(t))
         assert rec.cf is None  # no period within the states read
         assert len(rec.states) == len(rows) + 1  # states 0..len(rows)
         tab = sums.OstrowskiTables(t)
@@ -868,9 +868,7 @@ class TestFixedPointGaussMap:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_isqrt_recursion(self, t, n):
         t = t - floor(t)  # the recursion needs t in (0, 1)
-        F, rows, S = sums._bseq_F(n, _parts(t))
-        assert (F, rows) == _isqrt_bseq(n, t)
-        assert S == sums._value(_parts(t), n, F)
+        assert sums._bseq_F(n, _parts(t)) == _isqrt_bseq(n, t)
 
     def test_the_fallback_decides_at_a_multiple_of_3(self, monkeypatch):
         # at n = 3 the fixed-point floor of 3 sqrt(D) is off by one, so the
@@ -883,7 +881,7 @@ class TestFixedPointGaussMap:
 
         monkeypatch.setattr(sums, "isqrt", counted)
         cfrac._record.cache_clear()
-        F, rows, _ = sums._bseq_F(3, _parts(THIRD_AND_A_BIT))
+        F, rows = sums._bseq_F(3, _parts(THIRD_AND_A_BIT))
         assert (F, rows) == _isqrt_bseq(3, THIRD_AND_A_BIT)
         assert F == 1 and calls == [9 * (81 * 10 ** 200 + 6 * 10 ** 100 + 1)]
 
@@ -945,7 +943,7 @@ class TestIntegerCores:
         tab = sums.OstrowskiTables(t)
         for n in ns:
             F_o, rows_o = sums._ostrowski_F(n, tab)
-            F_b, rows_b, _ = sums._bseq_F(n, _parts(t))
+            F_b, rows_b = sums._bseq_F(n, _parts(t))
             assert F_o == F_b == prefix[n]
             assert len(rows_o) == len(sums.ostrowski_S(n, t, tables=tab)[1].steps)
             assert len(rows_b) == len(sums.bseq_S(n, t)[1].steps)
